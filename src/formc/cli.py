@@ -1,7 +1,8 @@
 """Command-line interface: compile, check, bench, assemble, trends.
 
-Exit codes: 0 on success, 2 when a form is rejected by the requested
-representation, 3 when a cross-check exceeds its tolerance.
+Exit codes: 0 on success, 2 when the front end rejects a form or the
+requested representation cannot build it (division under tensor, term budget
+exceeded), 3 when a cross-check exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -71,9 +72,13 @@ def cmd_check(args) -> int:
     except dsl.FormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    check = harness.cross_check(
-        cf, n_cells=args.cells, seed=args.seed, points_override=args.points
-    )
+    try:
+        check = harness.cross_check(
+            cf, n_cells=args.cells, seed=args.seed, points_override=args.points
+        )
+    except MemoryError as exc:
+        print(f"rejected (tensor): {exc}", file=sys.stderr)
+        return EXIT_REJECTED
     tol = (
         CHECK_TOLERANCE_DIVISION
         if check.mode == "quadrature-two-degrees"

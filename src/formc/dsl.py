@@ -10,6 +10,7 @@ parsed program carries a single integrand tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .elements import (
@@ -78,6 +79,13 @@ class UnsupportedSecondDerivative(FormError):
 
 class CellMismatch(FormError):
     pass
+
+
+# Deepest expression tree, and deepest nesting of parentheses, operator
+# calls and unary minus, that the parser accepts.  It keeps every recursive
+# pass over the tree (parser, type checker, lowering, printer) far from
+# Python's recursion limit.
+MAX_EXPR_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +303,7 @@ class _Parser:
         self.function_decls: list = []
         self.form: tuple[str, FormExpr] | None = None
         self.n_coefficients = 0
+        self.nesting = 0
 
     # -- token helpers
 
@@ -328,6 +337,8 @@ class _Parser:
             tok = self.peek()
             raise FormSyntaxError("missing integral statement '<expr>*dx'", tok.line, tok.col)
         name, integrand = self.form
+        if _height(integrand) > MAX_EXPR_DEPTH:
+            raise FormSyntaxError(f"integrand is nested deeper than {MAX_EXPR_DEPTH} levels")
         return FormProgram(
             tuple(self.element_decls), tuple(self.function_decls), name, integrand
         )
@@ -450,6 +461,17 @@ class _Parser:
 
     def factor(self) -> FormExpr:
         tok = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_DEPTH:
+            raise FormSyntaxError(
+                f"expression is nested deeper than {MAX_EXPR_DEPTH} levels", tok.line, tok.col
+            )
+        try:
+            return self.primary(tok)
+        finally:
+            self.nesting -= 1
+
+    def primary(self, tok: Token) -> FormExpr:
         if tok.kind == "punct" and tok.text == "-":
             self.advance()
             return Sub(ScalarLiteral(0.0), self.factor())
@@ -460,7 +482,10 @@ class _Parser:
             return node
         if tok.kind == "number":
             self.advance()
-            return ScalarLiteral(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise FormSyntaxError(f"literal {tok.text} is not finite", tok.line, tok.col)
+            return ScalarLiteral(value)
         if tok.kind == "name":
             if tok.text in ("grad", "div", "transp"):
                 self.advance()
@@ -663,16 +688,38 @@ def _combine_product(a: _Sig, b: _Sig) -> _Sig:
     return _Sig(shape, max(a.order, b.order), n_test, n_trial)
 
 
+def _children(expr: FormExpr) -> tuple:
+    if isinstance(expr, (Grad, Div, Transp)):
+        return (expr.operand,)
+    if isinstance(expr, (Dot, Mult, Add, Sub, Quotient)):
+        return (expr.a, expr.b)
+    return ()
+
+
+def _height(root: FormExpr) -> int:
+    """Levels of the expression tree, found without recursion.
+
+    Named sub-expressions are shared nodes, so heights are memoised by node
+    identity (hashing a node would itself recurse through the tree).
+    """
+    height: dict = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        pending = [c for c in _children(node) if id(c) not in height]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            height[id(node)] = 1 + max((height[id(c)] for c in _children(node)), default=0)
+    return height[id(root)]
+
+
 def _collect_leaves(expr: FormExpr, out: set) -> None:
     if isinstance(expr, (Argument, Coefficient)):
         out.add(expr)
-        return
-    if isinstance(expr, (Grad, Div, Transp)):
-        _collect_leaves(expr.operand, out)
-        return
-    if isinstance(expr, (Dot, Mult, Add, Sub, Quotient)):
-        _collect_leaves(expr.a, out)
-        _collect_leaves(expr.b, out)
+    for child in _children(expr):
+        _collect_leaves(child, out)
 
 
 def typecheck(program: FormProgram) -> TypedForm:

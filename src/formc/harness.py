@@ -31,10 +31,6 @@ DEFAULT_TERM_BUDGET = 8_000_000
 COEF_LOW, COEF_HIGH = 0.5, 1.5  # bounded away from zero for division forms
 
 
-class FormRejected(Exception):
-    """No representation could compile the form."""
-
-
 class UnsupportedCell(ValueError):
     """Assembly meshes are two-dimensional only."""
 
@@ -83,7 +79,7 @@ def quadrature_kernel(
 
 
 def tensor_kernel(
-    cf: CompiledForm, *, term_budget: int | None = None, drop_zeros: bool = True
+    cf: CompiledForm, *, term_budget: int | None = DEFAULT_TERM_BUDGET, drop_zeros: bool = True
 ) -> KernelIR:
     return tensorrep.build_tensor_kernel(
         cf.monomials, term_budget=term_budget, drop_zeros=drop_zeros, name=cf.name
@@ -149,18 +145,27 @@ def cross_check(
     estimate is nominal for rational integrands, so both degrees carry a
     safety shift large enough for Gauss convergence to the check tolerance).
     An explicit ``points_override`` permits deliberately inexact quadrature.
+    A tensor kernel beyond the default term budget raises MemoryError.
     """
     geo = affine_map_batch(random_cells(cf.cell, n_cells, seed))
     w = random_coefficients(cf, n_cells, seed + 1)
     try:
         kt = tensor_kernel(cf)
     except tensorrep.UnsupportedDivision:
+        kt = None
+    return _check_kernels(cf, geo, w, None, kt, points_override)
+
+
+def _check_kernels(cf, geo, w, kq, kt, points_override=None) -> CrossCheck:
+    """The comparison of cross_check and compare; a ``kq`` of None is built here."""
+    if kt is None:
         kq1 = quadrature_kernel(cf, points_override, degree_shift=10)
         kq2 = quadrature_kernel(cf, degree_shift=16)
         A1 = interpret_batch(kq1, geo, w)
         A2 = interpret_batch(kq2, geo, w)
         return CrossCheck(relative_max_difference(A1, A2), "quadrature-two-degrees")
-    kq = quadrature_kernel(cf, points_override)
+    if kq is None:
+        kq = quadrature_kernel(cf, points_override)
     Aq = interpret_batch(kq, geo, w)
     At = interpret_batch(kt, geo, w)
     return CrossCheck(relative_max_difference(Aq, At), "quadrature-vs-tensor")
@@ -269,20 +274,18 @@ class SparseMatrix:
     indices: np.ndarray  # sorted per row
     data: np.ndarray
 
+    def _row_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.n_rows)
-        for r in range(self.n_rows):
-            out[r] = self.data[self.indptr[r] : self.indptr[r + 1]].sum()
-        return out
+        return np.bincount(self._row_ids(), weights=self.data, minlength=self.n_rows)
 
     def total(self) -> float:
         return float(self.data.sum())
 
     def todense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        for r in range(self.n_rows):
-            sl = slice(self.indptr[r], self.indptr[r + 1])
-            out[r, self.indices[sl]] = self.data[sl]
+        out[self._row_ids(), self.indices] = self.data
         return out
 
 
@@ -490,16 +493,7 @@ def compare(
 
     geo = affine_map_batch(random_cells(cf.cell, n_cells, seed))
     w = random_coefficients(cf, n_cells, seed + 1)
-    if kt is not None:
-        Aq = interpret_batch(kq, geo, w)
-        At = interpret_batch(kt, geo, w)
-        maxdiff = relative_max_difference(Aq, At)
-        mode = "quadrature-vs-tensor"
-    else:
-        A1 = interpret_batch(quadrature_kernel(cf, degree_shift=10), geo, w)
-        A2 = interpret_batch(quadrature_kernel(cf, degree_shift=16), geo, w)
-        maxdiff = relative_max_difference(A1, A2)
-        mode = "quadrature-two-degrees"
+    check = _check_kernels(cf, geo, w, kq, kt)
 
     runtime_q = runtime_t = None
     if bench_n:
@@ -524,8 +518,8 @@ def compare(
         gen_time_t=gen_t,
         bytes_q=bytes_q,
         bytes_t=bytes_t,
-        max_difference=maxdiff,
-        check_mode=mode,
+        max_difference=check.max_relative_difference,
+        check_mode=check.mode,
         n_points=kq.meta["n_points"],
         runtime_q=runtime_q,
         runtime_t=runtime_t,

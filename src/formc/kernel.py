@@ -104,16 +104,38 @@ class BinOp:
     b: object
 
 
+def chain(op: str, parts):
+    """Left-associated fold ((p0 op p1) op p2) ... of one or more operands."""
+    expr = parts[0]
+    for p in parts[1:]:
+        expr = BinOp(op, expr, p)
+    return expr
+
+
 @dataclass(eq=False)
 class TermSum:
     """Compact linear combination sum_k coeffs[k] * scalar(slots[k]).
 
     Used for the unrolled tensor contraction; coefficients with magnitude
     one skip their multiply in the flop count and the emitted code.
+    ``ops`` is the flop count; ``live`` holds (coeffs, slots) without the
+    exact-zero terms, which contribute nothing, so the evaluated sum is the
+    same whether or not they were emitted.
     """
 
     coeffs: np.ndarray  # float64 (n,)
     slots: np.ndarray  # int32 slot ids into KernelIR.g_slots
+    ops: int = field(init=False)
+    live: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c = self.coeffs
+        self.ops = len(c) - 1 + int(np.count_nonzero(np.abs(c) != 1.0))
+        if np.count_nonzero(c) == len(c):
+            self.live = (c, self.slots)
+        else:
+            nz = c != 0.0
+            self.live = (c[nz], self.slots[nz])
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +196,6 @@ class KernelIR:
     @property
     def n_entries(self) -> int:
         return int(np.prod(self.shape))
-
-    def __post_init__(self):
-        self._expr_ops: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +294,11 @@ def map_to_reference(geo: CellGeometry, x: np.ndarray) -> np.ndarray:
 
 
 def _expr_ops(kernel: KernelIR, expr) -> int:
-    cached = kernel._expr_ops.get(id(expr))
-    if cached is not None:
-        return cached
     if isinstance(expr, BinOp):
-        n = 1 + _expr_ops(kernel, expr.a) + _expr_ops(kernel, expr.b)
-    elif isinstance(expr, TermSum):
-        n = len(expr.coeffs) - 1 + int(np.count_nonzero(np.abs(expr.coeffs) != 1.0))
-    else:
-        n = 0
-    kernel._expr_ops[id(expr)] = n
-    return n
+        return 1 + _expr_ops(kernel, expr.a) + _expr_ops(kernel, expr.b)
+    if isinstance(expr, TermSum):
+        return expr.ops
+    return 0
 
 
 def _stmt_ops(kernel: KernelIR, stmt) -> int:
@@ -372,14 +385,8 @@ def _eval(expr, run: _Run, loc):
             run.gmat = np.empty((len(names), run.B))
             for i, name in enumerate(names):
                 run.gmat[i] = run.env[name]
-        packed = getattr(expr, "_packed", None)
-        if packed is None:
-            # Exact-zero terms contribute nothing; stripping them keeps the
-            # evaluated sum identical whether or not they were emitted.
-            nz = expr.coeffs != 0.0
-            packed = (expr.coeffs[nz], expr.slots[nz]) if not nz.all() else (expr.coeffs, expr.slots)
-            expr._packed = packed
-        return packed[0] @ run.gmat[packed[1]]
+        coeffs, slots = expr.live
+        return coeffs @ run.gmat[slots]
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 
 

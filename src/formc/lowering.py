@@ -70,6 +70,11 @@ def _idx_key_tuple(t) -> tuple:
     return tuple(_idx_key(x) for x in t)
 
 
+def resolve(ix, assignment):
+    """Concrete direction of an index: bound indices read ``assignment``."""
+    return assignment[ix.ident] if isinstance(ix, SumIndex) else ix
+
+
 @dataclass(frozen=True)
 class Monomial:
     """constant * product of basis factors * Jinv factors * det [/ denominators].
@@ -88,6 +93,12 @@ class Monomial:
     def signature(self) -> tuple:
         """Basis structure shared by monomials with one reference tensor."""
         return (self.factors, self.denominators, self.n_bound)
+
+    def jinv_product(self, assignment) -> tuple:
+        """Sorted concrete (ref, phys) pairs of the Jinv factors."""
+        return tuple(
+            sorted((resolve(j.ref, assignment), resolve(j.phys, assignment)) for j in self.jinvs)
+        )
 
 
 @dataclass(frozen=True)
@@ -377,7 +388,8 @@ def simplify(ms: MonomialSum) -> MonomialSum:
 # Degree estimation and dumping
 
 
-def _factor_degree(form: TypedForm, f: BasisFactor) -> int:
+def factor_degree(form: TypedForm, f: BasisFactor) -> int:
+    """Polynomial degree of a basis factor: derivatives lower it by one each."""
     element = form.element_of(f.role, f.coef)
     return max(element.degree - len(f.derivs), 0)
 
@@ -391,8 +403,8 @@ def estimate_degree(ms: MonomialSum) -> int:
     """
     best = 0
     for m in ms.monomials:
-        deg = sum(_factor_degree(ms.form, f) for f in m.factors)
-        deg += sum(_factor_degree(ms.form, f) for f in m.denominators)
+        deg = sum(factor_degree(ms.form, f) for f in m.factors)
+        deg += sum(factor_degree(ms.form, f) for f in m.denominators)
         best = max(best, deg)
     return best
 

@@ -37,8 +37,9 @@ from .kernel import (
     Loop,
     ScalarRef,
     TableRef,
+    chain,
 )
-from .lowering import MonomialSum, SumIndex
+from .lowering import MonomialSum, resolve
 from .quadrature import QuadratureRule
 
 ZERO_TOLERANCE = 1e-14
@@ -68,10 +69,6 @@ def eliminate_zero_columns(table: np.ndarray, tol: float = ZERO_TOLERANCE) -> No
 # Monomial flattening: enumerate bound indices into concrete terms
 
 
-def _resolve(ix, sigma):
-    return sigma[ix.ident] if isinstance(ix, SumIndex) else ix
-
-
 def _flatten(ms: MonomialSum):
     """Concrete terms grouped as groups[key1][key2][jprod] = constant.
 
@@ -86,7 +83,7 @@ def _flatten(ms: MonomialSum):
             test = trial = None
             coefs = []
             for f in m.factors:
-                derivs = tuple(sorted(_resolve(x, sigma) for x in f.derivs))
+                derivs = tuple(sorted(resolve(x, sigma) for x in f.derivs))
                 if f.role == "test":
                     test = (f.component, derivs)
                 elif f.role == "trial":
@@ -94,9 +91,7 @@ def _flatten(ms: MonomialSum):
                 else:
                     coefs.append((f.coef, f.component, derivs))
             denoms = tuple((f.coef, f.component, f.derivs) for f in m.denominators)
-            jprod = tuple(
-                sorted((_resolve(j.ref, sigma), _resolve(j.phys, sigma)) for j in m.jinvs)
-            )
+            jprod = m.jinv_product(sigma)
             key1 = (test, trial)
             key2 = (tuple(sorted(coefs)), denoms)
             sub = groups.setdefault(key1, {}).setdefault(key2, {})
@@ -220,16 +215,23 @@ def _tag_order(tag: str) -> tuple:
 # Kernel assembly
 
 
-def _chain(op: str, parts):
-    expr = parts[0]
-    for p in parts[1:]:
-        expr = BinOp(op, expr, p)
-    return expr
-
-
 def _col_index(nzc_name, var):
     ix = IxVar(var)
     return IxMap(nzc_name, ix) if nzc_name else ix
+
+
+def _point_value(tset: _TableSet, sig, var: str):
+    """Psi[ip][var]*w[c][nzc[var]]: one basis term of a coefficient's point value."""
+    tname, nzc, _, _ = tset.lookup("coef", *sig)
+    psi = TableRef(tname, (IxVar("ip"), IxVar(var)))
+    return BinOp("*", psi, CoefRef(sig[0], _col_index(nzc, var)))
+
+
+def _table_signatures(key1, key2) -> list:
+    """(role, coef, component, derivs) of every basis table a term group reads."""
+    test, trial = key1
+    sigs = [("test", -1) + test] + ([("trial", -1) + trial] if trial else [])
+    return sigs + [("coef",) + sig for sig in key2[0] + key2[1]]
 
 
 def build_quadrature_kernel(
@@ -250,25 +252,20 @@ def build_quadrature_kernel(
 
     groups = _flatten(ms)
     tset = _TableSet(ms, rule, zero_elimination)
-    for (test, trial), subgroups in groups.items():
-        tset.request("test", -1, *test)
-        if trial is not None:
-            tset.request("trial", -1, *trial)
-        for (coefs, denoms) in subgroups:
-            for c, comp, derivs in coefs + denoms:
-                tset.request("coef", c, comp, derivs)
+    for key1, subgroups in groups.items():
+        for key2 in subgroups:
+            for sig in _table_signatures(key1, key2):
+                tset.request(*sig)
     tset.build()
 
     # Drop groups whose basis tables lost every column.
-    def _alive(key1, key2) -> bool:
-        (test, trial) = key1
-        sigs = [("test", -1) + test] + ([("trial", -1) + trial] if trial else [])
-        sigs += [("coef",) + s for s in key2[0] + key2[1]]
-        return all(tset.lookup(role, coef, comp, derivs)[2] > 0 for role, coef, comp, derivs in sigs)
-
     live: dict = {}
     for key1, subgroups in groups.items():
-        kept = {key2: v for key2, v in subgroups.items() if _alive(key1, key2)}
+        kept = {
+            key2: v
+            for key2, v in subgroups.items()
+            if all(tset.lookup(*sig)[2] > 0 for sig in _table_signatures(key1, key2))
+        }
         if kept:
             live[key1] = kept
     groups = live
@@ -287,159 +284,120 @@ def build_quadrature_kernel(
     tables.update(tset.tables)
     tables.update(tset.nzc_tables())
 
-    stmts: list = []
-
-    # Cell-scope geometry constants (hoisted products of Jinv entries).
+    # Cell scope: geometry constants G (hoisted products of Jinv entries).
+    # Point scope: coefficient values F, point scalars Gip, accumulation.
+    geo_stmts: list = []
     g_names: dict = {}
-    if hoisting:
-        geo_stmts = []
-        for key1 in group_keys:
-            for key2 in sorted(groups[key1]):
-                for jprod in sorted(groups[key1][key2]):
-                    if not jprod:
-                        continue
-                    const = groups[key1][key2][jprod]
-                    gkey = (jprod, const)
-                    if gkey in g_names:
-                        continue
-                    parts = [JinvRef(a, b) for a, b in jprod]
-                    if const != 1.0:
-                        parts.append(Lit(const))
-                    if single_point:
-                        parts.append(ScalarRef("W0"))
-                    parts.append(DetRef())
-                    gname = f"G{len(g_names)}"
-                    g_names[gkey] = gname
-                    geo_stmts.append(AssignScalar(gname, _chain("*", parts)))
-        if geo_stmts:
-            stmts.append(Comment("Geometry constants"))
-            stmts.extend(geo_stmts)
-
-    # Point-scope: coefficient values F, point scalars Gip, accumulation.
     body: list = []
     f_names: dict = {}
-    if hoisting:
-        f_sigs = sorted(
-            {
-                sig
-                for key1 in group_keys
-                for (coefs, denoms) in groups[key1]
-                for sig in coefs + denoms
-            }
-        )
-        for sig in f_sigs:
-            c, comp, derivs = sig
-            tname, nzc, extent, _ = tset.lookup("coef", c, comp, derivs)
-            if extent == 0:
-                continue
+
+    def g_value(jprod, const) -> ScalarRef:
+        """G<k> = Jinv products*const*det, computed on first use."""
+        gkey = (jprod, const)
+        if gkey not in g_names:
+            g_names[gkey] = f"G{len(g_names)}"
+            parts = [JinvRef(a, b) for a, b in jprod]
+            if const != 1.0:
+                parts.append(Lit(const))
+            if single_point:
+                parts.append(ScalarRef("W0"))
+            parts.append(DetRef())
+            geo_stmts.append(AssignScalar(g_names[gkey], chain("*", parts)))
+        return ScalarRef(g_names[gkey])
+
+    def f_value(sig) -> ScalarRef:
+        """F<k> = sum_r Psi[ip][r]*w[c][nzc[r]], computed on first use."""
+        if sig not in f_names:
             fname = f"F{len(f_names)}"
             f_names[sig] = fname
             body.append(AssignScalar(fname, Lit(0.0)))
-            body.append(
-                Loop(
-                    "r",
-                    extent,
-                    (
-                        AccumScalar(
-                            fname,
-                            BinOp(
-                                "*",
-                                TableRef(tname, (IxVar("ip"), IxVar("r"))),
-                                CoefRef(c, _col_index(nzc, "r")),
-                            ),
-                        ),
-                    ),
-                )
-            )
+            loop_body = (AccumScalar(fname, _point_value(tset, sig, "r")),)
+            body.append(Loop("r", tset.lookup("coef", *sig)[2], loop_body))
+        return ScalarRef(f_names[sig])
 
-    def bare_geo(const):
-        parts = []
-        if const != 1.0:
-            parts.append(Lit(const))
+    def geo_tail(const) -> list:
+        """const*det*W0: the geometry factors of a term without Jinv."""
+        parts = [Lit(const)] if const != 1.0 else []
         parts.append(DetRef())
         if single_point:
             parts.append(ScalarRef("W0"))
-        return _chain("*", parts)
+        return parts
 
-    gip_of: dict = {}
-    gip_names: dict = {}
-    accum_plan: list = []  # (extent_i, extent_j, statement)
+    def weighted(expr):
+        return expr if single_point else BinOp("*", expr, TableRef(w_table, (IxVar("ip"),)))
+
+    gip_of: dict = {}  # point-scalar expression -> Gip name, in first-use order
+
+    def gip(subgroups) -> ScalarRef:
+        """Scalar factor of one (test, trial) group at a point."""
+        sub_exprs = []
+        for key2 in sorted(subgroups):
+            coefs, denoms = key2
+            geo_parts = [
+                g_value(jprod, const) if jprod else chain("*", geo_tail(const))
+                for jprod, const in sorted(subgroups[key2].items())
+            ]
+            expr = chain("*", [chain("+", geo_parts)] + [f_value(sig) for sig in coefs])
+            sub_exprs.append(chain("/", [expr] + [f_value(sig) for sig in denoms]))
+        gip_expr = weighted(chain("+", sub_exprs))
+        if isinstance(gip_expr, ScalarRef):
+            return gip_expr
+        return ScalarRef(gip_of.setdefault(gip_expr, f"Gip{len(gip_of)}"))
+
+    # Hoisted F values are numbered in signature order, un-hoisted ones
+    # (denominators only) in order of first use.
+    if hoisting:
+        for sig in sorted(
+            {sig for k1 in group_keys for (coefs, denoms) in groups[k1] for sig in coefs + denoms}
+        ):
+            f_value(sig)
+
+    accum_plan: list = []  # ((extent_i, extent_j), statement)
     for key1 in group_keys:
-        live_subgroups = groups[key1]
-        (test, trial) = key1
+        subgroups = groups[key1]
+        test, trial = key1
         t_name, t_nzc, t_extent, _ = tset.lookup("test", -1, *test)
+        psi = [TableRef(t_name, (IxVar("ip"), IxVar("i")))]
+        cols = [(n2, _col_index(t_nzc, "i"))]
+        u_extent = None
         if trial is not None:
             u_name, u_nzc, u_extent, _ = tset.lookup("trial", -1, *trial)
+            psi.append(TableRef(u_name, (IxVar("ip"), IxVar("j"))))
+            cols.append((1, _col_index(u_nzc, "j")))
+        index = IxLin(tuple(cols))
+        extents = (t_extent, u_extent)
         if hoisting:
-            sub_exprs = []
-            for key2 in sorted(live_subgroups):
-                coefs, denoms = key2
-                geo_parts = []
-                for jprod in sorted(live_subgroups[key2]):
-                    const = live_subgroups[key2][jprod]
-                    if jprod:
-                        geo_parts.append(ScalarRef(g_names[(jprod, const)]))
-                    else:
-                        geo_parts.append(bare_geo(const))
-                expr = _chain("+", geo_parts)
-                for sig in coefs:
-                    expr = BinOp("*", expr, ScalarRef(f_names[sig]))
-                for sig in denoms:
-                    expr = BinOp("/", expr, ScalarRef(f_names[sig]))
-                sub_exprs.append(expr)
-            gip_expr = _chain("+", sub_exprs)
-            if not single_point:
-                gip_expr = BinOp("*", gip_expr, TableRef(w_table, (IxVar("ip"),)))
-            if isinstance(gip_expr, ScalarRef):
-                gip_ref = gip_expr
-            elif gip_expr in gip_of:
-                gip_ref = ScalarRef(gip_of[gip_expr])
-            else:
-                gname = f"Gip{len(gip_of)}"
-                gip_of[gip_expr] = gname
-                gip_names[gname] = gip_expr
-                gip_ref = ScalarRef(gname)
-            if trial is not None:
-                term = BinOp(
-                    "*",
-                    BinOp(
-                        "*",
-                        TableRef(t_name, (IxVar("ip"), IxVar("i"))),
-                        TableRef(u_name, (IxVar("ip"), IxVar("j"))),
-                    ),
-                    gip_ref,
-                )
-            else:
-                term = BinOp("*", TableRef(t_name, (IxVar("ip"), IxVar("i"))), gip_ref)
-            index = (
-                IxLin(((n2, _col_index(t_nzc, "i")), (1, _col_index(u_nzc, "j"))))
-                if trial is not None
-                else IxLin(((1, _col_index(t_nzc, "i")),))
-            )
-            accum_plan.append(
-                ((t_extent, u_extent if trial is not None else None), AccumA(index, term))
-            )
-        else:
-            accum_plan.extend(
-                _naive_group(
-                    tset, key1, live_subgroups, n2, single_point, w_table, f_names, body
-                )
-            )
+            accum_plan.append((extents, AccumA(index, chain("*", psi + [gip(subgroups)]))))
+            continue
+        # Un-hoisted: coefficient sums become extra loops around the
+        # accumulation and everything is recomputed in the innermost loop.
+        # Denominators stay per-point sums: a sum cannot be inlined into a
+        # product term.
+        for key2 in sorted(subgroups):
+            coefs, denoms = key2
+            f_refs = [f_value(sig) for sig in denoms]
+            for jprod in sorted(subgroups[key2]):
+                parts = psi + [_point_value(tset, sig, f"r{k}") for k, sig in enumerate(coefs)]
+                parts += [JinvRef(a, b) for a, b in jprod]
+                parts += geo_tail(subgroups[key2][jprod])
+                stmt = AccumA(index, chain("/", [weighted(chain("*", parts))] + f_refs))
+                for k in reversed(range(len(coefs))):
+                    stmt = Loop(f"r{k}", tset.lookup("coef", *coefs[k])[2], (stmt,))
+                accum_plan.append((extents, stmt))
 
     # Fuse accumulation statements into loop nests by matching extents.
     nests: dict = {}
     for extents, stmt in accum_plan:
         nests.setdefault(extents, []).append(stmt)
-    if hoisting:
-        for gname, gexpr in gip_names.items():
-            body.append(AssignScalar(gname, gexpr))
-    for extents, stmts_list in nests.items():
-        ei, ej = extents
+    for gexpr, gname in gip_of.items():
+        body.append(AssignScalar(gname, gexpr))
+    for (ei, ej), stmts_list in nests.items():
         if ej is None:
             body.append(Loop("i", ei, tuple(stmts_list)))
         else:
             body.append(Loop("i", ei, (Loop("j", ej, tuple(stmts_list)),)))
 
+    stmts: list = [Comment("Geometry constants"), *geo_stmts] if geo_stmts else []
     stmts.append(Comment("Loop integration points"))
     stmts.append(Loop("ip", rule.n_points, tuple(body)))
 
@@ -461,90 +419,3 @@ def build_quadrature_kernel(
             "hoisting": hoisting,
         },
     )
-
-
-def _naive_group(tset, key1, subgroups, n2, single_point, w_table, f_names, body):
-    """Un-hoisted accumulation: inline coefficient sums as extra loops.
-
-    Denominators are still computed as per-point sums (a sum cannot be
-    inlined into a product term); everything else is recomputed inside the
-    innermost loop.
-    """
-    (test, trial) = key1
-    t_name, t_nzc, t_extent, _ = tset.lookup("test", -1, *test)
-    u_name = u_nzc = None
-    u_extent = None
-    if trial is not None:
-        u_name, u_nzc, u_extent, _ = tset.lookup("trial", -1, *trial)
-    plan = []
-    inner_stmts = []
-    for key2 in sorted(subgroups):
-        coefs, denoms = key2
-        for sig in denoms:
-            if sig not in f_names:
-                c, comp, derivs = sig
-                tname, nzc, extent, _ = tset.lookup("coef", c, comp, derivs)
-                fname = f"F{len(f_names)}"
-                f_names[sig] = fname
-                body.append(AssignScalar(fname, Lit(0.0)))
-                body.append(
-                    Loop(
-                        "r",
-                        extent,
-                        (
-                            AccumScalar(
-                                fname,
-                                BinOp(
-                                    "*",
-                                    TableRef(tname, (IxVar("ip"), IxVar("r"))),
-                                    CoefRef(c, _col_index(nzc, "r")),
-                                ),
-                            ),
-                        ),
-                    )
-                )
-        for jprod in sorted(subgroups[key2]):
-            const = subgroups[key2][jprod]
-            parts = [TableRef(t_name, (IxVar("ip"), IxVar("i")))]
-            if trial is not None:
-                parts.append(TableRef(u_name, (IxVar("ip"), IxVar("j"))))
-            for k, (c, comp, derivs) in enumerate(coefs):
-                rvar = f"r{k}"
-                tname, nzc, extent, _ = tset.lookup("coef", c, comp, derivs)
-                parts.append(
-                    BinOp(
-                        "*",
-                        TableRef(tname, (IxVar("ip"), IxVar(rvar))),
-                        CoefRef(c, _col_index(nzc, rvar)),
-                    )
-                )
-            for a, b in jprod:
-                parts.append(JinvRef(a, b))
-            if const != 1.0:
-                parts.append(Lit(const))
-            parts.append(DetRef())
-            if single_point:
-                parts.append(ScalarRef("W0"))
-            expr = _chain("*", parts)
-            if not single_point:
-                expr = BinOp("*", expr, TableRef(w_table, (IxVar("ip"),)))
-            for sig in denoms:
-                expr = BinOp("/", expr, ScalarRef(f_names[sig]))
-            index = (
-                IxLin(((n2, _col_index(t_nzc, "i")), (1, _col_index(u_nzc, "j"))))
-                if trial is not None
-                else IxLin(((1, _col_index(t_nzc, "i")),))
-            )
-            stmt: object = AccumA(index, expr)
-            for k in reversed(range(len(coefs))):
-                c, comp, derivs = coefs[k]
-                _, _, extent, _ = tset.lookup("coef", c, comp, derivs)
-                stmt = Loop(f"r{k}", extent, (stmt,))
-            inner_stmts.append(stmt)
-    if inner_stmts:
-        plan.append(((t_extent, u_extent), tuple(inner_stmts)))
-    out = []
-    for extents, stmts_list in plan:
-        for s in stmts_list:
-            out.append((extents, s))
-    return out

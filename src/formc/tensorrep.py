@@ -18,7 +18,6 @@ from .elements import tabulate
 from .kernel import (
     AssignA,
     AssignScalar,
-    BinOp,
     CoefRef,
     Comment,
     DetRef,
@@ -29,8 +28,9 @@ from .kernel import (
     Lit,
     ScalarRef,
     TermSum,
+    chain,
 )
-from .lowering import BasisFactor, Monomial, MonomialSum, SumIndex
+from .lowering import BasisFactor, Monomial, MonomialSum, factor_degree
 from .quadrature import simplex_rule
 
 SNAP_TOLERANCE = 1e-12
@@ -62,11 +62,6 @@ def _factor_block(form, f: BasisFactor):
     return element, np.arange(n)
 
 
-def _net_degree(form, f: BasisFactor) -> int:
-    element = form.element_of(f.role, f.coef)
-    return max(element.degree - len(f.derivs), 0)
-
-
 @dataclass(eq=False)
 class ReferenceTensor:
     """Cell-independent integrals over the reference cell.
@@ -96,7 +91,7 @@ def reference_tensor(
     lead = group[0]
     cell = form.cell
     d = cell.dim
-    degree = sum(_net_degree(form, f) for f in lead.factors) + margin
+    degree = sum(factor_degree(form, f) for f in lead.factors) + margin
     rule = simplex_rule(cell, degree)
 
     letters = iter("abcdefghijklmnopqrstuvwxyz")
@@ -184,10 +179,6 @@ class GeometryTensorSpec:
     monomials: tuple
 
 
-def _resolve(ix, assignment):
-    return assignment[ix.ident] if isinstance(ix, SumIndex) else ix
-
-
 def geometry_tensor_spec(monomials, form) -> GeometryTensorSpec:
     group = _as_group(monomials)
     lead = group[0]
@@ -207,18 +198,7 @@ def geometry_tensor_spec(monomials, form) -> GeometryTensorSpec:
         reads = tuple(
             (coef, int(dofs[k])) for (coef, dofs), k in zip(coef_axes, coef_part)
         )
-        terms = tuple(
-            (
-                m.constant,
-                tuple(
-                    sorted(
-                        (_resolve(j.ref, assignment), _resolve(j.phys, assignment))
-                        for j in m.jinvs
-                    )
-                ),
-            )
-            for m in group
-        )
+        terms = tuple((m.constant, m.jinv_product(assignment)) for m in group)
         entries.append((reads, terms))
     return GeometryTensorSpec(tuple(coef_axes), bound_extents, tuple(entries), group)
 
@@ -294,16 +274,10 @@ def build_tensor_kernel(
             gname = f"G{len(g_slots)}"
             g_slots.append(gname)
             g_stmts.append(AssignScalar(gname, gexpr))
-        values = rt.values if drop_zeros else rt.values.copy()
-        nz = np.nonzero(values) if drop_zeros else tuple(
-            idx.ravel() for idx in np.indices(values.shape)
-        )
-        coeffs = values[nz] if drop_zeros else values.ravel()
+        values = rt.values
+        nz = np.nonzero(values if drop_zeros else np.ones(values.shape, dtype=bool))
+        coeffs = values[nz]
         n_terms += len(coeffs)
-        if term_budget is not None and n_terms > term_budget:
-            raise MemoryError(
-                f"unrolled contraction exceeds the term budget ({term_budget})"
-            )
         test_ids = rt.test_dofs[nz[0]]
         if bilinear:
             entry_ids = test_ids * n2 + rt.trial_dofs[nz[1]]
@@ -363,35 +337,22 @@ def build_tensor_kernel(
 
 def _geometry_expr(reads, terms, k_names, k_stmts):
     """det * coefficient dofs * (hoisted sum of Jinv products)."""
-    jpart_key = terms
-    const_only = all(not jprod for _, jprod in terms)
-    parts = [DetRef()]
-    for coef, dof in reads:
-        parts.append(CoefRef(coef, IxConst(dof)))
-    if const_only:
+    parts = [DetRef()] + [CoefRef(coef, IxConst(dof)) for coef, dof in reads]
+    if all(not jprod for _, jprod in terms):
         total = sum(c for c, _ in terms)
         if total != 1.0:
             parts.append(Lit(total))
     else:
-        kname = k_names.get(jpart_key)
+        kname = k_names.get(terms)
         if kname is None:
             summands = []
             for c, jprod in terms:
                 factors = [JinvRef(a, b) for a, b in jprod]
                 if c != 1.0 or not factors:
                     factors.append(Lit(c))
-                summand = factors[0]
-                for f in factors[1:]:
-                    summand = BinOp("*", summand, f)
-                summands.append(summand)
-            kexpr = summands[0]
-            for s in summands[1:]:
-                kexpr = BinOp("+", kexpr, s)
+                summands.append(chain("*", factors))
             kname = f"K{len(k_names)}"
-            k_names[jpart_key] = kname
-            k_stmts.append(AssignScalar(kname, kexpr))
+            k_names[terms] = kname
+            k_stmts.append(AssignScalar(kname, chain("+", summands)))
         parts.append(ScalarRef(kname))
-    expr = parts[0]
-    for p in parts[1:]:
-        expr = BinOp("*", expr, p)
-    return expr
+    return chain("*", parts)

@@ -102,3 +102,65 @@ def test_repo_form_files_compile():
     assert len(names) == 5
     for p in FORMS_DIR.glob("*.form"):
         assert main(["compile", str(p), "-r", "quadrature"]) == 0
+
+
+_P1_HEADER = (
+    'element = FiniteElement("Lagrange", "triangle", 1)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\n"
+)
+
+# Each integrand once reached a traceback or a NaN verdict.
+_BAD_INTEGRANDS = {
+    "nested_parentheses": "(" * 3000 + "v*u" + ")" * 3000,
+    "long_sum": " + ".join(["v*u"] * 3000),
+    "non_finite_literal": "1e400*v*u",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_INTEGRANDS))
+def test_front_end_rejects_unbounded_input(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.form"
+    path.write_text(_P1_HEADER + f"a = {_BAD_INTEGRANDS[name]}*dx\n")
+    for command in ("check", "compile"):
+        assert main([command, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_front_end_accepts_depth_below_limit(tmp_path, capsys):
+    path = tmp_path / "sum.form"
+    path.write_text(_P1_HEADER + "a = " + "(" * 40 + " + ".join(["v*u"] * 50) + ")" * 40 + "*dx\n")
+    assert main(["compile", str(path)]) == 0
+
+
+# Both forms need far more unrolled terms than the budget: without one the
+# tensor builder allocates until the process is killed.  The P2 form needs up
+# to 429,981,696 terms; lowering it takes seconds (8 bound indices), so the
+# three commands share the P3 form, which has no bound index.
+_HEAVY_P2 = (
+    'element = FiniteElement("Lagrange", "triangle", 2)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
+    "a = dot(grad(f), grad(f))*dot(grad(f), grad(f))*dot(grad(f), grad(f))"
+    "*dot(grad(v), grad(u))*dx\n"
+)
+_HEAVY_P3 = (
+    'element = FiniteElement("Lagrange", "triangle", 3)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
+    "a = f*f*f*f*f*f*v*u*dx\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["compile", "-r", "tensor"], ["assemble", "-r", "tensor"]]
+)
+def test_tensor_term_budget_rejects(argv, tmp_path, capsys):
+    path = tmp_path / "heavy_p3.form"
+    path.write_text(_HEAVY_P3)
+    assert main([argv[0], str(path)] + argv[1:]) == 2
+    assert "100000000 terms" in capsys.readouterr().err
+
+
+def test_check_budget_rejects_gradient_power(tmp_path, capsys):
+    path = tmp_path / "heavy_p2.form"
+    path.write_text(_HEAVY_P2)
+    assert main(["check", str(path)]) == 2
+    assert "429981696 terms" in capsys.readouterr().err

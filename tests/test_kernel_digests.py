@@ -1,0 +1,123 @@
+"""Byte-identity of generated kernels under every optimisation toggle.
+
+Each kernel of a fixed form set is reduced to the SHA-256 of its emitted
+source plus its IR JSON, and its static flop count.  The recorded values in
+``golden/kernel_digests.json`` pin the IR, the emitted text and the flops of
+both representations, including the non-default toggles.  After an
+intended change of the generated kernels, rewrite the file with::
+
+    PYTHONPATH=src python tests/test_kernel_digests.py --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from formc import forms, harness
+from formc.kernel import count_flops, emit_source, kernel_to_json
+from formc.tensorrep import UnsupportedDivision
+
+ROOT = Path(__file__).resolve().parent
+DIGESTS = ROOT / "golden" / "kernel_digests.json"
+FORMS_DIR = ROOT.parent / "forms"
+
+_P1 = 'P1 = FiniteElement("Lagrange", "triangle", 1)\n'
+
+# Linear forms exercise the test-only accumulation; the quotients exercise
+# point-scope denominators and the tensor rejection.
+_EXTRA = {
+    "linear_weighted_2d": _P1
+    + "v = TestFunction(P1)\nf = Function(P1)\ng = Function(P1)\n"
+    "a = f*g*v + dot(grad(f), grad(v))*dx\n",
+    "linear_quotient_2d": _P1
+    + "v = TestFunction(P1)\nf = Function(P1)\ng = Function(P1)\n"
+    "a = f/g*v*dx\n",
+    "quotient_laplacian_2d": _P1
+    + "v = TestFunction(P1)\nu = TrialFunction(P1)\nf = Function(P1)\ng = Function(P1)\n"
+    "a = f*g/(g*f*f)*dot(grad(v), grad(u)) + v*u/g*dx\n",
+}
+
+
+def form_sources() -> dict:
+    """18 forms: the repository inputs except the two 3D q3 ones, plus generated."""
+    out = {
+        p.stem: p.read_text()
+        for p in sorted(FORMS_DIR.glob("*.form"))
+        if not p.stem.endswith("3d_q3")
+    }
+    out.update(
+        {
+            "mass_2d_q1": forms.mass(2, 1),
+            "mass_2d_q1_dg0_nf3": forms.mass(2, 1, 3, 0),
+            "mass_3d_q1_p1_nf1": forms.mass(3, 1, 1, 1),
+            "poisson_2d_q1": forms.poisson(2, 1),
+            "poisson_3d_q2": forms.poisson(3, 2),
+            "weighted_laplacian_2d_q2": forms.weighted_laplacian(2, 2),
+            "weighted_laplacian_3d_q1": forms.weighted_laplacian(3, 1),
+            "elasticity_2d_q1": forms.elasticity(2, 1),
+            "elasticity_2d_q2_p0_nf1": forms.elasticity(2, 2, 1, 0),
+            "elasticity_3d_q1": forms.elasticity(3, 1),
+            "vector_poisson_div_2d_q1_p1_nf1": forms.vector_poisson_div(1, 1, 1, 2),
+            "vector_poisson_div_2d_q2_p1_nf2": forms.vector_poisson_div(2, 2, 1, 2),
+        }
+    )
+    out.update(_EXTRA)
+    return out
+
+
+VARIANTS = {
+    "q": dict(zero_elimination=True, hoisting=True),
+    "q-nozero": dict(zero_elimination=False, hoisting=True),
+    "q-nohoist": dict(zero_elimination=True, hoisting=False),
+    "q-nozero-nohoist": dict(zero_elimination=False, hoisting=False),
+    "t": dict(drop_zeros=True),
+    "t-keepzeros": dict(drop_zeros=False),
+}
+
+
+def _digest(cf, variant: str):
+    opts = VARIANTS[variant]
+    try:
+        if variant.startswith("t"):
+            k = harness.tensor_kernel(cf, **opts)
+        else:
+            k = harness.quadrature_kernel(cf, **opts)
+    except UnsupportedDivision:
+        return "UnsupportedDivision"
+    text = emit_source(k) + kernel_to_json(k)
+    return [hashlib.sha256(text.encode()).hexdigest(), count_flops(k)]
+
+
+def compute_digests() -> dict:
+    out = {}
+    for name, src in form_sources().items():
+        cf = harness.compile_source(src, name)
+        out[name] = {variant: _digest(cf, variant) for variant in VARIANTS}
+    return out
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())
+
+
+def test_form_set_is_fixed(recorded):
+    assert sorted(recorded) == sorted(form_sources())
+    assert len(recorded) == 18
+
+
+@pytest.mark.parametrize("name", sorted(form_sources()))
+def test_kernels_byte_identical(name, recorded):
+    cf = harness.compile_source(form_sources()[name], name)
+    got = {variant: _digest(cf, variant) for variant in VARIANTS}
+    assert got == recorded[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_kernel_digests.py --write")
+    DIGESTS.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")

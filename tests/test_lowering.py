@@ -6,12 +6,12 @@ import pytest
 from formc import dsl, forms, harness, lowering
 from formc.dsl import parse_source, typecheck
 from formc.lowering import (
-    SumIndex,
     UnsupportedDenominator,
     estimate_degree,
     expand,
     format_monomial_sum,
     lower,
+    resolve,
     simplify,
 )
 
@@ -209,14 +209,12 @@ def _monomial_value(ms, ref_value, jinv, det):
 
         acc = 0.0
         for sigma in iproduct(range(d), repeat=m.n_bound):
-            def res(ix):
-                return sigma[ix.ident] if isinstance(ix, SumIndex) else ix
-
             term = m.constant
             for f in m.factors:
-                term *= ref_value(f.role, f.coef, f.component, tuple(sorted(res(x) for x in f.derivs)))
+                derivs = tuple(sorted(resolve(x, sigma) for x in f.derivs))
+                term *= ref_value(f.role, f.coef, f.component, derivs)
             for j in m.jinvs:
-                term *= jinv[res(j.ref), res(j.phys)]
+                term *= jinv[resolve(j.ref, sigma), resolve(j.phys, sigma)]
             for f in m.denominators:
                 term /= ref_value(f.role, f.coef, f.component, ())
             acc += term
