@@ -1,8 +1,9 @@
 """Command-line interface: compile, check, bench, assemble, trends.
 
-Exit codes: 0 on success, 2 when the front end rejects a form or the
-requested representation cannot build it (division under tensor, term budget
-exceeded), 3 when a cross-check exceeds its tolerance.
+Exit codes: 0 on success, 2 when the arguments or the front end reject a
+form, or the requested representation or the assembly cannot build it
+(division under tensor, a term or entry budget exceeded, a linear form or a
+non-triangle form under assemble), 3 when a cross-check exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import dsl, harness, lowering, tensorrep
+from .elements import reference_cell
 from .kernel import count_flops, emit_source, kernel_to_json
 
 CHECK_TOLERANCE = 1e-10
@@ -20,6 +22,12 @@ CHECK_TOLERANCE_DIVISION = 1e-8
 EXIT_OK = 0
 EXIT_REJECTED = 2
 EXIT_CHECK_FAILED = 3
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return int(text)
 
 
 def _load(path: str) -> harness.CompiledForm:
@@ -39,11 +47,7 @@ def _build(cf: harness.CompiledForm, args) -> object:
 
 
 def cmd_compile(args) -> int:
-    try:
-        cf = _load(args.form)
-    except dsl.FormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    cf = _load(args.form)
     if args.dump_monomials:
         sys.stdout.write(lowering.format_monomial_sum(cf.monomials))
     try:
@@ -67,11 +71,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        cf = _load(args.form)
-    except dsl.FormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    cf = _load(args.form)
     try:
         check = harness.cross_check(
             cf, n_cells=args.cells, seed=args.seed, points_override=args.points
@@ -93,15 +93,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        report = harness.compare(
-            Path(args.form).read_text(),
-            name=Path(args.form).stem,
-            bench_n=args.count,
-        )
-    except dsl.FormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    report = harness.compare(
+        Path(args.form).read_text(), name=Path(args.form).stem, bench_n=args.count
+    )
     print(harness.CSV_HEADER)
     print(report.csv_row())
     for note in report.notes:
@@ -112,10 +106,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_assemble(args) -> int:
+    cf = _load(args.form)
     try:
-        cf = _load(args.form)
-    except dsl.FormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        harness.check_assembly(cf, reference_cell("triangle"), 2 * args.mesh_n**2)
+    except (ValueError, MemoryError) as exc:
+        print(f"rejected (assemble): {exc}", file=sys.stderr)
         return EXIT_REJECTED
     try:
         kernel = _build(cf, args)
@@ -164,7 +159,7 @@ def main(argv=None) -> int:
             choices=("quadrature", "tensor"),
             default="quadrature",
         )
-        p.add_argument("--points", type=int, default=None, help="points per direction")
+        p.add_argument("--points", type=_positive_int, default=None, help="points per direction")
         p.add_argument("--no-tabulate-zeros", action="store_true")
         p.add_argument("--no-hoist", action="store_true")
 
@@ -178,9 +173,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="cross-check the two representations")
     p.add_argument("form")
-    p.add_argument("--cells", type=int, default=100)
+    p.add_argument("--cells", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=None, help="points per direction")
+    p.add_argument("--points", type=_positive_int, default=None, help="points per direction")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="benchmark N-fold element-tensor evaluation")
@@ -191,7 +186,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("assemble", help="assemble the global matrix on a unit square")
     p.add_argument("form")
     add_rep(p)
-    p.add_argument("--mesh-n", type=int, default=8)
+    p.add_argument("--mesh-n", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_assemble)
 
@@ -202,7 +197,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_trends)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except dsl.FormError as exc:  # the front end rejected the form
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_REJECTED
 
 
 if __name__ == "__main__":

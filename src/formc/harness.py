@@ -3,8 +3,9 @@
 Element kernels are interpreted (vectorised over cell batches) rather than
 compiled natively, so absolute runtimes are not comparable to compiled code;
 flop counts are exact and representation-relative comparisons remain
-meaningful.  Benchmarking and insertion run single-threaded; sparse-matrix
-insertion is serialised.
+meaningful.  Benchmarking and assembly run single-threaded.  The CSR
+pattern comes from one sort of the (row, column) keys of all cells; insertion
+stays serial, adding each cell's entries in cell order.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .quadrature import rule_for_form
 
 DEFAULT_BENCH_N = 10_000
 DEFAULT_TERM_BUDGET = 8_000_000
+ASSEMBLY_ENTRY_BUDGET = 20_000_000  # cells x local test dofs x local trial dofs
+ASSEMBLY_CHUNK = 256  # cells per interpreted batch in assemble
+BENCH_CHUNK = 200  # cells per interpreted batch in _bench
 COEF_LOW, COEF_HIGH = 0.5, 1.5  # bounded away from zero for division forms
 
 
@@ -194,17 +198,11 @@ def unit_square_mesh(n: int) -> Mesh:
     if n < 1:
         raise ValueError("n must be positive")
     xs = np.linspace(0.0, 1.0, n + 1)
-    coords = np.array([[x, y] for y in xs for x in xs])
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return Mesh(reference_cell("triangle"), coords, np.array(cells, dtype=np.int64))
+    coords = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return Mesh(reference_cell("triangle"), coords, cells.astype(np.int64))
 
 
 @dataclass(eq=False)
@@ -218,45 +216,33 @@ def build_dofmap(mesh: Mesh, element: FiniteElement) -> DofMap:
     """Global numbering for a (possibly vector) Lagrange space on triangles.
 
     Continuous spaces share vertex and edge dofs; edge dofs are oriented by
-    ascending global vertex index.  Discontinuous spaces are blocked per
-    cell.  Vector spaces are component-major blocks of the scalar map.
+    ascending global vertex index; discontinuous spaces own every dof per
+    cell.  Each (cell, lattice site) gets one integer key for the entity that
+    owns it, and keys are numbered by first appearance in cell order.  Vector
+    spaces are component-major blocks of the scalar map.
     """
     if mesh.cell.dim != 2:
         raise UnsupportedCell("assembly supports triangle meshes only")
     degree = element.degree
     sites = lattice_sites(mesh.cell, degree)
-    n_local = len(sites)
-    n_cells = mesh.n_cells
-    scalar = np.empty((n_cells, n_local), dtype=np.int64)
-    if element.family == "Discontinuous Lagrange":
-        scalar = np.arange(n_cells * n_local, dtype=np.int64).reshape(n_cells, n_local)
-        n_scalar_global = n_cells * n_local
-    else:
-        ids: dict = {}
-
-        def intern(key) -> int:
-            got = ids.get(key)
-            if got is None:
-                got = len(ids)
-                ids[key] = got
-            return got
-
-        for c in range(n_cells):
-            gv = mesh.cells[c]
-            for k, site in enumerate(sites):
-                if site.kind == "vertex":
-                    key = ("v", int(gv[site.entity[0]]))
-                elif site.kind == "edge":
-                    a, b = (int(gv[site.entity[0]]), int(gv[site.entity[1]]))
-                    slot = site.slot
-                    if a > b:
-                        a, b = b, a
-                        slot = degree - 2 - slot
-                    key = ("e", a, b, slot)
-                else:
-                    key = ("c", c, site.slot)
-                scalar[c, k] = intern(key)
-        n_scalar_global = len(ids)
+    n_cells, n_local, n_v = mesh.n_cells, len(sites), mesh.coords.shape[0]
+    discontinuous = element.family == "Discontinuous Lagrange"
+    # key blocks: vertex id | (low vertex, high vertex, slot) per edge | (cell, site)
+    keys = np.empty((n_cells, n_local), dtype=np.int64)
+    for k, site in enumerate(sites):
+        if discontinuous or site.kind == "interior":
+            keys[:, k] = n_v * (1 + n_v * degree) + np.arange(n_cells) * n_local + k
+        elif site.kind == "vertex":
+            keys[:, k] = mesh.cells[:, site.entity[0]]
+        else:
+            a, b = mesh.cells[:, site.entity[0]], mesh.cells[:, site.entity[1]]
+            slot = np.where(a > b, degree - 2 - site.slot, site.slot)
+            keys[:, k] = n_v + (np.minimum(a, b) * n_v + np.maximum(a, b)) * degree + slot
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    scalar = rank[inverse].reshape(n_cells, n_local)
+    n_scalar_global = len(first)
     if not element.is_vector:
         return DofMap(element, scalar, n_scalar_global)
     d = element.value_dim
@@ -289,21 +275,30 @@ class SparseMatrix:
         return out
 
 
-def _build_structure(rows_map: DofMap, cols_map: DofMap) -> SparseMatrix:
-    couples: dict = {}
-    for c in range(rows_map.cell_dofs.shape[0]):
-        for r in rows_map.cell_dofs[c]:
-            couples.setdefault(int(r), set()).update(int(j) for j in cols_map.cell_dofs[c])
-    indptr = np.zeros(rows_map.n_global + 1, dtype=np.int64)
-    cols: list = []
-    for r in range(rows_map.n_global):
-        row = sorted(couples.get(r, ()))
-        cols.extend(row)
-        indptr[r + 1] = indptr[r] + len(row)
-    indices = np.array(cols, dtype=np.int64)
-    return SparseMatrix(
-        rows_map.n_global, cols_map.n_global, indptr, indices, np.zeros(len(indices))
-    )
+def _build_structure(rows_map: DofMap, cols_map: DofMap) -> tuple[SparseMatrix, np.ndarray]:
+    """CSR pattern from one sort of the keys row*n_cols + col; also each local entry's slot."""
+    n_cols = cols_map.n_global
+    coo = rows_map.cell_dofs[:, :, None] * n_cols + cols_map.cell_dofs[:, None, :]
+    keys, slots = np.unique(coo.ravel(), return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(rows_map.n_global + 1) * n_cols)
+    matrix = SparseMatrix(rows_map.n_global, n_cols, indptr, keys % n_cols, np.zeros(len(keys)))
+    return matrix, slots.reshape(rows_map.cell_dofs.shape[0], -1)
+
+
+def check_assembly(cf: CompiledForm, cell: ReferenceCell, n_cells: int) -> None:
+    """Raise, before anything is allocated, if ``cf`` cannot be assembled.
+
+    ValueError for a linear form, UnsupportedCell for a form on another cell,
+    MemoryError beyond ``ASSEMBLY_ENTRY_BUDGET`` local entries on ``n_cells``.
+    """
+    typed = cf.typed
+    if typed.arity != 2:
+        raise ValueError("global assembly expects a bilinear form")
+    if cf.cell != cell:
+        raise UnsupportedCell(f"a {cf.cell.name} form cannot be assembled on {cell.name} cells")
+    entries = n_cells * typed.test_element.space_dim * typed.trial_element.space_dim
+    if entries > ASSEMBLY_ENTRY_BUDGET:
+        raise MemoryError(f"{entries} local entries exceed the budget of {ASSEMBLY_ENTRY_BUDGET}")
 
 
 def assemble(
@@ -313,17 +308,15 @@ def assemble(
     coefficient_values: list[np.ndarray] | None = None,
     seed: int = 0,
     cell_order: np.ndarray | None = None,
-    chunk: int = 256,
 ):
     """Assemble the global sparse matrix; returns (matrix, timings).
 
-    Two phases: structure initialisation from dof adjacency, then per-cell
-    kernel evaluation (timed as "compute") and serial insertion into rows
-    (timed as "insertion").
+    Two phases: structure initialisation from dof adjacency, then batched
+    kernel evaluation (timed as "compute") and serial insertion, in cell
+    order, into the fixed structure (timed as "insertion").
     """
+    check_assembly(cf, mesh.cell, mesh.n_cells)
     typed = cf.typed
-    if typed.arity != 2:
-        raise ValueError("global assembly expects a bilinear form")
     t0 = time.perf_counter()
     rows_map = build_dofmap(mesh, typed.test_element)
     cols_map = (
@@ -337,19 +330,17 @@ def assemble(
         coefficient_values = [
             rng.uniform(COEF_LOW, COEF_HIGH, size=m.n_global) for m in coef_maps
         ]
-    matrix = _build_structure(rows_map, cols_map)
+    matrix, slots = _build_structure(rows_map, cols_map)
     t_structure = time.perf_counter() - t0
 
     order = np.arange(mesh.n_cells) if cell_order is None else np.asarray(cell_order)
     verts = mesh.cell_vertices()[order]
-    n1 = typed.test_element.space_dim
-    n2 = typed.trial_element.space_dim
     t_compute = 0.0
     t_insert = 0.0
-    for start in range(0, len(order), chunk):
-        batch = order[start : start + chunk]
+    for start in range(0, len(order), ASSEMBLY_CHUNK):
+        batch = order[start : start + ASSEMBLY_CHUNK]
         t0 = time.perf_counter()
-        geo = affine_map_batch(verts[start : start + chunk])
+        geo = affine_map_batch(verts[start : start + ASSEMBLY_CHUNK])
         w = [
             vals[m.cell_dofs[batch]]
             for m, vals in zip(coef_maps, coefficient_values)
@@ -357,14 +348,8 @@ def assemble(
         A = interpret_batch(kernel, geo, w)
         t_compute += time.perf_counter() - t0
         t0 = time.perf_counter()
-        for bi, c in enumerate(batch):
-            rows = rows_map.cell_dofs[c]
-            cols = cols_map.cell_dofs[c]
-            Ak = A[bi].reshape(n1, n2)
-            for li, r in enumerate(rows):
-                sl = slice(matrix.indptr[r], matrix.indptr[r + 1])
-                pos = np.searchsorted(matrix.indices[sl], cols) + matrix.indptr[r]
-                matrix.data[pos] += Ak[li]
+        # unbuffered and in index order: each entry sums its cells in order
+        np.add.at(matrix.data, slots[batch].ravel(), A.ravel())
         t_insert += time.perf_counter() - t0
     timings = {
         "structure": t_structure,
@@ -400,7 +385,6 @@ class ComparisonReport:
     n_points: int
     runtime_q: float | None = None
     runtime_t: float | None = None
-    insertion_time: float | None = None
     tensor_error: str | None = None
     notes: tuple = ()
 
@@ -443,8 +427,8 @@ CSV_HEADER = (
 )
 
 
-def _bench(kernel: KernelIR, cf: CompiledForm, n: int, seed: int, chunk: int = 200) -> float:
-    cells = random_cells(cf.cell, min(n, chunk), seed)
+def _bench(kernel: KernelIR, cf: CompiledForm, n: int, seed: int) -> float:
+    cells = random_cells(cf.cell, min(n, BENCH_CHUNK), seed)
     geo = affine_map_batch(cells)
     w = random_coefficients(cf, geo.det.shape[0], seed + 1)
     done = 0
@@ -462,14 +446,9 @@ def compare(
     n_cells: int = 100,
     seed: int = 0,
     bench_n: int = 0,
-    mesh_n: int = 0,
     term_budget: int | None = DEFAULT_TERM_BUDGET,
 ) -> ComparisonReport:
-    """Compile under both representations, cross-check, count and time.
-
-    ``mesh_n`` > 0 additionally assembles the form on a unit-square mesh
-    (2D bilinear forms) and records the sparse-insertion seconds.
-    """
+    """Compile under both representations, cross-check, count and time."""
     cf = compile_source(source, name)
     t0 = time.perf_counter()
     kq = quadrature_kernel(cf)
@@ -501,11 +480,6 @@ def compare(
         if kt is not None:
             runtime_t = _bench(kt, cf, bench_n, seed)
 
-    insertion_time = None
-    if mesh_n and cf.cell.dim == 2 and cf.typed.arity == 2:
-        _, timings = assemble(cf, kq, unit_square_mesh(mesh_n), seed=seed)
-        insertion_time = timings["insertion"]
-
     notes = []
     if cf.monomials.monomials and any(m.denominators for m in cf.monomials.monomials):
         notes.append("quadrature of division forms is nominal, not exact")
@@ -523,7 +497,6 @@ def compare(
         n_points=kq.meta["n_points"],
         runtime_q=runtime_q,
         runtime_t=runtime_t,
-        insertion_time=insertion_time,
         tensor_error=tensor_error,
         notes=tuple(notes),
     )

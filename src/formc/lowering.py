@@ -10,6 +10,7 @@ denominator factor list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import permutations
 
@@ -23,6 +24,17 @@ class UnsupportedOperator(dsl.FormError):
 
 class UnsupportedDenominator(dsl.FormError):
     """Denominators must be products of underived coefficient factors."""
+
+
+class ExpansionTooLarge(dsl.FormError):
+    """One expansion step would create more than MAX_EXPANDED_TERMS terms."""
+
+
+class NonFiniteConstant(dsl.FormError):
+    """Folding the literal constants of a monomial overflowed."""
+
+
+MAX_EXPANDED_TERMS = 20_000
 
 
 @dataclass(frozen=True)
@@ -143,8 +155,15 @@ def _mul_terms(a: _Term, b: _Term) -> _Term:
     return _mk_term(a.const * b.const, a.factors + b.factors, a.denoms + b.denoms)
 
 
+def _check_terms(n: int) -> None:
+    """Called before every step that multiplies or concatenates term lists."""
+    if n > MAX_EXPANDED_TERMS:
+        raise ExpansionTooLarge(f"expansion needs {n} terms, more than {MAX_EXPANDED_TERMS}")
+
+
 def _ddx_terms(terms, b: int):
     """Differentiate a term list with respect to x_b (product/quotient rule)."""
+    _check_terms(sum(len(t.factors) + len(t.denoms) for t in terms))
     out = []
     for t in terms:
         for k, f in enumerate(t.factors):
@@ -192,6 +211,7 @@ def _eval(expr: FormExpr, d: int) -> dict:
         a = _eval(expr.a, d)
         b = _eval(expr.b, d)
         sign = 1.0 if isinstance(expr, dsl.Add) else -1.0
+        _check_terms(sum(map(len, a.values())) + sum(map(len, b.values())))
         out = dict(a)
         for idx, terms in b.items():
             signed = tuple(replace(t, const=sign * t.const) for t in terms)
@@ -204,6 +224,7 @@ def _eval(expr: FormExpr, d: int) -> dict:
             raise UnsupportedOperator("product of two non-scalar expressions")
         scal, other = (a, b) if len(next(iter(a))) == 0 else (b, a)
         s_terms = scal[()]
+        _check_terms(len(s_terms) * sum(map(len, other.values())))
         return {
             idx: tuple(_mul_terms(s, t) for s in s_terms for t in terms)
             for idx, terms in other.items()
@@ -211,6 +232,7 @@ def _eval(expr: FormExpr, d: int) -> dict:
     if isinstance(expr, dsl.Dot):
         a = _eval(expr.a, d)
         b = _eval(expr.b, d)
+        _check_terms(sum(len(a[idx]) * len(b.get(idx, ())) for idx in a))
         terms: tuple = ()
         for idx in sorted(a):
             terms = terms + tuple(_mul_terms(s, t) for s in a[idx] for t in b.get(idx, ()))
@@ -301,10 +323,9 @@ def expand(form: TypedForm) -> MonomialSum:
 
 def _relabel(m: Monomial, perm) -> tuple:
     """Key of the monomial under a bound-index permutation."""
-    sub = {i: perm[i] for i in range(m.n_bound)}
 
     def fix(ix):
-        return (1, sub[ix.ident]) if isinstance(ix, SumIndex) else (0, ix)
+        return (1, perm[ix.ident]) if isinstance(ix, SumIndex) else (0, ix)
 
     factors = tuple(
         sorted(
@@ -328,21 +349,14 @@ def _canonical(m: Monomial) -> Monomial:
     The minimising permutation orders on the basis factors first, so
     monomials that share a reference tensor also share factor labelling.
     """
-    if m.n_bound == 0:
-        key = _relabel(m, ())
-        best_perm = ()
-    else:
-        best = None
-        best_perm = None
-        for perm in permutations(range(m.n_bound)):
-            key = _relabel(m, perm)
-            if best is None or key < best:
-                best, best_perm = key, perm
-        key = best
-    sub = {i: best_perm[i] for i in range(m.n_bound)}
+    best = best_perm = None
+    for perm in permutations(range(m.n_bound)):
+        key = _relabel(m, perm)
+        if best is None or key < best:
+            best, best_perm = key, perm
 
     def fix(ix):
-        return SumIndex(sub[ix.ident]) if isinstance(ix, SumIndex) else ix
+        return SumIndex(best_perm[ix.ident]) if isinstance(ix, SumIndex) else ix
 
     factors = tuple(
         sorted(
@@ -441,5 +455,8 @@ def format_monomial_sum(ms: MonomialSum) -> str:
 
 
 def lower(form: TypedForm) -> MonomialSum:
-    """expand + simplify."""
-    return simplify(expand(form))
+    """expand + simplify; rejects constants that overflowed to inf or nan."""
+    ms = simplify(expand(form))
+    if not all(math.isfinite(m.constant) for m in ms.monomials):
+        raise NonFiniteConstant("a monomial constant is not finite after folding literals")
+    return ms

@@ -114,6 +114,7 @@ _BAD_INTEGRANDS = {
     "nested_parentheses": "(" * 3000 + "v*u" + ")" * 3000,
     "long_sum": " + ".join(["v*u"] * 3000),
     "non_finite_literal": "1e400*v*u",
+    "overflowing_constant": "1e300*1e300*v*u",
 }
 
 
@@ -124,6 +125,66 @@ def test_front_end_rejects_unbounded_input(name, tmp_path, capsys):
     for command in ("check", "compile"):
         assert main([command, str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# Four squarings of a two-term sum expand to 2^16 terms (a fifth to 2^32);
+# fifteen doublings to 2^15.  Neither deepens the expression much.
+_EXPANSIONS = {
+    "squares": ("s1 = (f + g)*(f + g)\ns2 = s1*s1\ns3 = s2*s2\ns4 = s3*s3\n", "s4", 65536),
+    "doublings": (
+        "s0 = f + g\n" + "".join(f"s{k + 1} = s{k} + s{k}\n" for k in range(14)),
+        "s14",
+        32768,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPANSIONS))
+def test_front_end_rejects_expansion_beyond_budget(name, tmp_path, capsys):
+    lines, last, terms = _EXPANSIONS[name]
+    path = tmp_path / f"{name}.form"
+    path.write_text(
+        _P1_HEADER + "f = Function(element)\ng = Function(element)\n"
+        + lines + f"a = {last}*v*u*dx\n"
+    )
+    assert main(["compile", str(path)]) == 2
+    assert f"{terms} terms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--cells", "0"],
+        ["compile", "--points", "0"],
+        ["check", "--points", "-1"],
+        ["assemble", "--mesh-n", "0"],
+    ],
+)
+def test_counts_must_be_positive(argv, form_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], form_files["mass_small"]] + argv[1:])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+_LINEAR = 'element = FiniteElement("Lagrange", "triangle", 1)\nv = TestFunction(element)\na = v*dx\n'
+
+
+@pytest.mark.parametrize(
+    "source, argv, message",
+    [
+        (forms.mass(3, 1), [], "tetrahedron form"),
+        (_LINEAR, [], "bilinear form"),
+        (forms.mass(2, 1), ["--mesh-n", "100000"], "local entries"),
+    ],
+    ids=["tetrahedron", "linear", "entry_budget"],
+)
+def test_assemble_rejects(source, argv, message, tmp_path, capsys):
+    path = tmp_path / "form.form"
+    path.write_text(source)
+    assert main(["assemble", str(path)] + argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
 
 
 def test_front_end_accepts_depth_below_limit(tmp_path, capsys):
