@@ -24,10 +24,20 @@ EXIT_REJECTED = 2
 EXIT_CHECK_FAILED = 3
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return int(text)
+def _int_at_least(low: int, kind: str):
+    """argparse type for integers no less than ``low``."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _load(path: str) -> harness.CompiledForm:
@@ -180,7 +190,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="benchmark N-fold element-tensor evaluation")
     p.add_argument("form")
-    p.add_argument("-N", "--count", type=int, default=harness.DEFAULT_BENCH_N)
+    p.add_argument("-N", "--count", type=_non_negative_int, default=harness.DEFAULT_BENCH_N)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("assemble", help="assemble the global matrix on a unit square")
@@ -193,7 +203,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("trends", help="sweep the benchmark families")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--include-3d", action="store_true")
-    p.add_argument("--bench-n", type=int, default=0)
+    p.add_argument("--bench-n", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_trends)
 
     args = parser.parse_args(argv)

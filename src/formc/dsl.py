@@ -87,6 +87,11 @@ class CellMismatch(FormError):
 # Python's recursion limit.
 MAX_EXPR_DEPTH = 100
 
+# Most nodes of the integrand once named sub-expressions are inlined.  The
+# type checker walks a shared node once per use, so a chain of squarings
+# would otherwise double its work with every line.
+MAX_EXPR_NODES = 100_000
+
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -337,8 +342,13 @@ class _Parser:
             tok = self.peek()
             raise FormSyntaxError("missing integral statement '<expr>*dx'", tok.line, tok.col)
         name, integrand = self.form
-        if _height(integrand) > MAX_EXPR_DEPTH:
+        height, nodes = _extent(integrand)
+        if height > MAX_EXPR_DEPTH:
             raise FormSyntaxError(f"integrand is nested deeper than {MAX_EXPR_DEPTH} levels")
+        if nodes > MAX_EXPR_NODES:
+            raise FormSyntaxError(
+                f"integrand has {nodes} nodes once inlined, more than {MAX_EXPR_NODES}"
+            )
         return FormProgram(
             tuple(self.element_decls), tuple(self.function_decls), name, integrand
         )
@@ -696,23 +706,28 @@ def _children(expr: FormExpr) -> tuple:
     return ()
 
 
-def _height(root: FormExpr) -> int:
-    """Levels of the expression tree, found without recursion.
+def _extent(root: FormExpr) -> tuple[int, int]:
+    """Levels and inlined node count of the expression tree, without recursion.
 
-    Named sub-expressions are shared nodes, so heights are memoised by node
-    identity (hashing a node would itself recurse through the tree).
+    Named sub-expressions are shared nodes, so both are memoised by node
+    identity (hashing a node would itself recurse through the tree); a
+    shared node counts once per use.
     """
-    height: dict = {}
+    extent: dict = {}
     stack = [root]
     while stack:
         node = stack[-1]
-        pending = [c for c in _children(node) if id(c) not in height]
+        pending = [c for c in _children(node) if id(c) not in extent]
         if pending:
             stack.extend(pending)
         else:
             stack.pop()
-            height[id(node)] = 1 + max((height[id(c)] for c in _children(node)), default=0)
-    return height[id(root)]
+            below = [extent[id(c)] for c in _children(node)]
+            extent[id(node)] = (
+                1 + max((h for h, _ in below), default=0),
+                1 + sum(n for _, n in below),
+            )
+    return extent[id(root)]
 
 
 def _collect_leaves(expr: FormExpr, out: set) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations
 
 from . import dsl
 from .dsl import FormExpr, TypedForm
@@ -267,20 +266,30 @@ def _eval(expr: FormExpr, d: int) -> dict:
 # Phase 2: chain rule to reference coordinates
 
 
+def _chain_rule_order(f: _PF) -> tuple:
+    return (_ROLE_ORDER[f.role], f.coef, f.component, len(f.derivs), f.derivs)
+
+
 def _term_to_monomial(term: _Term) -> Monomial:
+    """Apply the chain rule, numbering the bound indices canonically.
+
+    Factors are ordered by (role, coefficient, component, derivative order,
+    physical directions), and bound indices 0, 1, 2, ... are handed out in
+    that order, each to one reference slot and one Jinv factor.  Among all
+    relabellings of the bound indices this one gives the least
+    (factors, Jinv factors) key: fewer derivatives sort first within equal
+    basis functions, and factors that tie in everything but their physical
+    directions take the lower labels for the lower directions.  Monomials
+    equal up to a relabelling therefore come out syntactically equal.
+    """
     factors = []
     jinvs = []
-    n_bound = 0
-    for f in term.factors:
+    for f in sorted(term.factors, key=_chain_rule_order):
         if len(f.derivs) > 2:
             raise UnsupportedOperator("derivative order above 2")
-        ref = []
-        for b in f.derivs:
-            ix = SumIndex(n_bound)
-            n_bound += 1
-            ref.append(ix)
-            jinvs.append(JinvFactor(ix, b))
-        factors.append(BasisFactor(f.role, f.coef, f.component, tuple(ref)))
+        ref = tuple(SumIndex(len(jinvs) + k) for k in range(len(f.derivs)))
+        jinvs += [JinvFactor(ix, b) for ix, b in zip(ref, f.derivs)]
+        factors.append(BasisFactor(f.role, f.coef, f.component, ref))
     for g in term.denoms:
         if g.derivs:
             raise UnsupportedDenominator("derivative of a coefficient in a denominator")
@@ -292,7 +301,7 @@ def _term_to_monomial(term: _Term) -> Monomial:
         factors=tuple(factors),
         jinvs=tuple(jinvs),
         denominators=tuple(sorted(denoms, key=BasisFactor.sort_key)),
-        n_bound=n_bound,
+        n_bound=len(jinvs),
     )
 
 
@@ -318,59 +327,7 @@ def expand(form: TypedForm) -> MonomialSum:
 
 
 # ---------------------------------------------------------------------------
-# Phase 3: canonicalisation and merging
-
-
-def _relabel(m: Monomial, perm) -> tuple:
-    """Key of the monomial under a bound-index permutation."""
-
-    def fix(ix):
-        return (1, perm[ix.ident]) if isinstance(ix, SumIndex) else (0, ix)
-
-    factors = tuple(
-        sorted(
-            (
-                _ROLE_ORDER[f.role],
-                f.coef,
-                f.component,
-                tuple(sorted(fix(x) for x in f.derivs)),
-            )
-            for f in m.factors
-        )
-    )
-    jinvs = tuple(sorted((fix(j.ref), fix(j.phys)) for j in m.jinvs))
-    denoms = tuple(f.sort_key() for f in m.denominators)
-    return (factors, jinvs, denoms)
-
-
-def _canonical(m: Monomial) -> Monomial:
-    """Relabel bound indices so equal monomials become syntactically equal.
-
-    The minimising permutation orders on the basis factors first, so
-    monomials that share a reference tensor also share factor labelling.
-    """
-    best = best_perm = None
-    for perm in permutations(range(m.n_bound)):
-        key = _relabel(m, perm)
-        if best is None or key < best:
-            best, best_perm = key, perm
-
-    def fix(ix):
-        return SumIndex(best_perm[ix.ident]) if isinstance(ix, SumIndex) else ix
-
-    factors = tuple(
-        sorted(
-            (
-                BasisFactor(f.role, f.coef, f.component, tuple(sorted(map(fix, f.derivs), key=_idx_key)))
-                for f in m.factors
-            ),
-            key=BasisFactor.sort_key,
-        )
-    )
-    jinvs = tuple(
-        sorted((JinvFactor(fix(j.ref), fix(j.phys)) for j in m.jinvs), key=JinvFactor.sort_key)
-    )
-    return Monomial(m.constant, factors, jinvs, m.denominators, m.n_bound)
+# Phase 3: merging
 
 
 def _merge_key(m: Monomial) -> tuple:
@@ -383,16 +340,20 @@ def _merge_key(m: Monomial) -> tuple:
 
 
 def simplify(ms: MonomialSum) -> MonomialSum:
-    """Merge monomials identical up to constant; drop exact zeros; sort."""
+    """Merge monomials identical up to constant; drop exact zeros; sort.
+
+    Expansion already numbers bound indices canonically (see
+    :func:`_term_to_monomial`), so equal monomials have equal keys.
+    Constants are summed in expansion order.
+    """
     merged: dict = {}
     for m in ms.monomials:
-        c = _canonical(m)
-        key = _merge_key(c)
+        key = _merge_key(m)
         if key in merged:
             old = merged[key]
-            merged[key] = replace(old, constant=old.constant + c.constant)
+            merged[key] = replace(old, constant=old.constant + m.constant)
         else:
-            merged[key] = c
+            merged[key] = m
     kept = [m for m in merged.values() if m.constant != 0.0]
     kept.sort(key=_merge_key)
     return MonomialSum(ms.form, tuple(kept))

@@ -151,6 +151,20 @@ def test_front_end_rejects_expansion_beyond_budget(name, tmp_path, capsys):
     assert f"{terms} terms" in capsys.readouterr().err
 
 
+def test_front_end_rejects_inlined_tree_beyond_budget(tmp_path, capsys):
+    # 40 squarings inline to about 2^42 nodes; type checking walks each use
+    path = tmp_path / "squarings.form"
+    path.write_text(
+        _P1_HEADER + "f = Function(element)\ng = Function(element)\ns0 = f + g\n"
+        + "".join(f"s{k + 1} = s{k}*s{k}\n" for k in range(40))
+        + "a = s40*v*u*dx\n"
+    )
+    for command in ("check", "compile"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nodes once inlined" in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -165,6 +179,20 @@ def test_counts_must_be_positive(argv, form_files, capsys):
         main([argv[0], form_files["mass_small"]] + argv[1:])
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bench", "FORM", "-N", "-5"], ["trends", "--bench-n", "-3"]])
+def test_bench_counts_must_be_non_negative(argv, form_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([form_files["mass_small"] if a == "FORM" else a for a in argv])
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_bench_zero_count_skips_timing(form_files, capsys):
+    assert main(["bench", form_files["mass_small"], "-N", "0"]) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert fields[4:6] == ["NA", "NA"]
 
 
 _LINEAR = 'element = FiniteElement("Lagrange", "triangle", 1)\nv = TestFunction(element)\na = v*dx\n'
@@ -195,8 +223,8 @@ def test_front_end_accepts_depth_below_limit(tmp_path, capsys):
 
 # Both forms need far more unrolled terms than the budget: without one the
 # tensor builder allocates until the process is killed.  The P2 form needs up
-# to 429,981,696 terms; lowering it takes seconds (8 bound indices), so the
-# three commands share the P3 form, which has no bound index.
+# to 429,981,696 terms and has 8 bound indices per monomial; the P3 form has
+# none.
 _HEAVY_P2 = (
     'element = FiniteElement("Lagrange", "triangle", 2)\n'
     "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"

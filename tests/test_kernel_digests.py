@@ -3,8 +3,11 @@
 Each kernel of a fixed form set is reduced to the SHA-256 of its emitted
 source plus its IR JSON, and its static flop count.  The recorded values in
 ``golden/kernel_digests.json`` pin the IR, the emitted text and the flops of
-both representations, including the non-default toggles.  After an
-intended change of the generated kernels, rewrite the file with::
+both representations, including the non-default toggles.
+``golden/monomial_digests.json`` pins the lowered monomial sum (the
+``format_monomial_sum`` dump: constants, factor order and bound-index
+labels) of a wider form set.  After an intended change of the generated
+kernels or of the lowering, rewrite both files with::
 
     PYTHONPATH=src python tests/test_kernel_digests.py --write
 """
@@ -16,12 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from formc import forms, harness
+from formc import dsl, forms, harness, lowering
 from formc.kernel import count_flops, emit_source, kernel_to_json
 from formc.tensorrep import UnsupportedDivision
 
 ROOT = Path(__file__).resolve().parent
 DIGESTS = ROOT / "golden" / "kernel_digests.json"
+MONOMIAL_DIGESTS = ROOT / "golden" / "monomial_digests.json"
 FORMS_DIR = ROOT.parent / "forms"
 
 _P1 = 'P1 = FiniteElement("Lagrange", "triangle", 1)\n'
@@ -65,6 +69,48 @@ def form_sources() -> dict:
         }
     )
     out.update(_EXTRA)
+    return out
+
+
+def _gradf2(cell: str) -> str:
+    """P2 form with two bound-index pairs that tie within one coefficient."""
+    return (
+        f'element = FiniteElement("Lagrange", "{cell}", 2)\n'
+        "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
+        "a = dot(grad(f), grad(f))*dot(grad(f), grad(f))*dot(grad(v), grad(u))*dx\n"
+    )
+
+
+# One coefficient with first and second derivatives in the same monomial.
+_LAPLACIAN_GRADIENTS = (
+    'element = FiniteElement("Lagrange", "triangle", 2)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
+    "a = div(grad(f))*dot(grad(f), grad(v))*dot(grad(f), grad(u))*dx\n"
+)
+
+
+def monomial_sources() -> dict:
+    """The repository inputs, the full trend sweep with 3D, and heavy extras."""
+    out = {p.stem: p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))}
+    out.update({c.label(): c.source() for c in harness.full_trend_cells(include_3d=True)})
+    out.update(
+        {
+            "pressure_equation": forms.pressure_equation(),
+            "gradf2_p2_2d": _gradf2("triangle"),
+            "gradf2_p2_3d": _gradf2("tetrahedron"),
+            "laplacian_gradients_p2_2d": _LAPLACIAN_GRADIENTS,
+            "vector_poisson_div_3d_q1_p1_nf3": forms.vector_poisson_div(1, 3, 1, 3),
+            "vector_poisson_div_3d_q2_p2_nf2": forms.vector_poisson_div(2, 2, 2, 3),
+        }
+    )
+    return out
+
+
+def compute_monomial_digests() -> dict:
+    out = {}
+    for name, src in monomial_sources().items():
+        text = lowering.format_monomial_sum(lowering.lower(dsl.compile_form(src)))
+        out[name] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 
@@ -116,8 +162,14 @@ def test_kernels_byte_identical(name, recorded):
     assert got == recorded[name]
 
 
+def test_monomial_sums_identical():
+    recorded = json.loads(MONOMIAL_DIGESTS.read_text())
+    assert compute_monomial_digests() == recorded
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_kernel_digests.py --write")
-    DIGESTS.write_text(json.dumps(compute_digests(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DIGESTS}")
+    for path, compute in ((DIGESTS, compute_digests), (MONOMIAL_DIGESTS, compute_monomial_digests)):
+        path.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path}")

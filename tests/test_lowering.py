@@ -235,6 +235,14 @@ ORACLE_FORMS = [
         "f = Function(element)\n"
         "a = dot(grad(v), grad(u/f))*dx\n",
     ),
+    (
+        # six bound indices, four of them on factors of one coefficient
+        "gradf_squared",
+        'element = FiniteElement("Lagrange", "triangle", 2)\n'
+        "v = TestFunction(element)\nu = TrialFunction(element)\n"
+        "f = Function(element)\n"
+        "a = dot(grad(f), grad(f))*dot(grad(f), grad(f))*dot(grad(v), grad(u))*dx\n",
+    ),
 ]
 
 
