@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 when the arguments or the front end reject a
 form, or the requested representation or the assembly cannot build it
-(division under tensor, a term or entry budget exceeded, a linear form or a
-non-triangle form under assemble), 3 when a cross-check exceeds its tolerance.
+(division under tensor, a term, entry or quadrature-point budget exceeded, a
+linear form or a non-triangle form under assemble), 3 when a cross-check
+exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def cmd_check(args) -> int:
             cf, n_cells=args.cells, seed=args.seed, points_override=args.points
         )
     except MemoryError as exc:
-        print(f"rejected (tensor): {exc}", file=sys.stderr)
+        print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     tol = (
         CHECK_TOLERANCE_DIVISION
@@ -103,9 +104,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = harness.compare(
-        Path(args.form).read_text(), name=Path(args.form).stem, bench_n=args.count
-    )
+    try:
+        report = harness.compare(
+            Path(args.form).read_text(), name=Path(args.form).stem, bench_n=args.count
+        )
+    except MemoryError as exc:  # compare keeps tensor failures in the report
+        print(f"rejected (quadrature): {exc}", file=sys.stderr)
+        return EXIT_REJECTED
     print(harness.CSV_HEADER)
     print(report.csv_row())
     for note in report.notes:

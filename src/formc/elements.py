@@ -54,6 +54,11 @@ _CELLS = {"triangle": TRIANGLE, "tetrahedron": TETRAHEDRON}
 LAGRANGE = "Lagrange"
 DISCONTINUOUS_LAGRANGE = "Discontinuous Lagrange"
 
+# Degree 6 keeps the exact nodal inversion under 2 s on the tetrahedron and
+# the cross-check of a P6 triangle form 400 times inside its tolerance; at
+# degree 9 the ill-conditioned monomial basis nearly fails it.
+MAX_DEGREE = 6
+
 
 def reference_cell(name: str) -> ReferenceCell:
     try:
@@ -82,6 +87,8 @@ class FiniteElement:
             raise InvalidElement("continuous Lagrange requires degree >= 1")
         if self.degree < 0:
             raise InvalidElement("degree must be non-negative")
+        if self.degree > MAX_DEGREE:
+            raise InvalidElement(f"degree {self.degree} is above the maximum of {MAX_DEGREE}")
         if self.value_dim not in (1, self.cell.dim):
             raise InvalidElement(
                 f"value dimension {self.value_dim} does not match cell {self.cell.name}"

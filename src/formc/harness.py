@@ -260,19 +260,12 @@ class SparseMatrix:
     indices: np.ndarray  # sorted per row
     data: np.ndarray
 
-    def _row_ids(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
-
     def row_sums(self) -> np.ndarray:
-        return np.bincount(self._row_ids(), weights=self.data, minlength=self.n_rows)
+        rows = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        return np.bincount(rows, weights=self.data, minlength=self.n_rows)
 
     def total(self) -> float:
         return float(self.data.sum())
-
-    def todense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self._row_ids(), self.indices] = self.data
-        return out
 
 
 def _build_structure(rows_map: DofMap, cols_map: DofMap) -> tuple[SparseMatrix, np.ndarray]:
@@ -392,12 +385,6 @@ class ComparisonReport:
     def ratio(self) -> float | None:
         if self.flops_t:
             return self.flops_q / self.flops_t
-        return None
-
-    @property
-    def runtime_ratio(self) -> float | None:
-        if self.runtime_q is not None and self.runtime_t:
-            return self.runtime_q / self.runtime_t
         return None
 
     def csv_row(self) -> str:

@@ -110,97 +110,62 @@ def _flatten(ms: MonomialSum):
 # Basis-table inventory
 
 
-class _TableSet:
-    """Tabulated, zero-eliminated, content-deduplicated basis tables."""
+def _basis_tables(form, rule: QuadratureRule, zero_elimination: bool, sigs) -> tuple:
+    """Tabulated, zero-eliminated, content-deduplicated tables for ``sigs``.
 
-    def __init__(self, ms: MonomialSum, rule: QuadratureRule, zero_elimination: bool):
-        self.ms = ms
-        self.rule = rule
-        self.zero_elimination = zero_elimination
-        self.single_coefficient = len(ms.form.coefficients) == 1
-        self.entries: dict = {}  # tkey -> (table_name, nzc_name|None, extent, survivors)
-        self.users: dict = {}  # tkey -> set of tags
-        self.tables: dict = {}  # name -> ndarray, in declaration order
-        self._content: dict = {}
-        self._nzc_names: dict = {}
-        self._tabulations: dict = {}
+    ``sigs`` holds (role, coef, component, derivs) signatures.  Returns
+    ``(entries, tables)``: ``entries[sig]`` is (table name, nzc name or None,
+    extent), and ``tables`` maps names to the compacted Psi tables, then the
+    nzc index maps, in declaration order.  Names are deterministic in the
+    (element, component, derivs) order of the tables.
+    """
+    single_coefficient = len(form.coefficients) == 1
+    users: dict = {}  # (element, component, derivs) -> tags of the functions reading it
+    for role, coef, component, derivs in sigs:
+        if role == "coef":
+            tag = "w" if single_coefficient else f"w{coef}"
+        else:
+            tag = "v" if role == "test" else "u"
+        users.setdefault((form.element_of(role, coef), component, derivs), set()).add(tag)
+    order = sorted(users, key=lambda k: (k[0].sort_key(), k[1], k[2]))
+    max_order: dict = {}
+    for element, _, derivs in order:
+        max_order[element] = max(max_order.get(element, 0), len(derivs))
+    tabs = {element: tabulate(element, rule.points, n) for element, n in max_order.items()}
+    maps = {}
+    for key in order:
+        element, component, derivs = key
+        raw = tabs[element].table(component, derivs)
+        maps[key] = (
+            eliminate_zero_columns(raw)
+            if zero_elimination
+            else NonzeroColumnMap(raw.shape[1], tuple(range(raw.shape[1])), raw)
+        )
 
-    def tag(self, role: str, coef: int) -> str:
-        if role == "test":
-            return "v"
-        if role == "trial":
-            return "u"
-        return "w" if self.single_coefficient else f"w{coef}"
+    def content(nz):
+        return nz.table.shape, nz.table.tobytes()
 
-    def request(self, role: str, coef: int, component: int, derivs: tuple) -> tuple:
-        element = self.ms.form.element_of(role, coef)
-        tkey = (element, component, derivs)
-        self.users.setdefault(tkey, set()).add(self.tag(role, coef))
-        return tkey
-
-    def _tabulation(self, element, nderiv):
-        key = (element, nderiv)
-        got = self._tabulations.get(key)
-        if got is None:
-            got = tabulate(element, self.rule.points, nderiv)
-            self._tabulations[key] = got
-        return got
-
-    def build(self) -> None:
-        """Assign table and nzc names; deterministic in the signature order."""
-        order = sorted(self.users, key=self._tkey_sort)
-        max_order: dict = {}
-        for element, _, derivs in order:
-            max_order[element] = max(max_order.get(element, 0), len(derivs))
-        computed = []
-        for tkey in order:
-            element, component, derivs = tkey
-            tab = self._tabulation(element, max_order[element])
-            raw = tab.table(component, derivs)
-            nz = (
-                eliminate_zero_columns(raw)
-                if self.zero_elimination
-                else NonzeroColumnMap(raw.shape[1], tuple(range(raw.shape[1])), raw)
-            )
-            computed.append((tkey, nz, (nz.table.shape, nz.table.tobytes())))
-        tags_for: dict = {}
-        for tkey, _, content in computed:
-            tags_for.setdefault(content, set()).update(self.users[tkey])
-        for tkey, nz, content in computed:
-            name = self._content.get(content)
-            if name is None:
-                base = "Psi_" + "".join(sorted(tags_for[content], key=_tag_order))
-                name = base
-                suffix = 1
-                while name in self.tables:
-                    name = f"{base}_{suffix}"
-                    suffix += 1
-                self._content[content] = name
-                self.tables[name] = nz.table
-            nzc_name = None
-            if not nz.is_identity:
-                nzc_name = self._nzc_names.get(nz.survivors)
-                if nzc_name is None:
-                    nzc_name = f"nzc{len(self._nzc_names)}"
-                    self._nzc_names[nz.survivors] = nzc_name
-            self.entries[tkey] = (self._content[content], nzc_name, len(nz.survivors), nz.survivors)
-
-    @staticmethod
-    def _tkey_sort(tkey):
-        element, component, derivs = tkey
-        return (element.sort_key(), component, derivs)
-
-    def nzc_tables(self) -> dict:
-        return {
-            name: np.array(survivors, dtype=np.uint32)
-            for survivors, name in sorted(
-                self._nzc_names.items(), key=lambda kv: int(kv[1][3:])
-            )
-        }
-
-    def lookup(self, role, coef, component, derivs):
-        element = self.ms.form.element_of(role, coef)
-        return self.entries[(element, component, derivs)]
+    tags_for: dict = {}
+    for key, nz in maps.items():
+        tags_for.setdefault(content(nz), set()).update(users[key])
+    names: dict = {}  # content -> table name
+    tables: dict = {}
+    nzc: dict = {}  # survivors -> nzc name, numbered in first-use order
+    by_key = {}
+    for key, nz in maps.items():
+        c = content(nz)
+        if c not in names:
+            base = "Psi_" + "".join(sorted(tags_for[c], key=_tag_order))
+            name, suffix = base, 1
+            while name in tables:
+                name, suffix = f"{base}_{suffix}", suffix + 1
+            names[c] = name
+            tables[name] = nz.table
+        nzc_name = None if nz.is_identity else nzc.setdefault(nz.survivors, f"nzc{len(nzc)}")
+        by_key[key] = (names[c], nzc_name, len(nz.survivors))
+    tables.update((name, np.array(survivors, dtype=np.uint32)) for survivors, name in nzc.items())
+    entries = {sig: by_key[(form.element_of(*sig[:2]),) + sig[2:]] for sig in sigs}
+    return entries, tables
 
 
 def _tag_order(tag: str) -> tuple:
@@ -220,9 +185,9 @@ def _col_index(nzc_name, var):
     return IxMap(nzc_name, ix) if nzc_name else ix
 
 
-def _point_value(tset: _TableSet, sig, var: str):
+def _point_value(entries, sig, var: str):
     """Psi[ip][var]*w[c][nzc[var]]: one basis term of a coefficient's point value."""
-    tname, nzc, _, _ = tset.lookup("coef", *sig)
+    tname, nzc, _ = entries[("coef",) + sig]
     psi = TableRef(tname, (IxVar("ip"), IxVar(var)))
     return BinOp("*", psi, CoefRef(sig[0], _col_index(nzc, var)))
 
@@ -251,12 +216,12 @@ def build_quadrature_kernel(
     single_point = rule.n_points == 1
 
     groups = _flatten(ms)
-    tset = _TableSet(ms, rule, zero_elimination)
-    for key1, subgroups in groups.items():
-        for key2 in subgroups:
-            for sig in _table_signatures(key1, key2):
-                tset.request(*sig)
-    tset.build()
+    entries, basis = _basis_tables(
+        form,
+        rule,
+        zero_elimination,
+        {sig for k1, sub in groups.items() for k2 in sub for sig in _table_signatures(k1, k2)},
+    )
 
     # Drop groups whose basis tables lost every column.
     live: dict = {}
@@ -264,7 +229,7 @@ def build_quadrature_kernel(
         kept = {
             key2: v
             for key2, v in subgroups.items()
-            if all(tset.lookup(*sig)[2] > 0 for sig in _table_signatures(key1, key2))
+            if all(entries[sig][2] > 0 for sig in _table_signatures(key1, key2))
         }
         if kept:
             live[key1] = kept
@@ -281,8 +246,7 @@ def build_quadrature_kernel(
     else:
         w_table = f"W{rule.n_points}"
         tables[w_table] = rule.weights.copy()
-    tables.update(tset.tables)
-    tables.update(tset.nzc_tables())
+    tables.update(basis)
 
     # Cell scope: geometry constants G (hoisted products of Jinv entries).
     # Point scope: coefficient values F, point scalars Gip, accumulation.
@@ -311,8 +275,8 @@ def build_quadrature_kernel(
             fname = f"F{len(f_names)}"
             f_names[sig] = fname
             body.append(AssignScalar(fname, Lit(0.0)))
-            loop_body = (AccumScalar(fname, _point_value(tset, sig, "r")),)
-            body.append(Loop("r", tset.lookup("coef", *sig)[2], loop_body))
+            loop_body = (AccumScalar(fname, _point_value(entries, sig, "r")),)
+            body.append(Loop("r", entries[("coef",) + sig][2], loop_body))
         return ScalarRef(f_names[sig])
 
     def geo_tail(const) -> list:
@@ -356,12 +320,12 @@ def build_quadrature_kernel(
     for key1 in group_keys:
         subgroups = groups[key1]
         test, trial = key1
-        t_name, t_nzc, t_extent, _ = tset.lookup("test", -1, *test)
+        t_name, t_nzc, t_extent = entries[("test", -1) + test]
         psi = [TableRef(t_name, (IxVar("ip"), IxVar("i")))]
         cols = [(n2, _col_index(t_nzc, "i"))]
         u_extent = None
         if trial is not None:
-            u_name, u_nzc, u_extent, _ = tset.lookup("trial", -1, *trial)
+            u_name, u_nzc, u_extent = entries[("trial", -1) + trial]
             psi.append(TableRef(u_name, (IxVar("ip"), IxVar("j"))))
             cols.append((1, _col_index(u_nzc, "j")))
         index = IxLin(tuple(cols))
@@ -377,12 +341,12 @@ def build_quadrature_kernel(
             coefs, denoms = key2
             f_refs = [f_value(sig) for sig in denoms]
             for jprod in sorted(subgroups[key2]):
-                parts = psi + [_point_value(tset, sig, f"r{k}") for k, sig in enumerate(coefs)]
+                parts = psi + [_point_value(entries, sig, f"r{k}") for k, sig in enumerate(coefs)]
                 parts += [JinvRef(a, b) for a, b in jprod]
                 parts += geo_tail(subgroups[key2][jprod])
                 stmt = AccumA(index, chain("/", [weighted(chain("*", parts))] + f_refs))
                 for k in reversed(range(len(coefs))):
-                    stmt = Loop(f"r{k}", tset.lookup("coef", *coefs[k])[2], (stmt,))
+                    stmt = Loop(f"r{k}", entries[("coef",) + coefs[k]][2], (stmt,))
                 accum_plan.append((extents, stmt))
 
     # Fuse accumulation statements into loop nests by matching extents.

@@ -74,9 +74,6 @@ class ReferenceTensor:
     values: np.ndarray
     test_dofs: np.ndarray
     trial_dofs: np.ndarray | None
-    coef_axes: tuple  # ((coef_id, dof_ids), ...) in canonical factor order
-    bound_extents: tuple
-    monomials: tuple
 
 
 def reference_tensor(
@@ -99,36 +96,18 @@ def reference_tensor(
     operands = []
     subs = []
     test_dofs = trial_dofs = None
-    coef_axes = []
-    out_dof = []
     out_coef = []
     for f in lead.factors:
         element, dofs = _factor_block(form, f)
-        tab = tabulate(element, rule.points, nderiv=len(f.derivs))
-        scalar_ids = dofs % element.n_scalar
-        if len(f.derivs) == 0:
-            arr = tab.scalar_tables[()][:, scalar_ids]
-        elif len(f.derivs) == 1:
-            arr = np.stack(
-                [tab.scalar_tables[(a,)][:, scalar_ids] for a in range(d)], axis=-1
-            )
-        else:
-            arr = np.stack(
-                [
-                    np.stack(
-                        [
-                            tab.scalar_tables[tuple(sorted((a, b)))][:, scalar_ids]
-                            for b in range(d)
-                        ],
-                        axis=-1,
-                    )
-                    for a in range(d)
-                ],
-                axis=-2,
-            )
+        k = len(f.derivs)
+        tab = tabulate(element, rule.points, nderiv=k)
+        # (points, scalar dofs, d, ..., d): one axis per derivative direction
+        arr = np.stack(
+            [tab.scalar_tables[tuple(sorted(a))] for a in product(range(d), repeat=k)], axis=-1
+        )
+        operands.append(arr.reshape(arr.shape[:2] + (d,) * k))
         dof_letter = next(letters)
         subs.append(dof_letter + "".join(bound_letter[x.ident] for x in f.derivs))
-        operands.append(arr)
         if f.role == "test":
             test_dofs = dofs
             test_letter = dof_letter
@@ -136,7 +115,6 @@ def reference_tensor(
             trial_dofs = dofs
             trial_letter = dof_letter
         else:
-            coef_axes.append((f.coef, dofs))
             out_coef.append(dof_letter)
     out = test_letter
     if trial_dofs is not None:
@@ -145,23 +123,11 @@ def reference_tensor(
     out += "".join(bound_letter[i] for i in range(lead.n_bound))
     script = ",".join(subs) + "->" + out
 
-    out_shape = [len(test_dofs)]
-    if trial_dofs is not None:
-        out_shape.append(len(trial_dofs))
-    out_shape += [len(dofs) for _, dofs in coef_axes]
-    out_shape += [d] * lead.n_bound
-    A0 = np.zeros(tuple(out_shape))
-    for q in range(rule.n_points):
-        A0 += rule.weights[q] * np.einsum(script, *[op[q] for op in operands])
-    A0[np.abs(A0) < snap] = 0.0
-    return ReferenceTensor(
-        values=A0,
-        test_dofs=test_dofs,
-        trial_dofs=trial_dofs,
-        coef_axes=tuple(coef_axes),
-        bound_extents=(d,) * lead.n_bound,
-        monomials=group,
+    A0 = sum(
+        w * np.einsum(script, *[op[q] for op in operands]) for q, w in enumerate(rule.weights)
     )
+    A0[np.abs(A0) < snap] = 0.0
+    return ReferenceTensor(values=A0, test_dofs=test_dofs, trial_dofs=trial_dofs)
 
 
 @dataclass(eq=False)
@@ -173,22 +139,16 @@ class GeometryTensorSpec:
     plus, per monomial of the group, (constant, Jinv index pairs).
     """
 
-    coef_axes: tuple
-    bound_extents: tuple
     entries: tuple  # ((coef_reads, ((const, jprod), ...)), ...)
-    monomials: tuple
 
 
 def geometry_tensor_spec(monomials, form) -> GeometryTensorSpec:
     group = _as_group(monomials)
     lead = group[0]
     d = form.cell.dim
-    coef_axes = []
-    for f in lead.factors:
-        if f.role == "coef":
-            _, dofs = _factor_block(form, f)
-            coef_axes.append((f.coef, dofs))
-    bound_extents = (d,) * lead.n_bound
+    coef_axes = [
+        (f.coef, _factor_block(form, f)[1]) for f in lead.factors if f.role == "coef"
+    ]
     entries = []
     coef_ranges = [range(len(dofs)) for _, dofs in coef_axes]
     bound_ranges = [range(d)] * lead.n_bound
@@ -200,7 +160,7 @@ def geometry_tensor_spec(monomials, form) -> GeometryTensorSpec:
         )
         terms = tuple((m.constant, m.jinv_product(assignment)) for m in group)
         entries.append((reads, terms))
-    return GeometryTensorSpec(tuple(coef_axes), bound_extents, tuple(entries), group)
+    return GeometryTensorSpec(tuple(entries))
 
 
 def _group_key(group) -> tuple:
@@ -261,8 +221,9 @@ def build_tensor_kernel(
     k_stmts: list = []
     g_stmts: list = []
     g_slots: list = []
-    entry_terms: dict = {}
-    n_terms = 0
+    # (entry, coefficient, geometry slot) of every kept term, per group; the
+    # empty seeds serve a form whose monomials all cancel.
+    entry_ids, coeffs, slots = [np.empty(0, np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
 
     for group in groups:
         rt = reference_tensor(group, form, snap=snap, margin=margin)
@@ -274,46 +235,29 @@ def build_tensor_kernel(
             gname = f"G{len(g_slots)}"
             g_slots.append(gname)
             g_stmts.append(AssignScalar(gname, gexpr))
-        values = rt.values
+        # Axes (test, [trial,] flattened alpha), alpha row-major as in spec.entries.
+        values = rt.values.reshape(rt.values.shape[: 2 if bilinear else 1] + (-1,))
         nz = np.nonzero(values if drop_zeros else np.ones(values.shape, dtype=bool))
-        coeffs = values[nz]
-        n_terms += len(coeffs)
+        coeffs.append(values[nz])
         test_ids = rt.test_dofs[nz[0]]
-        if bilinear:
-            entry_ids = test_ids * n2 + rt.trial_dofs[nz[1]]
-            alpha_axes = nz[2:]
-        else:
-            entry_ids = test_ids
-            alpha_axes = nz[1:]
-        alpha_shape = values.shape[(2 if bilinear else 1) :]
-        if alpha_shape:
-            flat_alpha = np.ravel_multi_index(alpha_axes, alpha_shape)
-        else:
-            flat_alpha = np.zeros(len(coeffs), dtype=np.intp)
-        slots = base_slot + flat_alpha
-        order = np.argsort(entry_ids, kind="stable")
-        sorted_e = entry_ids[order]
-        sorted_c = coeffs[order]
-        sorted_s = slots[order]
-        uniq, starts = np.unique(sorted_e, return_index=True)
-        ends = np.append(starts[1:], len(sorted_e))
-        for e, s0, s1 in zip(uniq, starts, ends):
-            lst = entry_terms.setdefault(int(e), ([], []))
-            lst[0].append(sorted_c[s0:s1])
-            lst[1].append(sorted_s[s0:s1])
+        entry_ids.append(test_ids * n2 + rt.trial_dofs[nz[1]] if bilinear else test_ids)
+        slots.append(base_slot + nz[-1])
+
+    # A stable sort keeps each entry's terms in group order, then in
+    # reference-tensor order within a group.
+    entry_ids = np.concatenate(entry_ids)
+    order = np.argsort(entry_ids, kind="stable")
+    coeffs = np.concatenate(coeffs)[order]
+    slots = np.concatenate(slots)[order].astype(np.int32)
+    n_entries = int(np.prod(shape))
+    bounds = np.searchsorted(entry_ids[order], np.arange(n_entries + 1))
 
     stmts: list = [Comment("Geometry tensor")]
     stmts.extend(k_stmts)
     stmts.extend(g_stmts)
     stmts.append(Comment("Unrolled contraction"))
-    for e in range(int(np.prod(shape))):
-        if e in entry_terms:
-            cs, ss = entry_terms[e]
-            expr = TermSum(
-                np.concatenate(cs), np.concatenate(ss).astype(np.int32)
-            )
-        else:
-            expr = Lit(0.0)
+    for e, (s0, s1) in enumerate(zip(bounds[:-1], bounds[1:])):
+        expr = TermSum(coeffs[s0:s1], slots[s0:s1]) if s1 > s0 else Lit(0.0)
         stmts.append(AssignA(IxLin((), e), expr))
 
     coef_sizes = tuple(elem.space_dim for _, elem in form.coefficients)
@@ -329,7 +273,7 @@ def build_tensor_kernel(
         g_slots=tuple(g_slots),
         meta={
             "n_groups": len(groups),
-            "n_terms": n_terms,
+            "n_terms": len(coeffs),
             "drop_zeros": drop_zeros,
         },
     )

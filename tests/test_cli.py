@@ -5,6 +5,8 @@ import pytest
 
 from formc import forms
 from formc.cli import main
+from formc.elements import MAX_DEGREE
+from formc.quadrature import MAX_POINTS_PER_DIRECTION
 
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 
@@ -253,3 +255,40 @@ def test_check_budget_rejects_gradient_power(tmp_path, capsys):
     path.write_text(_HEAVY_P2)
     assert main(["check", str(path)]) == 2
     assert "429981696 terms" in capsys.readouterr().err
+
+
+def test_element_degree_bound(tmp_path, capsys):
+    path = tmp_path / "high_degree.form"
+    path.write_text(forms.mass(2, 1).replace('"triangle", 1)', f'"triangle", {MAX_DEGREE + 1})'))
+    assert main(["compile", str(path)]) == 2
+    assert "maximum" in capsys.readouterr().err
+
+
+# Each f raises the estimated degree by 4: the rule at that degree needs two
+# points per direction more than the bound.
+_HIGH_DEGREE = (
+    'element = FiniteElement("Lagrange", "triangle", 1)\n'
+    'element_f = FiniteElement("Lagrange", "triangle", 4)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element_f)\n"
+    "a = " + "*".join(["f"] * (MAX_POINTS_PER_DIRECTION // 2)) + "*v*u*dx\n"
+)
+_TOO_MANY = str(MAX_POINTS_PER_DIRECTION + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "MASS", "--points", _TOO_MANY],
+        ["check", "MASS", "--points", _TOO_MANY],
+        ["assemble", "MASS", "--points", _TOO_MANY],
+        ["compile", "HIGH"],
+        ["bench", "HIGH", "-N", "0"],
+    ],
+)
+def test_quadrature_point_budget_rejects(argv, form_files, tmp_path, capsys):
+    high = tmp_path / "high.form"
+    high.write_text(_HIGH_DEGREE)
+    paths = {"MASS": form_files["mass_small"], "HIGH": str(high)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "points per direction" in err and len(err.strip().splitlines()) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from formc.elements import (
+    MAX_DEGREE,
     TETRAHEDRON,
     TRIANGLE,
     FiniteElement,
@@ -48,6 +49,9 @@ def test_element_invariants():
         FiniteElement("Hermite", TRIANGLE, 1)
     e = FiniteElement("Lagrange", TETRAHEDRON, 2, 3)
     assert e.n_scalar == 10 and e.space_dim == 30
+    FiniteElement("Lagrange", TETRAHEDRON, MAX_DEGREE)
+    with pytest.raises(InvalidElement, match="maximum"):
+        FiniteElement("Discontinuous Lagrange", TRIANGLE, MAX_DEGREE + 1)
 
 
 def test_linear_triangle_tabulation():
@@ -77,7 +81,7 @@ def test_partition_of_unity(cell, degree):
 
 
 @pytest.mark.parametrize("cell", [TRIANGLE, TETRAHEDRON])
-@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", range(1, MAX_DEGREE + 1))
 def test_polynomial_reproduction(cell, degree):
     """Interpolate a random polynomial of matching degree, then re-evaluate."""
     e = FiniteElement("Lagrange", cell, degree)

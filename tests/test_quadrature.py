@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from formc.quadrature import (
     simplex_rule,
     simplex_rule_by_points,
 )
+
+RULE_DIGESTS = Path(__file__).resolve().parent / "golden" / "rule_digests.json"
 
 
 def moment(cell, exps):
@@ -103,3 +109,25 @@ def test_rule_for_form_override():
     assert rule_for_form(TRIANGLE, 4, points_override=1).n_points == 1
     assert rule_for_form(TRIANGLE, 0).points_per_direction == 1
     assert simplex_rule_by_points(TETRAHEDRON, 3).n_points == 27
+
+
+def rule_digests() -> dict:
+    """SHA-256 of the points and weights bytes of every m = 1..15 rule on both cells."""
+    out = {}
+    for cell in (TRIANGLE, TETRAHEDRON):
+        for m in range(1, 16):
+            r = simplex_rule_by_points(cell, m)
+            digest = hashlib.sha256(r.points.tobytes() + r.weights.tobytes()).hexdigest()
+            out[f"{cell.name}-{m}"] = digest
+    return out
+
+
+def test_rules_bit_identical():
+    assert rule_digests() == json.loads(RULE_DIGESTS.read_text())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_quadrature.py --write")
+    RULE_DIGESTS.write_text(json.dumps(rule_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {RULE_DIGESTS}")

@@ -78,6 +78,29 @@ def test_term_budget():
         build_tensor_kernel(cf.monomials, term_budget=10)
 
 
+def test_reference_rule_budget():
+    # Sixteen P4 factors: the reference rule needs 35 points per direction.
+    src = (
+        'P1 = FiniteElement("Lagrange", "triangle", 1)\n'
+        'P4 = FiniteElement("Lagrange", "triangle", 4)\n'
+        "v = TestFunction(P1)\nu = TrialFunction(P1)\nf = Function(P4)\n"
+        "a = " + "*".join(["f"] * 16) + "*v*u*dx\n"
+    )
+    cf = harness.compile_source(src, "high_degree")
+    with pytest.raises(MemoryError, match="35 points per direction"):
+        reference_tensor(cf.monomials.monomials, cf.typed)
+
+
+def test_cancelled_form_has_zero_kernel():
+    src = forms.mass(2, 1).replace("dot(v, u)*dx", "(v*u - u*v)*dx")
+    cf = harness.compile_source(src, "cancelled")
+    assert not cf.monomials.monomials
+    k = harness.tensor_kernel(cf)
+    assert k.meta["n_terms"] == 0
+    geo = affine_map_batch(harness.random_cells(cf.cell, 3, 0))
+    assert not interpret_batch(k, geo, harness.random_coefficients(cf, 3, 1)).any()
+
+
 def test_multilinearity_exact(compile_cached, kernel_cached):
     cf = compile_cached(forms.mass(2, 2, n_f=2, p=1), "mp")
     k = kernel_cached(cf, "tensor")
