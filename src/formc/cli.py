@@ -1,7 +1,8 @@
 """Command-line interface: compile, check, bench, assemble, trends.
 
 Exit codes: 0 on success, 2 when the arguments or the front end reject a
-form, or the requested representation or the assembly cannot build it
+form or its file cannot be read as UTF-8 text, or the requested
+representation or the assembly cannot build it
 (division under tensor, a term, entry or quadrature-point budget exceeded, a
 linear form or a non-triangle form under assemble), 3 when a cross-check
 exceeds its tolerance.
@@ -41,9 +42,21 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
+class UnreadableForm(Exception):
+    """The form file is missing, is a directory or is not UTF-8 text."""
+
+
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadableForm(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableForm(f"cannot read {path}: not UTF-8 at byte {exc.start}") from None
+
+
 def _load(path: str) -> harness.CompiledForm:
-    text = Path(path).read_text()
-    return harness.compile_source(text, name=Path(path).stem)
+    return harness.compile_source(_read(path), name=Path(path).stem)
 
 
 def _build(cf: harness.CompiledForm, args) -> object:
@@ -105,9 +118,7 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        report = harness.compare(
-            Path(args.form).read_text(), name=Path(args.form).stem, bench_n=args.count
-        )
+        report = harness.compare(_read(args.form), name=Path(args.form).stem, bench_n=args.count)
     except MemoryError as exc:  # compare keeps tensor failures in the report
         print(f"rejected (quadrature): {exc}", file=sys.stderr)
         return EXIT_REJECTED
@@ -189,7 +200,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("check", help="cross-check the two representations")
     p.add_argument("form")
     p.add_argument("--cells", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--points", type=_positive_int, default=None, help="points per direction")
     p.set_defaults(func=cmd_check)
 
@@ -202,7 +213,7 @@ def main(argv=None) -> int:
     p.add_argument("form")
     add_rep(p)
     p.add_argument("--mesh-n", type=_positive_int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("trends", help="sweep the benchmark families")
@@ -214,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except dsl.FormError as exc:  # the front end rejected the form
+    except (dsl.FormError, UnreadableForm) as exc:  # no form to compile
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REJECTED
 

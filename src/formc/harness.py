@@ -133,7 +133,7 @@ def relative_max_difference(A: np.ndarray, B: np.ndarray) -> float:
 @dataclass(frozen=True)
 class CrossCheck:
     max_relative_difference: float
-    mode: str  # "quadrature-vs-tensor" | "quadrature-two-degrees"
+    mode: str  # "quadrature-vs-tensor" | "quadrature-vs-full-tables" | "quadrature-two-degrees"
 
 
 def cross_check(
@@ -161,8 +161,15 @@ def cross_check(
 
 
 def _check_kernels(cf, geo, w, kq, kt, points_override=None) -> CrossCheck:
-    """The comparison of cross_check and compare; a ``kq`` of None is built here."""
-    if kt is None:
+    """The comparison of cross_check and compare; a ``kq`` of None is built here.
+
+    Without a tensor kernel, a division form compares two quadrature
+    degrees, and a polynomial form (over the term budget) compares against
+    its quadrature kernel without zero elimination at the same exact rule.
+    Hoisting stays on: un-hoisted, each coefficient factor adds a loop around
+    the accumulation, so twelve P4 factors need 15**12 trips per point.
+    """
+    if kt is None and any(m.denominators for m in cf.monomials.monomials):
         kq1 = quadrature_kernel(cf, points_override, degree_shift=10)
         kq2 = quadrature_kernel(cf, degree_shift=16)
         A1 = interpret_batch(kq1, geo, w)
@@ -170,9 +177,13 @@ def _check_kernels(cf, geo, w, kq, kt, points_override=None) -> CrossCheck:
         return CrossCheck(relative_max_difference(A1, A2), "quadrature-two-degrees")
     if kq is None:
         kq = quadrature_kernel(cf, points_override)
+    mode = "quadrature-vs-tensor"
+    if kt is None:
+        kt = quadrature_kernel(cf, points_override, zero_elimination=False)
+        mode = "quadrature-vs-full-tables"
     Aq = interpret_batch(kq, geo, w)
     At = interpret_batch(kt, geo, w)
-    return CrossCheck(relative_max_difference(Aq, At), "quadrature-vs-tensor")
+    return CrossCheck(relative_max_difference(Aq, At), mode)
 
 
 # ---------------------------------------------------------------------------

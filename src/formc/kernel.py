@@ -1,8 +1,9 @@
 """Kernel IR shared by both representations, with interpreter and emitter.
 
 A kernel is a straight-line program of constant tables, scalar assignments
-and loop nests accumulating into the element tensor A.  There are no
-conditionals, so the static flop count (loop bodies multiplied by extents)
+and loop nests accumulating into the element tensor A; a tensor kernel's
+unrolled contraction is one ``Contract`` statement of CSR arrays.  There are
+no conditionals, so the static flop count (loop bodies multiplied by extents)
 coincides exactly with the number of operations an instrumented run performs.
 
 Flop convention: '+' and '*' count one each, '-' counts as '+', '/' counts
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -112,32 +114,6 @@ def chain(op: str, parts):
     return expr
 
 
-@dataclass(eq=False)
-class TermSum:
-    """Compact linear combination sum_k coeffs[k] * scalar(slots[k]).
-
-    Used for the unrolled tensor contraction; coefficients with magnitude
-    one skip their multiply in the flop count and the emitted code.
-    ``ops`` is the flop count; ``live`` holds (coeffs, slots) without the
-    exact-zero terms, which contribute nothing, so the evaluated sum is the
-    same whether or not they were emitted.
-    """
-
-    coeffs: np.ndarray  # float64 (n,)
-    slots: np.ndarray  # int32 slot ids into KernelIR.g_slots
-    ops: int = field(init=False)
-    live: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        c = self.coeffs
-        self.ops = len(c) - 1 + int(np.count_nonzero(np.abs(c) != 1.0))
-        if np.count_nonzero(c) == len(c):
-            self.live = (c, self.slots)
-        else:
-            nz = c != 0.0
-            self.live = (c[nz], self.slots[nz])
-
-
 # ---------------------------------------------------------------------------
 # Statements
 
@@ -167,15 +143,25 @@ class Loop:
 
 
 @dataclass(frozen=True)
-class AssignA:
-    index: object
-    expr: object
-
-
-@dataclass(frozen=True)
 class AccumA:
     index: object
     expr: object
+
+
+@dataclass(frozen=True, eq=False)
+class Contract:
+    """A[e] = sum_k coeffs[k] * names[slots[k]] over k in indptr[e]:indptr[e+1].
+
+    One CSR row per element-tensor entry; an entry without terms is zero.
+    Coefficients of magnitude one skip their multiply in flops and emitted
+    code.  Exact-zero coefficients (kept when zeros are not dropped) are
+    counted and emitted, but the interpreter leaves them out of the sum.
+    """
+
+    names: tuple  # geometry scalars addressed by slots
+    indptr: np.ndarray  # (n_entries + 1,)
+    coeffs: np.ndarray  # float64
+    slots: np.ndarray  # int32
 
 
 @dataclass(eq=False)
@@ -190,7 +176,6 @@ class KernelIR:
     const_scalars: tuple  # ((name, value), ...): compile-time scalar constants
     tables: dict  # name -> ndarray (float tables and integer index maps)
     statements: tuple
-    g_slots: tuple = ()  # scalar names addressed by TermSum slots
     meta: dict = field(default_factory=dict)
 
     @property
@@ -296,8 +281,6 @@ def map_to_reference(geo: CellGeometry, x: np.ndarray) -> np.ndarray:
 def _expr_ops(kernel: KernelIR, expr) -> int:
     if isinstance(expr, BinOp):
         return 1 + _expr_ops(kernel, expr.a) + _expr_ops(kernel, expr.b)
-    if isinstance(expr, TermSum):
-        return expr.ops
     return 0
 
 
@@ -306,8 +289,13 @@ def _stmt_ops(kernel: KernelIR, stmt) -> int:
         return stmt.extent * sum(_stmt_ops(kernel, s) for s in stmt.body)
     if isinstance(stmt, (AccumScalar, AccumA)):
         return 1 + _expr_ops(kernel, stmt.expr)
-    if isinstance(stmt, (AssignScalar, AssignA)):
+    if isinstance(stmt, AssignScalar):
         return _expr_ops(kernel, stmt.expr)
+    if isinstance(stmt, Contract):
+        # n - 1 adds per non-empty entry, one multiply per non-unit coefficient
+        c = stmt.coeffs
+        filled = np.count_nonzero(np.diff(stmt.indptr))
+        return len(c) - int(filled) + int(np.count_nonzero(np.abs(c) != 1.0))
     return 0  # Comment
 
 
@@ -321,7 +309,7 @@ def count_flops(kernel: KernelIR) -> int:
 
 
 class _Run:
-    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "B", "ops", "gmat", "count")
+    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "B", "ops", "count")
 
     def __init__(self, kernel, jinv, det, w, count):
         self.kernel = kernel
@@ -332,7 +320,6 @@ class _Run:
         self.jinv = jinv
         self.det = det
         self.ops = 0
-        self.gmat = None
         self.count = count
 
 
@@ -379,15 +366,23 @@ def _eval(expr, run: _Run, loc):
         return run.jinv[:, expr.ref, expr.phys]
     if isinstance(expr, DetRef):
         return run.det
-    if isinstance(expr, TermSum):
-        if run.gmat is None:
-            names = run.kernel.g_slots
-            run.gmat = np.empty((len(names), run.B))
-            for i, name in enumerate(names):
-                run.gmat[i] = run.env[name]
-        coeffs, slots = expr.live
-        return coeffs @ run.gmat[slots]
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
+
+
+def _contract(stmt: Contract, run: _Run) -> None:
+    gmat = np.array([run.env[name] for name in stmt.names])  # (names, B)
+    coeffs, slots = stmt.coeffs, stmt.slots
+    # exact zeros ahead of each entry's first term
+    zeros = np.concatenate(([0], np.cumsum(coeffs == 0.0)))[stmt.indptr].tolist()
+    bounds = stmt.indptr.tolist()
+    for e, (s0, s1) in enumerate(pairwise(bounds)):
+        if s1 == s0:
+            continue
+        c, s = coeffs[s0:s1], slots[s0:s1]
+        if zeros[e + 1] > zeros[e]:
+            live = c != 0.0
+            c, s = c[live], s[live]
+        run.A[:, e] = c @ gmat[s]
 
 
 def _exec(stmts, run: _Run, path) -> None:
@@ -400,16 +395,16 @@ def _exec(stmts, run: _Run, path) -> None:
             continue
         if isinstance(stmt, Comment):
             continue
-        loc = path + (k,)
         if run.count:
             run.ops += _stmt_ops(run.kernel, stmt)
-        val = _eval(stmt.expr, run, loc)
+        if isinstance(stmt, Contract):
+            _contract(stmt, run)
+            continue
+        val = _eval(stmt.expr, run, path + (k,))
         if isinstance(stmt, AssignScalar):
             env[stmt.name] = val
         elif isinstance(stmt, AccumScalar):
             env[stmt.name] = env[stmt.name] + val
-        elif isinstance(stmt, AssignA):
-            run.A[:, _eval_ix(stmt.index, run)] = val
         else:  # AccumA
             run.A[:, _eval_ix(stmt.index, run)] += val
 
@@ -468,11 +463,11 @@ def _ix_str(ix) -> str:
     return " + ".join(parts)
 
 
-def _expr_str(expr, kernel: KernelIR, prec: int = 0) -> str:
+def _expr_str(expr, prec: int = 0) -> str:
     if isinstance(expr, BinOp):
         level = 1 if expr.op in "+-" else 2
-        a = _expr_str(expr.a, kernel, level)
-        b = _expr_str(expr.b, kernel, level + 1)
+        a = _expr_str(expr.a, level)
+        b = _expr_str(expr.b, level + 1)
         s = f"{a}{expr.op if expr.op in '*/' else ' ' + expr.op + ' '}{b}"
         return f"({s})" if prec > level else s
     if isinstance(expr, Lit):
@@ -487,19 +482,26 @@ def _expr_str(expr, kernel: KernelIR, prec: int = 0) -> str:
         return f"Jinv_{expr.ref}{expr.phys}"
     if isinstance(expr, DetRef):
         return "det"
-    if isinstance(expr, TermSum):
-        names = kernel.g_slots
+    raise TypeError(f"cannot emit {type(expr).__name__}")
+
+
+def _contract_rows(stmt: Contract):
+    """(entry, coefficients, slots) as lists, one entry converted at a time."""
+    for e, (s0, s1) in enumerate(pairwise(stmt.indptr.tolist())):
+        yield e, stmt.coeffs[s0:s1].tolist(), stmt.slots[s0:s1].tolist()
+
+
+def _contract_lines(stmt: Contract, pad: str):
+    names = stmt.names
+    for e, coeffs, slots in _contract_rows(stmt):
         parts = []
-        for k in range(len(expr.coeffs)):
-            c = float(expr.coeffs[k])
-            name = names[int(expr.slots[k])]
-            body = name if abs(c) == 1.0 else f"{_fmt(abs(c))}*{name}"
+        for c, slot in zip(coeffs, slots):
+            body = names[slot] if abs(c) == 1.0 else f"{_fmt(abs(c))}*{names[slot]}"
             if not parts:
                 parts.append(body if c >= 0 else f"-{body}")
             else:
                 parts.append(f"{'+' if c >= 0 else '-'} {body}")
-        return " ".join(parts)
-    raise TypeError(f"cannot emit {type(expr).__name__}")
+        yield f"{pad}A[{e}] = {' '.join(parts) if parts else '0.0'};"
 
 
 def _accumulated_names(stmts, out: set) -> None:
@@ -510,7 +512,7 @@ def _accumulated_names(stmts, out: set) -> None:
             out.add(s.name)
 
 
-def _emit_stmts(stmts, kernel, lines, indent, declared, accumulated) -> None:
+def _emit_stmts(stmts, lines, indent, declared, accumulated) -> None:
     pad = "  " * indent
     for s in stmts:
         if isinstance(s, Comment):
@@ -518,13 +520,13 @@ def _emit_stmts(stmts, kernel, lines, indent, declared, accumulated) -> None:
         elif isinstance(s, Loop):
             lines.append(f"{pad}for (unsigned int {s.var} = 0; {s.var} < {s.extent}; {s.var}++)")
             if len(s.body) == 1 and not isinstance(s.body[0], (Loop, Comment)):
-                _emit_stmts(s.body, kernel, lines, indent + 1, declared, accumulated)
+                _emit_stmts(s.body, lines, indent + 1, declared, accumulated)
             else:
                 lines.append(f"{pad}{{")
-                _emit_stmts(s.body, kernel, lines, indent + 1, declared, accumulated)
+                _emit_stmts(s.body, lines, indent + 1, declared, accumulated)
                 lines.append(f"{pad}}}")
         elif isinstance(s, AssignScalar):
-            rhs = _expr_str(s.expr, kernel)
+            rhs = _expr_str(s.expr)
             if s.name in accumulated:
                 decl = "" if s.name in declared else "double "
                 declared.add(s.name)
@@ -532,11 +534,11 @@ def _emit_stmts(stmts, kernel, lines, indent, declared, accumulated) -> None:
             else:
                 lines.append(f"{pad}const double {s.name} = {rhs};")
         elif isinstance(s, AccumScalar):
-            lines.append(f"{pad}{s.name} += {_expr_str(s.expr, kernel)};")
-        elif isinstance(s, AssignA):
-            lines.append(f"{pad}A[{_ix_str(s.index)}] = {_expr_str(s.expr, kernel)};")
+            lines.append(f"{pad}{s.name} += {_expr_str(s.expr)};")
+        elif isinstance(s, Contract):
+            lines.extend(_contract_lines(s, pad))
         else:
-            lines.append(f"{pad}A[{_ix_str(s.index)}] += {_expr_str(s.expr, kernel)};")
+            lines.append(f"{pad}A[{_ix_str(s.index)}] += {_expr_str(s.expr)};")
 
 
 def _table_cstr(arr: np.ndarray) -> str:
@@ -596,7 +598,7 @@ def emit_source(kernel: KernelIR, name: str | None = None) -> str:
         lines.append("")
     accumulated: set = set()
     _accumulated_names(kernel.statements, accumulated)
-    _emit_stmts(kernel.statements, kernel, lines, 1, set(), accumulated)
+    _emit_stmts(kernel.statements, lines, 1, set(), accumulated)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -630,32 +632,29 @@ def _expr_json(expr):
         return {"jinv": [expr.ref, expr.phys]}
     if isinstance(expr, DetRef):
         return {"det": True}
-    if isinstance(expr, TermSum):
-        return {
-            "termsum": {
-                "coeffs": [float(c) for c in expr.coeffs],
-                "slots": [int(s) for s in expr.slots],
-            }
-        }
     raise TypeError(type(expr).__name__)
 
 
-def _stmt_json(stmt):
-    if isinstance(stmt, Comment):
-        return {"comment": stmt.text}
-    if isinstance(stmt, Loop):
-        return {
-            "loop": stmt.var,
-            "extent": stmt.extent,
-            "body": [_stmt_json(s) for s in stmt.body],
-        }
-    if isinstance(stmt, AssignScalar):
-        return {"assign": stmt.name, "expr": _expr_json(stmt.expr)}
-    if isinstance(stmt, AccumScalar):
-        return {"accum": stmt.name, "expr": _expr_json(stmt.expr)}
-    if isinstance(stmt, AssignA):
-        return {"assignA": _ix_json(stmt.index), "expr": _expr_json(stmt.expr)}
-    return {"accumA": _ix_json(stmt.index), "expr": _expr_json(stmt.expr)}
+def _stmts_json(stmts) -> list:
+    """One record per statement; a contraction gives one "assignA" per entry."""
+    out = []
+    for stmt in stmts:
+        if isinstance(stmt, Contract):
+            for e, coeffs, slots in _contract_rows(stmt):
+                rhs = {"termsum": {"coeffs": coeffs, "slots": slots}} if coeffs else {"lit": 0.0}
+                out.append({"assignA": {"lin": [], "offset": e}, "expr": rhs})
+        elif isinstance(stmt, Comment):
+            out.append({"comment": stmt.text})
+        elif isinstance(stmt, Loop):
+            body = _stmts_json(stmt.body)
+            out.append({"loop": stmt.var, "extent": stmt.extent, "body": body})
+        elif isinstance(stmt, AssignScalar):
+            out.append({"assign": stmt.name, "expr": _expr_json(stmt.expr)})
+        elif isinstance(stmt, AccumScalar):
+            out.append({"accum": stmt.name, "expr": _expr_json(stmt.expr)})
+        else:
+            out.append({"accumA": _ix_json(stmt.index), "expr": _expr_json(stmt.expr)})
+    return out
 
 
 def kernel_to_json(kernel: KernelIR) -> str:
@@ -667,8 +666,8 @@ def kernel_to_json(kernel: KernelIR) -> str:
         "coef_sizes": list(kernel.coef_sizes),
         "const_scalars": [[n, v] for n, v in kernel.const_scalars],
         "tables": {n: arr.tolist() for n, arr in kernel.tables.items()},
-        "g_slots": list(kernel.g_slots),
+        "g_slots": [n for s in kernel.statements if isinstance(s, Contract) for n in s.names],
         "flops": count_flops(kernel),
-        "statements": [_stmt_json(s) for s in kernel.statements],
+        "statements": _stmts_json(kernel.statements),
     }
     return json.dumps(obj, indent=1, sort_keys=True)

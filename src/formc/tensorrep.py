@@ -16,18 +16,16 @@ import numpy as np
 
 from .elements import tabulate
 from .kernel import (
-    AssignA,
     AssignScalar,
     CoefRef,
     Comment,
+    Contract,
     DetRef,
     IxConst,
-    IxLin,
     JinvRef,
     KernelIR,
     Lit,
     ScalarRef,
-    TermSum,
     chain,
 )
 from .lowering import BasisFactor, Monomial, MonomialSum, factor_degree
@@ -220,7 +218,7 @@ def build_tensor_kernel(
     k_names: dict = {}
     k_stmts: list = []
     g_stmts: list = []
-    g_slots: list = []
+    g_names: list = []
     # (entry, coefficient, geometry slot) of every kept term, per group; the
     # empty seeds serve a form whose monomials all cancel.
     entry_ids, coeffs, slots = [np.empty(0, np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
@@ -228,12 +226,12 @@ def build_tensor_kernel(
     for group in groups:
         rt = reference_tensor(group, form, snap=snap, margin=margin)
         spec = geometry_tensor_spec(group, form)
-        base_slot = len(g_slots)
+        base_slot = len(g_names)
         # One geometry scalar per alpha; Jinv sums are hoisted and shared.
         for reads, terms in spec.entries:
             gexpr = _geometry_expr(reads, terms, k_names, k_stmts)
-            gname = f"G{len(g_slots)}"
-            g_slots.append(gname)
+            gname = f"G{len(g_names)}"
+            g_names.append(gname)
             g_stmts.append(AssignScalar(gname, gexpr))
         # Axes (test, [trial,] flattened alpha), alpha row-major as in spec.entries.
         values = rt.values.reshape(rt.values.shape[: 2 if bilinear else 1] + (-1,))
@@ -249,16 +247,13 @@ def build_tensor_kernel(
     order = np.argsort(entry_ids, kind="stable")
     coeffs = np.concatenate(coeffs)[order]
     slots = np.concatenate(slots)[order].astype(np.int32)
-    n_entries = int(np.prod(shape))
-    bounds = np.searchsorted(entry_ids[order], np.arange(n_entries + 1))
+    indptr = np.searchsorted(entry_ids[order], np.arange(int(np.prod(shape)) + 1))
 
     stmts: list = [Comment("Geometry tensor")]
     stmts.extend(k_stmts)
     stmts.extend(g_stmts)
     stmts.append(Comment("Unrolled contraction"))
-    for e, (s0, s1) in enumerate(zip(bounds[:-1], bounds[1:])):
-        expr = TermSum(coeffs[s0:s1], slots[s0:s1]) if s1 > s0 else Lit(0.0)
-        stmts.append(AssignA(IxLin((), e), expr))
+    stmts.append(Contract(tuple(g_names), indptr, coeffs, slots))
 
     coef_sizes = tuple(elem.space_dim for _, elem in form.coefficients)
     return KernelIR(
@@ -270,7 +265,6 @@ def build_tensor_kernel(
         const_scalars=(),
         tables={},
         statements=tuple(stmts),
-        g_slots=tuple(g_slots),
         meta={
             "n_groups": len(groups),
             "n_terms": len(coeffs),

@@ -292,3 +292,37 @@ def test_quadrature_point_budget_rejects(argv, form_files, tmp_path, capsys):
     assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "points per direction" in err and len(err.strip().splitlines()) == 1
+
+
+def test_bench_checks_over_budget_polynomial_at_exact_rule(tmp_path, capsys):
+    # Twelve P4 factors: degree 50, 26 points per direction, a tensor kernel
+    # far over the term budget.  The check compares quadrature kernels at
+    # that rule, not at the 10 and 16 degrees higher that division forms use.
+    path = tmp_path / "f12.form"
+    path.write_text(_HIGH_DEGREE.replace("*".join(["f"] * 16), "*".join(["f"] * 12)))
+    assert main(["compile", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["bench", str(path), "-N", "0"]) == 0
+    fields = capsys.readouterr().out.splitlines()[1].split(",")
+    assert fields[2] == "NA" and float(fields[6]) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_form_file_rejected(kind, tmp_path, capsys):
+    path = tmp_path / "form.form"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(forms.mass(2, 1).encode() + b"# \xff\xfe\n")
+    for command in ("compile", "check", "bench", "assemble"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "assemble"])
+def test_seed_must_be_non_negative(command, form_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, form_files["mass_small"], "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err

@@ -172,6 +172,15 @@ def test_compare_report_and_csv():
     assert fields[2] == "NA" and fields[3] == "NA"
 
 
+def test_compare_over_budget_polynomial_uses_exact_rule():
+    # the tensor kernel is over budget, not impossible: quadrature is checked
+    # against its kernel without zero elimination at the same rule
+    report = harness.compare(forms.elasticity(2, 2), "el22", n_cells=5, term_budget=10)
+    assert report.tensor_error.startswith("MemoryError")
+    assert report.check_mode == "quadrature-vs-full-tables"
+    assert report.max_difference < 1e-12
+
+
 def test_runtime_rank_order_stable(compile_cached):
     # the tensor kernel for the plain cubic mass must stay the faster one
     winners = []

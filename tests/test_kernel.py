@@ -4,7 +4,7 @@ import pytest
 from formc import forms, harness
 from formc.kernel import (
     AccumA,
-    AssignA,
+    AssignScalar,
     BinOp,
     DegenerateCell,
     DivisionByZero,
@@ -51,14 +51,14 @@ def test_affine_map_roundtrip():
 
 
 def _toy_kernel(accumulate: bool):
-    # for i in 0..4: A[i] (=|+=) a*b + c*d;   a,b,c,d are scalar constants
+    # for i in 0..4: A[i] += a*b + c*d  (or x = a*b + c*d);  a,b,c,d are scalar constants
     expr = BinOp(
         "+",
         BinOp("*", ScalarRef("a"), ScalarRef("b")),
         BinOp("*", ScalarRef("c"), ScalarRef("d")),
     )
-    ctor = AccumA if accumulate else AssignA
-    stmts = (Loop("i", 5, (ctor(IxLin(((1, IxVar("i")),)), expr),)),)
+    stmt = AccumA(IxLin(((1, IxVar("i")),)), expr) if accumulate else AssignScalar("x", expr)
+    stmts = (Loop("i", 5, (stmt,)),)
     return KernelIR(
         name="toy",
         representation="quadrature",

@@ -1,9 +1,16 @@
 """Byte-identity of generated kernels under every optimisation toggle.
 
 Each kernel of a fixed form set is reduced to the SHA-256 of its emitted
-source plus its IR JSON, and its static flop count.  The recorded values in
-``golden/kernel_digests.json`` pin the IR, the emitted text and the flops of
-both representations, including the non-default toggles.
+source plus its IR JSON, its static flop count and, unless the kernel is an
+un-hoisted quadrature one, the SHA-256 of its interpreted element tensors on
+seeded cells and coefficients.  The recorded values in
+``golden/kernel_digests.json`` pin the IR, the emitted text, the flops and
+the interpreter's output bits of both representations, including the
+non-default toggles.  Every interpreted kernel's dynamic operation count
+must equal its static one.  Un-hoisted kernels evaluate their inline
+products once per innermost trip, which takes the interpreter up to a
+minute on ``pressure_equation_2d``; they share every interpreter branch with
+the hoisted kernels, which are interpreted.
 ``golden/monomial_digests.json`` pins the lowered monomial sum (the
 ``format_monomial_sum`` dump: constants, factor order and bound-index
 labels) of a wider form set.  After an intended change of the generated
@@ -20,7 +27,13 @@ from pathlib import Path
 import pytest
 
 from formc import dsl, forms, harness, lowering
-from formc.kernel import count_flops, emit_source, kernel_to_json
+from formc.kernel import (
+    affine_map_batch,
+    count_flops,
+    emit_source,
+    interpret_batch,
+    kernel_to_json,
+)
 from formc.tensorrep import UnsupportedDivision
 
 ROOT = Path(__file__).resolve().parent
@@ -124,7 +137,11 @@ VARIANTS = {
 }
 
 
-def _digest(cf, variant: str):
+N_CELLS = 3
+
+
+def _digest(cf, variant: str, inputs):
+    """[text SHA-256, static flops(, interpreter SHA-256)] and the dynamic count."""
     opts = VARIANTS[variant]
     try:
         if variant.startswith("t"):
@@ -132,16 +149,26 @@ def _digest(cf, variant: str):
         else:
             k = harness.quadrature_kernel(cf, **opts)
     except UnsupportedDivision:
-        return "UnsupportedDivision"
+        return "UnsupportedDivision", None
     text = emit_source(k) + kernel_to_json(k)
-    return [hashlib.sha256(text.encode()).hexdigest(), count_flops(k)]
+    record = [hashlib.sha256(text.encode()).hexdigest(), count_flops(k)]
+    if "nohoist" in variant:
+        return record, None
+    A, ops = interpret_batch(k, *inputs, count_ops=True)
+    return record + [hashlib.sha256(A.tobytes()).hexdigest()], ops
+
+
+def _inputs(cf):
+    geo = affine_map_batch(harness.random_cells(cf.cell, N_CELLS, 7))
+    return geo, harness.random_coefficients(cf, N_CELLS, 8)
 
 
 def compute_digests() -> dict:
     out = {}
     for name, src in form_sources().items():
         cf = harness.compile_source(src, name)
-        out[name] = {variant: _digest(cf, variant) for variant in VARIANTS}
+        inputs = _inputs(cf)
+        out[name] = {variant: _digest(cf, variant, inputs)[0] for variant in VARIANTS}
     return out
 
 
@@ -158,7 +185,12 @@ def test_form_set_is_fixed(recorded):
 @pytest.mark.parametrize("name", sorted(form_sources()))
 def test_kernels_byte_identical(name, recorded):
     cf = harness.compile_source(form_sources()[name], name)
-    got = {variant: _digest(cf, variant) for variant in VARIANTS}
+    inputs = _inputs(cf)
+    got = {}
+    for variant in VARIANTS:
+        got[variant], ops = _digest(cf, variant, inputs)
+        if ops is not None:
+            assert ops == got[variant][1], variant  # dynamic flops equal static flops
     assert got == recorded[name]
 
 

@@ -1,8 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from formc import forms, harness
-from formc.kernel import affine_map, affine_map_batch, count_flops, interpret, interpret_batch
+from formc.kernel import (
+    AssignScalar,
+    Contract,
+    DetRef,
+    KernelIR,
+    affine_map,
+    affine_map_batch,
+    count_flops,
+    emit_source,
+    interpret,
+    interpret_batch,
+    kernel_to_json,
+)
 from formc.tensorrep import (
     UnsupportedDivision,
     build_tensor_kernel,
@@ -124,29 +138,53 @@ def test_zero_dropping_sound(compile_cached):
     assert np.array_equal(A1, A2)
 
 
-def test_unit_coefficients_skip_multiplies():
-    from formc.kernel import KernelIR, TermSum, AssignA, IxLin, AssignScalar, DetRef
-
-    ts = TermSum(np.array([1.0, -1.0, 2.0, 0.25]), np.array([0, 1, 2, 3], dtype=np.int32))
-    k = KernelIR(
+def _contract_kernel(indptr, coeffs, slots):
+    names = ("G0", "G1", "G2", "G3")
+    contract = Contract(
+        names,
+        np.array(indptr),
+        np.array(coeffs, dtype=float),
+        np.array(slots, dtype=np.int32),
+    )
+    return KernelIR(
         name="t",
         representation="tensor",
-        shape=(1,),
+        shape=(len(indptr) - 1,),
         dim=2,
         coef_sizes=(),
         const_scalars=(),
         tables={},
-        statements=tuple(
-            [AssignScalar(f"G{i}", DetRef()) for i in range(4)]
-            + [AssignA(IxLin((), 0), ts)]
-        ),
-        g_slots=("G0", "G1", "G2", "G3"),
+        statements=tuple(AssignScalar(n, DetRef()) for n in names) + (contract,),
     )
-    # 3 adds, and only the two non-unit coefficients multiply
+
+
+def test_unit_coefficients_skip_multiplies():
+    geo = affine_map([[0, 0], [2, 0], [0, 1]])  # det = 2, so every G is 2
+    # A[0] = G0 - G1 + 2.0*G2 + 0.25*G3: 3 adds, and only the two
+    # non-unit coefficients multiply
+    k = _contract_kernel([0, 4], [1.0, -1.0, 2.0, 0.25], [0, 1, 2, 3])
     assert count_flops(k) == 3 + 2
-    geo = affine_map([[0, 0], [2, 0], [0, 1]])  # det = 2
     A = interpret(k, geo, [])
     assert np.isclose(A[0], (1 - 1 + 2 + 0.25) * 2.0)
+    assert "  A[0] = G0 - G1 + 2.0*G2 + 0.25*G3;\n" in emit_source(k)
+
+    # A[1] has no terms: no flops, a literal zero, value 0.  A[2] keeps an
+    # exact-zero coefficient: emitted and counted (1 add, 1 multiply), but
+    # the interpreter leaves it out of the sum.
+    k = _contract_kernel([0, 4, 4, 6], [1.0, -1.0, 2.0, 0.25, 0.0, -1.0], [0, 1, 2, 3, 2, 3])
+    assert count_flops(k) == 5 + 0 + 2
+    A, ops = interpret(k, geo, [], count_ops=True)
+    assert ops == count_flops(k)
+    assert A[1] == 0.0 and A[2] == -2.0
+    text = emit_source(k)
+    assert "  A[1] = 0.0;\n" in text and "  A[2] = 0.0*G2 - G3;\n" in text
+    assert json.loads(kernel_to_json(k))["statements"][-2:] == [
+        {"assignA": {"lin": [], "offset": 1}, "expr": {"lit": 0.0}},
+        {
+            "assignA": {"lin": [], "offset": 2},
+            "expr": {"termsum": {"coeffs": [0.0, -1.0], "slots": [2, 3]}},
+        },
+    ]
 
 
 def test_mass_tensor_flop_counts(compile_cached, kernel_cached):
