@@ -144,7 +144,11 @@ def cmd_assemble(args) -> int:
         print(f"rejected ({args.representation}): {exc}", file=sys.stderr)
         return EXIT_REJECTED
     mesh = harness.unit_square_mesh(args.mesh_n)
-    matrix, timings = harness.assemble(cf, kernel, mesh, seed=args.seed)
+    try:
+        matrix, timings = harness.assemble(cf, kernel, mesh, seed=args.seed)
+    except MemoryError as exc:
+        print(f"rejected (assemble): {exc}", file=sys.stderr)
+        return EXIT_REJECTED
     nnz = len(matrix.indices)
     print(
         f"{cf.name}: {matrix.n_rows}x{matrix.n_cols} matrix, nnz={nnz},"

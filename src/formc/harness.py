@@ -21,8 +21,9 @@ from .kernel import (
     KernelIR,
     affine_map_batch,
     count_flops,
-    emit_source,
+    emit_source,  # noqa: F401  kept in this namespace: tracing tools wrap harness.emit_source
     interpret_batch,
+    source_bytes,
 )
 from .lowering import MonomialSum
 from .quadrature import rule_for_form
@@ -30,6 +31,7 @@ from .quadrature import rule_for_form
 DEFAULT_BENCH_N = 10_000
 DEFAULT_TERM_BUDGET = 8_000_000
 ASSEMBLY_ENTRY_BUDGET = 20_000_000  # cells x local test dofs x local trial dofs
+INTERPRET_FLOP_BUDGET = 10**9  # flops per cell of a kernel that assemble interprets
 ASSEMBLY_CHUNK = 256  # cells per interpreted batch in assemble
 BENCH_CHUNK = 200  # cells per interpreted batch in _bench
 COEF_LOW, COEF_HIGH = 0.5, 1.5  # bounded away from zero for division forms
@@ -317,9 +319,16 @@ def assemble(
 
     Two phases: structure initialisation from dof adjacency, then batched
     kernel evaluation (timed as "compute") and serial insertion, in cell
-    order, into the fixed structure (timed as "insertion").
+    order, into the fixed structure (timed as "insertion").  A kernel of
+    more than ``INTERPRET_FLOP_BUDGET`` flops per cell raises MemoryError
+    before anything is built.
     """
     check_assembly(cf, mesh.cell, mesh.n_cells)
+    flops = count_flops(kernel)
+    if flops > INTERPRET_FLOP_BUDGET:
+        raise MemoryError(
+            f"kernel needs {flops} flops per cell (budget {INTERPRET_FLOP_BUDGET})"
+        )
     typed = cf.typed
     t0 = time.perf_counter()
     rows_map = build_dofmap(mesh, typed.test_element)
@@ -451,7 +460,7 @@ def compare(
     t0 = time.perf_counter()
     kq = quadrature_kernel(cf)
     gen_q = time.perf_counter() - t0
-    bytes_q = len(emit_source(kq).encode())
+    bytes_q = source_bytes(kq)
     flops_q = count_flops(kq)
 
     kt = None
@@ -461,7 +470,7 @@ def compare(
         t0 = time.perf_counter()
         kt = tensor_kernel(cf, term_budget=term_budget)
         gen_t = time.perf_counter() - t0
-        bytes_t = len(emit_source(kt).encode())
+        bytes_t = source_bytes(kt)
         flops_t = count_flops(kt)
     except tensorrep.UnsupportedDivision as exc:
         tensor_error = f"UnsupportedDivision: {exc}"

@@ -536,7 +536,7 @@ def _emit_stmts(stmts, lines, indent, declared, accumulated) -> None:
         elif isinstance(s, AccumScalar):
             lines.append(f"{pad}{s.name} += {_expr_str(s.expr)};")
         elif isinstance(s, Contract):
-            lines.extend(_contract_lines(s, pad))
+            lines.append((s, pad))  # rows written or counted by the caller
         else:
             lines.append(f"{pad}A[{_ix_str(s.index)}] += {_expr_str(s.expr)};")
 
@@ -556,6 +556,52 @@ def emit_source(kernel: KernelIR, name: str | None = None) -> str:
     A, coefficient dofs w, and the cell geometry (flattened Jacobian inverse
     plus determinant) as inputs.
     """
+    lines = []
+    for line in _source_lines(kernel, name):
+        if isinstance(line, str):
+            lines.append(line)
+        else:
+            lines.extend(_contract_lines(*line))
+    return "\n".join(lines) + "\n"
+
+
+def source_bytes(kernel: KernelIR, name: str | None = None) -> int:
+    """``len(emit_source(kernel, name).encode())``, without the contraction rows' text."""
+    total = 0
+    for line in _source_lines(kernel, name):
+        if isinstance(line, str):
+            total += len(line.encode()) + 1
+        else:
+            total += _contract_bytes(*line)
+    return total
+
+
+def _contract_bytes(stmt: Contract, pad: str) -> int:
+    """Byte length of the rows of ``_contract_lines``, newlines included.
+
+    An entry's row is ``{pad}A[{e}] = {rhs};``.  Its right-hand side joins
+    the terms with " + " or " - ", a leading "-" marks a negative first
+    coefficient, and an empty entry reads "0.0".  A term is the slot's name,
+    behind "{repr(|c|)}*" unless |c| is one; each distinct |c| is formatted
+    once.
+    """
+    n = len(stmt.indptr) - 1
+    mags, inverse = np.unique(np.abs(stmt.coeffs), return_inverse=True)
+    factor_len = np.array([0 if m == 1.0 else len(_fmt(m)) + 1 for m in mags.tolist()], int)
+    name_len = np.array([len(name) for name in stmt.names], int)
+    terms = int(name_len[stmt.slots].sum() + factor_len[inverse].sum())
+    starts = stmt.indptr[:-1][np.diff(stmt.indptr) > 0]
+    filled = len(starts)
+    negative_leads = int(np.count_nonzero(stmt.coeffs[starts] < 0))
+    separators = 3 * (len(stmt.coeffs) - filled)
+    # "A[", "] = ", ";" and the newline, plus the entry's digits
+    digits = n + sum(n - 10**k for k in range(1, len(str(n))))
+    fixed = n * (len(pad) + 8) + digits
+    return fixed + terms + negative_leads + separators + 3 * (n - filled)
+
+
+def _source_lines(kernel: KernelIR, name: str | None):
+    """The lines of ``emit_source``, with one (Contract, pad) in place of its rows."""
     name = name or kernel.name
     d = kernel.dim
     lines = []
@@ -600,7 +646,7 @@ def emit_source(kernel: KernelIR, name: str | None = None) -> str:
     _accumulated_names(kernel.statements, accumulated)
     _emit_stmts(kernel.statements, lines, 1, set(), accumulated)
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,10 @@ def reference_tensor(
     """Integrate the group's basis-factor product over the reference cell.
 
     The quadrature degree is the exact degree of the (polynomial) reference
-    integrand plus a safety margin that guards the snap to zero.
+    integrand plus a safety margin that guards the snap to zero.  At each
+    point the factors' tables, broadcast onto the output axes, are multiplied
+    in factor order, left to right; the weighted products are summed in
+    point order, so the values are the same bits on every run.
     """
     group = _as_group(monomials)
     lead = group[0]
@@ -89,12 +92,11 @@ def reference_tensor(
     degree = sum(factor_degree(form, f) for f in lead.factors) + margin
     rule = simplex_rule(cell, degree)
 
-    letters = iter("abcdefghijklmnopqrstuvwxyz")
-    bound_letter = {i: next(letters) for i in range(lead.n_bound)}
+    # Output axes: test dofs, [trial dofs,] coefficient dofs, bound indices.
+    n_out = len(lead.factors) + lead.n_bound
+    next_coef_axis = 2 if any(f.role == "trial" for f in lead.factors) else 1
     operands = []
-    subs = []
     test_dofs = trial_dofs = None
-    out_coef = []
     for f in lead.factors:
         element, dofs = _factor_block(form, f)
         k = len(f.derivs)
@@ -103,27 +105,27 @@ def reference_tensor(
         arr = np.stack(
             [tab.scalar_tables[tuple(sorted(a))] for a in product(range(d), repeat=k)], axis=-1
         )
-        operands.append(arr.reshape(arr.shape[:2] + (d,) * k))
-        dof_letter = next(letters)
-        subs.append(dof_letter + "".join(bound_letter[x.ident] for x in f.derivs))
+        arr = arr.reshape(arr.shape[:2] + (d,) * k)
         if f.role == "test":
-            test_dofs = dofs
-            test_letter = dof_letter
+            test_dofs, dof_axis = dofs, 0
         elif f.role == "trial":
-            trial_dofs = dofs
-            trial_letter = dof_letter
+            trial_dofs, dof_axis = dofs, 1
         else:
-            out_coef.append(dof_letter)
-    out = test_letter
-    if trial_dofs is not None:
-        out += trial_letter
-    out += "".join(out_coef)
-    out += "".join(bound_letter[i] for i in range(lead.n_bound))
-    script = ",".join(subs) + "->" + out
+            dof_axis = next_coef_axis
+            next_coef_axis += 1
+        # Each operand's axes go to their output positions, length one elsewhere.
+        axes = np.array([dof_axis] + [len(lead.factors) + x.ident for x in f.derivs])
+        shape = np.ones(1 + n_out, dtype=int)
+        shape[0] = len(rule.weights)
+        shape[1 + axes] = arr.shape[1:]
+        operands.append(arr.transpose(0, *(1 + np.argsort(axes))).reshape(shape))
 
-    A0 = sum(
-        w * np.einsum(script, *[op[q] for op in operands]) for q, w in enumerate(rule.weights)
-    )
+    A0 = np.zeros(np.broadcast_shapes(*(op.shape[1:] for op in operands)))
+    for q, w in enumerate(rule.weights):
+        prod = operands[0][q]
+        for op in operands[1:]:
+            prod = prod * op[q]
+        A0 += w * prod
     A0[np.abs(A0) < snap] = 0.0
     return ReferenceTensor(values=A0, test_dofs=test_dofs, trial_dofs=trial_dofs)
 

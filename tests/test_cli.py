@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,18 @@ def test_bench_checks_over_budget_polynomial_at_exact_rule(tmp_path, capsys):
     assert main(["bench", str(path), "-N", "0"]) == 0
     fields = capsys.readouterr().out.splitlines()[1].split(",")
     assert fields[2] == "NA" and float(fields[6]) <= 1e-10
+
+
+def test_assemble_rejects_runaway_unhoisted_kernel(tmp_path, capsys):
+    # Un-hoisted, each of the twelve P4 factors adds a loop of 15 trips
+    # around the accumulation: 22,102,548,152,343,750,000 flops per cell.
+    path = tmp_path / "f12.form"
+    path.write_text(_HIGH_DEGREE.replace("*".join(["f"] * 16), "*".join(["f"] * 12)))
+    t0 = time.perf_counter()
+    assert main(["assemble", str(path), "--no-hoist", "--mesh-n", "1"]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert "22102548152343750000 flops per cell" in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])

@@ -3,7 +3,7 @@ import pytest
 
 from formc import forms, harness
 from formc.elements import TETRAHEDRON, TRIANGLE, FiniteElement, lattice_sites
-from formc.kernel import affine_map
+from formc.kernel import affine_map, emit_source, source_bytes
 
 
 def test_unit_square_mesh_counts():
@@ -225,3 +225,11 @@ def test_trend_cell_sources_compile():
     ]:
         cf = harness.compile_source(cell.source(), cell.label())
         assert cf.typed.arity == 2
+
+
+@pytest.mark.parametrize("cell", harness.quick_trend_cells(), ids=harness.TrendCell.label)
+def test_source_bytes_of_quick_trend_kernels(cell):
+    # compare counts bytes_q and bytes_t without building the text
+    cf = harness.compile_source(cell.source(), cell.label())
+    for k in (harness.quadrature_kernel(cf), harness.tensor_kernel(cf)):
+        assert source_bytes(k) == len(emit_source(k).encode())

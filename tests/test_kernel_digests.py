@@ -6,11 +6,12 @@ un-hoisted quadrature one, the SHA-256 of its interpreted element tensors on
 seeded cells and coefficients.  The recorded values in
 ``golden/kernel_digests.json`` pin the IR, the emitted text, the flops and
 the interpreter's output bits of both representations, including the
-non-default toggles.  Every interpreted kernel's dynamic operation count
-must equal its static one.  Un-hoisted kernels evaluate their inline
-products once per innermost trip, which takes the interpreter up to a
-minute on ``pressure_equation_2d``; they share every interpreter branch with
-the hoisted kernels, which are interpreted.
+non-default toggles.  Each kernel's ``source_bytes`` must equal the byte
+length of its emitted source, and every interpreted kernel's dynamic
+operation count must equal its static one.  Un-hoisted kernels evaluate
+their inline products once per innermost trip, which takes the interpreter
+up to a minute on ``pressure_equation_2d``; they share every interpreter
+branch with the hoisted kernels, which are interpreted.
 ``golden/monomial_digests.json`` pins the lowered monomial sum (the
 ``format_monomial_sum`` dump: constants, factor order and bound-index
 labels) of a wider form set.  After an intended change of the generated
@@ -33,6 +34,7 @@ from formc.kernel import (
     emit_source,
     interpret_batch,
     kernel_to_json,
+    source_bytes,
 )
 from formc.tensorrep import UnsupportedDivision
 
@@ -150,7 +152,9 @@ def _digest(cf, variant: str, inputs):
             k = harness.quadrature_kernel(cf, **opts)
     except UnsupportedDivision:
         return "UnsupportedDivision", None
-    text = emit_source(k) + kernel_to_json(k)
+    source = emit_source(k)
+    assert source_bytes(k) == len(source.encode()), variant
+    text = source + kernel_to_json(k)
     record = [hashlib.sha256(text.encode()).hexdigest(), count_flops(k)]
     if "nohoist" in variant:
         return record, None

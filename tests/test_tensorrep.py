@@ -16,6 +16,7 @@ from formc.kernel import (
     interpret,
     interpret_batch,
     kernel_to_json,
+    source_bytes,
 )
 from formc.tensorrep import (
     UnsupportedDivision,
@@ -185,6 +186,38 @@ def test_unit_coefficients_skip_multiplies():
             "expr": {"termsum": {"coeffs": [0.0, -1.0], "slots": [2, 3]}},
         },
     ]
+
+
+_RNG = np.random.default_rng(3)
+
+
+@pytest.mark.parametrize(
+    "indptr, coeffs, slots",
+    [
+        ([0], [], []),  # no entries
+        ([0, 0], [], []),  # one empty entry
+        # negative leading coefficients, an empty entry, |c| == 1 in lead and tail
+        ([0, 2, 2, 5], [-0.5, 1.0, -1.0, 1.0, -3.25], [3, 0, 1, 2, 0]),
+        # kept exact zeros, one of them leading
+        ([0, 4, 4, 6, 8], [1.0, -1.0, 2.0, 0.25, 0.0, -1.0, 0.0, 0.0], [0, 1, 2, 3, 2, 3, 0, 1]),
+        # 1- to 3-digit entry indices, repeated magnitudes of both signs
+        (
+            np.arange(0, 241, 2),
+            _RNG.choice([1.0, -1.0, 1 / 3, -1 / 3, 2.5e-17, -7.0, 0.0], size=240),
+            _RNG.integers(0, 4, size=240),
+        ),
+    ],
+)
+def test_source_bytes_matches_emitted_length(indptr, coeffs, slots):
+    k = _contract_kernel(indptr, coeffs, slots)
+    assert source_bytes(k) == len(emit_source(k).encode())
+    assert source_bytes(k, "renamed") == len(emit_source(k, "renamed").encode())
+
+
+def test_source_bytes_without_contraction(compile_cached, kernel_cached):
+    k = kernel_cached(compile_cached(forms.weighted_laplacian(2, 1), "wl21"), "quadrature")
+    assert not any(isinstance(s, Contract) for s in k.statements)
+    assert source_bytes(k) == len(emit_source(k).encode())
 
 
 def test_mass_tensor_flop_counts(compile_cached, kernel_cached):
