@@ -30,7 +30,6 @@ from .kernel import (
     interpret,
     interpret_batch,
     kernel_to_json,
-    source_bytes,
 )
 from .lowering import estimate_degree, expand, format_monomial_sum, lower, simplify
 from .quadrature import gauss_jacobi_1d, rule_for_form, simplex_rule

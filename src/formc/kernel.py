@@ -556,19 +556,17 @@ def emit_source(kernel: KernelIR, name: str | None = None) -> str:
     A, coefficient dofs w, and the cell geometry (flattened Jacobian inverse
     plus determinant) as inputs.
     """
-    lines = []
-    for line in _source_lines(kernel, name):
-        if isinstance(line, str):
-            lines.append(line)
-        else:
-            lines.extend(_contract_lines(*line))
+    lines = _source_lines(kernel, name)
+    for i, line in enumerate(lines):
+        if not isinstance(line, str):
+            lines[i : i + 1] = _contract_lines(*line)
     return "\n".join(lines) + "\n"
 
 
-def source_bytes(kernel: KernelIR, name: str | None = None) -> int:
-    """``len(emit_source(kernel, name).encode())``, without the contraction rows' text."""
+def source_bytes(kernel: KernelIR) -> int:
+    """``len(emit_source(kernel).encode())``, without the contraction rows' text."""
     total = 0
-    for line in _source_lines(kernel, name):
+    for line in _source_lines(kernel, None):
         if isinstance(line, str):
             total += len(line.encode()) + 1
         else:

@@ -113,12 +113,15 @@ def reference_tensor(
         else:
             dof_axis = next_coef_axis
             next_coef_axis += 1
-        # Each operand's axes go to their output positions, length one elsewhere.
+        # Each operand's axes go to their output positions, length one
+        # elsewhere.  They are already in output order: the dof axis precedes
+        # every bound index, and lowering numbers a factor's bound indices
+        # consecutively.
         axes = np.array([dof_axis] + [len(lead.factors) + x.ident for x in f.derivs])
         shape = np.ones(1 + n_out, dtype=int)
         shape[0] = len(rule.weights)
         shape[1 + axes] = arr.shape[1:]
-        operands.append(arr.transpose(0, *(1 + np.argsort(axes))).reshape(shape))
+        operands.append(arr.reshape(shape))
 
     A0 = np.zeros(np.broadcast_shapes(*(op.shape[1:] for op in operands)))
     for q, w in enumerate(rule.weights):

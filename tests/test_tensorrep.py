@@ -211,7 +211,6 @@ _RNG = np.random.default_rng(3)
 def test_source_bytes_matches_emitted_length(indptr, coeffs, slots):
     k = _contract_kernel(indptr, coeffs, slots)
     assert source_bytes(k) == len(emit_source(k).encode())
-    assert source_bytes(k, "renamed") == len(emit_source(k, "renamed").encode())
 
 
 def test_source_bytes_without_contraction(compile_cached, kernel_cached):
