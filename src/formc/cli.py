@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 2 when the arguments or the front end reject a
 form or its file cannot be read as UTF-8 text, or the requested
-representation or the assembly cannot build it
-(division under tensor, a term, entry or quadrature-point budget exceeded, a
-linear form or a non-triangle form under assemble), 3 when a cross-check
-exceeds its tolerance.
+representation or the assembly cannot build it (division or a
+quadrature-only flag under tensor, a term, entry or quadrature-point budget
+exceeded, a linear form or a non-triangle form under assemble), 3 when a
+cross-check exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -59,8 +59,16 @@ def _load(path: str) -> harness.CompiledForm:
     return harness.compile_source(_read(path), name=Path(path).stem)
 
 
+class QuadratureOnlyFlag(Exception):
+    """A flag of the quadrature representation was given with ``-r tensor``."""
+
+
 def _build(cf: harness.CompiledForm, args) -> object:
     if args.representation == "tensor":
+        given = (args.points is not None, args.no_tabulate_zeros, args.no_hoist)
+        flags = [f for f, on in zip(("--points", "--no-tabulate-zeros", "--no-hoist"), given) if on]
+        if flags:
+            raise QuadratureOnlyFlag(f"{', '.join(flags)}: not used by the tensor representation")
         return harness.tensor_kernel(cf)
     return harness.quadrature_kernel(
         cf,
@@ -76,7 +84,7 @@ def cmd_compile(args) -> int:
         sys.stdout.write(lowering.format_monomial_sum(cf.monomials))
     try:
         kernel = _build(cf, args)
-    except (tensorrep.UnsupportedDivision, MemoryError) as exc:
+    except (tensorrep.UnsupportedDivision, MemoryError, QuadratureOnlyFlag) as exc:
         print(f"rejected ({args.representation}): {exc}", file=sys.stderr)
         return EXIT_REJECTED
     if args.dump_ir:
@@ -140,7 +148,7 @@ def cmd_assemble(args) -> int:
         return EXIT_REJECTED
     try:
         kernel = _build(cf, args)
-    except (tensorrep.UnsupportedDivision, MemoryError) as exc:
+    except (tensorrep.UnsupportedDivision, MemoryError, QuadratureOnlyFlag) as exc:
         print(f"rejected ({args.representation}): {exc}", file=sys.stderr)
         return EXIT_REJECTED
     mesh = harness.unit_square_mesh(args.mesh_n)

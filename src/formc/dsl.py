@@ -6,11 +6,16 @@ statement ``a = <expr>*dx``.  Operators are ``grad``, ``div``, ``dot``,
 ``transp``, ``mult`` and the arithmetic ``+ - * /`` with conventional
 precedence.  Sub-expressions are inlined at the point of reference, so the
 parsed program carries a single integrand tree.
+
+``tokenize`` lexes with one regular expression: names, decimal numbers,
+double-quoted strings, ``#`` comments and ``\\`` line continuations; any
+other character is an ``IllegalCharacter``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .elements import (
@@ -97,7 +102,6 @@ MAX_EXPR_NODES = 100_000
 # Tokens
 
 KEYWORDS = frozenset({"dx"})
-PUNCT = frozenset("()=,+-*/")
 BUILTINS = frozenset(
     {
         "FiniteElement",
@@ -122,6 +126,26 @@ class Token:
     col: int
 
 
+# One alternative per token kind, the common ones first, and a last one for
+# any other character.  ``\d`` matches the decimal digits that ``float``
+# accepts.  ``[^\W\d]`` also lets in word characters that are not letters,
+# such as ``²``; ``tokenize`` rejects those as a name's first character.
+_TOKEN = re.compile(
+    r"""
+    (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<name>[^\W\d]\w*)
+  | (?P<punct>[()=,+\-*/])
+  | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<newline>\n)
+  | (?P<string>"[^"\n]*")
+  | (?P<continuation>\\\n)
+  | (?P<unterminated>")
+  | (?P<illegal>.)
+    """,
+    re.VERBOSE,
+)
+
+
 def tokenize(source: str) -> list[Token]:
     """Lex a form source into tokens; ``#`` comments are dropped.
 
@@ -129,83 +153,27 @@ def tokenize(source: str) -> list[Token]:
     and after a ``\\`` continuation.
     """
     tokens: list[Token] = []
-    line, col = 1, 1
-    depth = 0
-    i, n = 0, len(source)
-
-    def emit(kind, text, ln, cl):
-        tokens.append(Token(kind, text, ln, cl))
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            if depth == 0 and tokens and tokens[-1].kind != "newline":
-                emit("newline", "\n", line, col)
-            i += 1
-            line += 1
-            col = 1
+    line, col, depth = 1, 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "illegal" or (kind == "name" and not (text[0].isalpha() or text[0] == "_")):
+            raise IllegalCharacter(f"illegal character {text[0]!r}", line, col)
+        if kind == "unterminated":
+            raise FormSyntaxError("unterminated string literal", line, col)
+        if kind == "newline" and depth == 0 and tokens and tokens[-1].kind != "newline":
+            tokens.append(Token(kind, text, line, col))
+        if kind == "newline" or kind == "continuation":
+            line, col = line + 1, 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "\\" and i + 1 < n and source[i + 1] == "\n":
-            i += 2
-            line += 1
-            col = 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise FormSyntaxError("unterminated string literal", line, col)
-            emit("string", source[i + 1 : j], line, col)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    seen_dot = True
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
-                        k += 1
-                    j = k
-            emit("number", source[i:j], line, col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            emit("keyword" if text in KEYWORDS else "name", text, line, col)
-            col += j - i
-            i = j
-            continue
-        if ch in PUNCT:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth = max(0, depth - 1)
-            emit("punct", ch, line, col)
-            i += 1
-            col += 1
-            continue
-        raise IllegalCharacter(f"illegal character {ch!r}", line, col)
+        if kind == "name" and text in KEYWORDS:
+            kind = "keyword"
+        elif text == "(":
+            depth += 1
+        elif text == ")":
+            depth = max(0, depth - 1)
+        if kind != "skip":
+            tokens.append(Token(kind, text[1:-1] if kind == "string" else text, line, col))
+        col += len(text)
     if tokens and tokens[-1].kind == "newline":
         tokens.pop()
     tokens.append(Token("end", "", line, col))

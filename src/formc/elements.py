@@ -151,37 +151,24 @@ def lattice_sites(cell: ReferenceCell, degree: int) -> tuple[LatticeSite, ...]:
             sites.append(LatticeSite("edge", (i, j), t - 1, tuple(bary)))
     if d == 3:
         for face in combinations(range(4), 3):
-            slot = 0
-            for bi in range(1, degree):
-                for bj in range(1, degree - bi):
-                    bk = degree - bi - bj
-                    if bk < 1:
-                        continue
-                    bary = [0, 0, 0, 0]
-                    bary[face[0]], bary[face[1]], bary[face[2]] = bi, bj, bk
-                    sites.append(LatticeSite("face", face, slot, tuple(bary)))
-                    slot += 1
-    slot = 0
-    for bary in _interior_multiindices(d, degree):
+            for slot, (bi, bj, bk) in enumerate(_multiindices(3, degree, 1)):
+                bary = [0, 0, 0, 0]
+                bary[face[0]], bary[face[1]], bary[face[2]] = bi, bj, bk
+                sites.append(LatticeSite("face", face, slot, tuple(bary)))
+    for slot, bary in enumerate(_multiindices(d + 1, degree, 1)):
         sites.append(LatticeSite("interior", (), slot, bary))
-        slot += 1
     return tuple(sites)
 
 
-def _interior_multiindices(d: int, degree: int):
-    """Barycentric multi-indices with all entries >= 1, ascending lex."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            if remaining >= 1:
-                out.append(tuple(prefix + [remaining]))
-            return
-        for a in range(1, remaining - slots + 2):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], degree, d + 1)
-    return out
+def _multiindices(n: int, total: int, least: int = 0):
+    """n-tuples of integers >= ``least`` that sum to ``total``, ascending lex."""
+    if n == 1:
+        if total >= least:
+            yield (total,)
+        return
+    for first in range(least, total - least * (n - 1) + 1):
+        for rest in _multiindices(n - 1, total - first, least):
+            yield (first,) + rest
 
 
 def _site_point(cell: ReferenceCell, degree: int, site: LatticeSite) -> tuple:
@@ -202,20 +189,7 @@ def lattice_points(cell: ReferenceCell, degree: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def monomial_exponents(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of the monomial basis, graded lexicographic order."""
-    out = []
-    for total in range(degree + 1):
-        level = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                level.append(tuple(prefix + [remaining]))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + [e], remaining - e, slots - 1)
-
-        rec([], total, dim)
-        out.extend(sorted(level))
-    return tuple(out)
+    return tuple(e for total in range(degree + 1) for e in _multiindices(dim, total))
 
 
 def _fraction_inverse(rows: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -311,7 +311,6 @@ def assemble(
     cf: CompiledForm,
     kernel: KernelIR,
     mesh: Mesh,
-    coefficient_values: list[np.ndarray] | None = None,
     seed: int = 0,
     cell_order: np.ndarray | None = None,
 ):
@@ -338,11 +337,8 @@ def assemble(
         else build_dofmap(mesh, typed.trial_element)
     )
     coef_maps = [build_dofmap(mesh, elem) for _, elem in typed.coefficients]
-    if coefficient_values is None:
-        rng = np.random.default_rng(seed)
-        coefficient_values = [
-            rng.uniform(COEF_LOW, COEF_HIGH, size=m.n_global) for m in coef_maps
-        ]
+    rng = np.random.default_rng(seed)
+    coefficient_values = [rng.uniform(COEF_LOW, COEF_HIGH, size=m.n_global) for m in coef_maps]
     matrix, slots = _build_structure(rows_map, cols_map)
     t_structure = time.perf_counter() - t0
 

@@ -549,14 +549,14 @@ def _table_cstr(arr: np.ndarray) -> str:
     return "{" + ", ".join(_table_cstr(row) for row in arr) + "}"
 
 
-def emit_source(kernel: KernelIR, name: str | None = None) -> str:
+def emit_source(kernel: KernelIR) -> str:
     """Deterministic C-flavoured text of the kernel (documentation output).
 
     The signature follows the element-kernel convention: the element tensor
     A, coefficient dofs w, and the cell geometry (flattened Jacobian inverse
     plus determinant) as inputs.
     """
-    lines = _source_lines(kernel, name)
+    lines = _source_lines(kernel)
     for i, line in enumerate(lines):
         if not isinstance(line, str):
             lines[i : i + 1] = _contract_lines(*line)
@@ -566,7 +566,7 @@ def emit_source(kernel: KernelIR, name: str | None = None) -> str:
 def source_bytes(kernel: KernelIR) -> int:
     """``len(emit_source(kernel).encode())``, without the contraction rows' text."""
     total = 0
-    for line in _source_lines(kernel, None):
+    for line in _source_lines(kernel):
         if isinstance(line, str):
             total += len(line.encode()) + 1
         else:
@@ -598,9 +598,9 @@ def _contract_bytes(stmt: Contract, pad: str) -> int:
     return fixed + terms + negative_leads + separators + 3 * (n - filled)
 
 
-def _source_lines(kernel: KernelIR, name: str | None):
+def _source_lines(kernel: KernelIR):
     """The lines of ``emit_source``, with one (Contract, pad) in place of its rows."""
-    name = name or kernel.name
+    name = kernel.name
     d = kernel.dim
     lines = []
     lines.append(f"// {name}: element-tensor kernel ({kernel.representation} representation)")

@@ -74,9 +74,7 @@ class ReferenceTensor:
     trial_dofs: np.ndarray | None
 
 
-def reference_tensor(
-    monomials, form, *, snap: float = SNAP_TOLERANCE, margin: int = DEGREE_MARGIN
-) -> ReferenceTensor:
+def reference_tensor(monomials, form) -> ReferenceTensor:
     """Integrate the group's basis-factor product over the reference cell.
 
     The quadrature degree is the exact degree of the (polynomial) reference
@@ -89,7 +87,7 @@ def reference_tensor(
     lead = group[0]
     cell = form.cell
     d = cell.dim
-    degree = sum(factor_degree(form, f) for f in lead.factors) + margin
+    degree = sum(factor_degree(form, f) for f in lead.factors) + DEGREE_MARGIN
     rule = simplex_rule(cell, degree)
 
     # Output axes: test dofs, [trial dofs,] coefficient dofs, bound indices.
@@ -129,7 +127,7 @@ def reference_tensor(
         for op in operands[1:]:
             prod = prod * op[q]
         A0 += w * prod
-    A0[np.abs(A0) < snap] = 0.0
+    A0[np.abs(A0) < SNAP_TOLERANCE] = 0.0
     return ReferenceTensor(values=A0, test_dofs=test_dofs, trial_dofs=trial_dofs)
 
 
@@ -179,8 +177,6 @@ def _group_key(group) -> tuple:
 def build_tensor_kernel(
     ms: MonomialSum,
     *,
-    snap: float = SNAP_TOLERANCE,
-    margin: int = DEGREE_MARGIN,
     drop_zeros: bool = True,
     term_budget: int | None = None,
     name: str = "form",
@@ -229,7 +225,7 @@ def build_tensor_kernel(
     entry_ids, coeffs, slots = [np.empty(0, np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
 
     for group in groups:
-        rt = reference_tensor(group, form, snap=snap, margin=margin)
+        rt = reference_tensor(group, form)
         spec = geometry_tensor_spec(group, form)
         base_slot = len(g_names)
         # One geometry scalar per alpha; Jinv sums are hoisted and shared.

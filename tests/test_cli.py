@@ -118,16 +118,30 @@ _BAD_INTEGRANDS = {
     "long_sum": " + ".join(["v*u"] * 3000),
     "non_finite_literal": "1e400*v*u",
     "overflowing_constant": "1e300*1e300*v*u",
+    "non_decimal_digit": "2²*v*u",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_INTEGRANDS))
 def test_front_end_rejects_unbounded_input(name, tmp_path, capsys):
     path = tmp_path / f"{name}.form"
-    path.write_text(_P1_HEADER + f"a = {_BAD_INTEGRANDS[name]}*dx\n")
+    path.write_text(_P1_HEADER + f"a = {_BAD_INTEGRANDS[name]}*dx\n", encoding="utf-8")
     for command in ("check", "compile"):
         assert main([command, str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["compile", "assemble"])
+@pytest.mark.parametrize(
+    "flags", [["--points", "9"], ["--no-hoist"], ["--no-tabulate-zeros"]], ids=lambda f: f[0]
+)
+def test_tensor_rejects_quadrature_flags(command, flags, form_files, capsys):
+    assert main([command, form_files["mass_2d_q2"], "-r", "tensor"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rejected (tensor): " + flags[0])
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 # Four squarings of a two-term sum expand to 2^16 terms (a fifth to 2^32);

@@ -56,6 +56,36 @@ def test_tokenize_comments_and_spans():
     assert (b.line, b.col) == (3, 1)
 
 
+def test_tokenize_newline_and_end_after_comment_have_their_columns():
+    newlines = [t for t in tokenize("a = 1 # c\nb = 2") if t.kind == "newline"]
+    assert [(t.line, t.col) for t in newlines] == [(1, 10)]
+    end = tokenize("a = 1 # c")[-1]
+    assert (end.kind, end.line, end.col) == ("end", 1, 10)
+
+
+def test_tokenize_numbers_are_decimal_digits():
+    assert [t.text for t in tokenize("٣ 1.5e-3 .5 1.")[:-1]] == ["٣", "1.5e-3", ".5", "1."]
+    assert parse_source(forms.mass(2, 1).replace("*dx", "*٣*dx")).integrand.b.value == 3.0
+    for source in ("a = 2²", "a = ²", "a = ½"):
+        with pytest.raises(IllegalCharacter) as err:
+            tokenize(source)
+        assert (err.value.line, err.value.col) == (1, len(source))
+
+
+def test_tokenize_names_strings_and_continuations():
+    toks = tokenize('_é1 = "a b"\\\n + x²')
+    assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
+        ("name", "_é1", 1, 1),
+        ("punct", "=", 1, 5),
+        ("string", "a b", 1, 7),
+        ("punct", "+", 2, 2),
+        ("name", "x²", 2, 4),
+        ("end", "", 2, 6),
+    ]
+    with pytest.raises(FormSyntaxError, match="1:3: unterminated string literal"):
+        tokenize('a "b\n"')
+
+
 def test_parse_mass_input():
     prog = parse_source(forms.mass(2, 2))
     assert len(prog.element_decls) == 1

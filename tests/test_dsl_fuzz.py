@@ -1,0 +1,56 @@
+"""Property tests: no source text makes the front end raise anything but FormError."""
+
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from formc import dsl, forms  # noqa: E402
+
+FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
+SOURCES = [p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))] + sorted(
+    forms.figure_sources().values()
+)
+# Pieces that once reached, or sit next to, a traceback: digits that are not
+# decimal, non-ASCII decimal digits, unterminated strings, continuations.
+FRAGMENTS = [
+    "²", "½", "٣", "2²", '"', "\\\n", "\\", "#", "(", ")", "*dx", "1e999", ".", "1.", "é",
+]
+
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _parses_or_form_error(source: str) -> None:
+    try:
+        dsl.parse_source(source)
+    except dsl.FormError:
+        pass
+
+
+@_SETTINGS
+@given(st.text())
+def test_any_text_parses_or_raises_form_error(source):
+    _parses_or_form_error(source)
+
+
+@_SETTINGS
+@given(
+    st.sampled_from(SOURCES),
+    st.lists(
+        st.tuples(
+            st.floats(0, 1),
+            st.integers(0, 3),
+            st.one_of(st.text(max_size=6), st.sampled_from(FRAGMENTS)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_spliced_form_files_parse_or_raise_form_error(source, splices):
+    for where, cut, fragment in splices:
+        at = int(where * len(source))
+        source = source[:at] + fragment + source[at + cut :]
+    _parses_or_form_error(source)
