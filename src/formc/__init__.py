@@ -6,7 +6,7 @@ precomputed tensor contraction), interprets and flop-counts the kernels,
 and benchmarks the two representations against each other.
 """
 
-from .dsl import compile_form, parse_source, to_source, tokenize, typecheck
+from .dsl import parse_source, to_source, tokenize, typecheck
 from .elements import FiniteElement, lattice_points, reference_cell, tabulate
 from .harness import (
     CompiledForm,

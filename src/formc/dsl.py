@@ -737,8 +737,3 @@ def typecheck(program: FormProgram) -> TypedForm:
         coefficients=coefficients,
         integrand=program.integrand,
     )
-
-
-def compile_form(source: str) -> TypedForm:
-    """Parse and typecheck a form source text."""
-    return typecheck(parse_source(source))

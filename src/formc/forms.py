@@ -111,14 +111,3 @@ def pressure_equation() -> str:
         "a = (a_0 + a_1)*dx",
     ]
     return "\n".join(lines) + "\n"
-
-
-def figure_sources() -> dict[str, str]:
-    """The five compiler inputs used throughout the benchmark write-up."""
-    return {
-        "weighted_laplacian_3d_q3": weighted_laplacian(3, 3),
-        "elasticity_3d_q3": elasticity(3, 3),
-        "mass_2d_q2": mass(2, 2),
-        "mass_premultiplied_2d": mass(2, 2, n_f=2, p=3),
-        "pressure_equation_2d": pressure_equation(),
-    }

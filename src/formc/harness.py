@@ -49,10 +49,12 @@ class UnsupportedCell(ValueError):
 class CompiledForm:
     name: str
     source: str
-    program: dsl.FormProgram
-    typed: dsl.TypedForm
     monomials: MonomialSum
     degree: int  # estimated quadrature degree
+
+    @property
+    def typed(self) -> dsl.TypedForm:
+        return self.monomials.form
 
     @property
     def cell(self) -> ReferenceCell:
@@ -60,10 +62,9 @@ class CompiledForm:
 
 
 def compile_source(source: str, name: str = "form") -> CompiledForm:
-    program = dsl.parse_source(source)
-    typed = dsl.typecheck(program)
-    ms = lowering.lower(typed)
-    return CompiledForm(name, source, program, typed, ms, lowering.estimate_degree(ms))
+    """Parse, typecheck and lower a form source text: the one front-end entry."""
+    ms = lowering.lower(dsl.typecheck(dsl.parse_source(source)))
+    return CompiledForm(name, source, ms, lowering.estimate_degree(ms))
 
 
 def quadrature_kernel(
@@ -167,9 +168,11 @@ def _check_kernels(cf, geo, w, kq, kt, points_override=None) -> CrossCheck:
 
     Without a tensor kernel, a division form compares two quadrature
     degrees, and a polynomial form (over the term budget) compares against
-    its quadrature kernel without zero elimination at the same exact rule.
-    Hoisting stays on: un-hoisted, each coefficient factor adds a loop around
-    the accumulation, so twelve P4 factors need 15**12 trips per point.
+    its quadrature kernel without zero elimination at two degrees above the
+    estimate, one point per direction more, so that the check also covers
+    the degree estimate and the rule.  Hoisting stays on: un-hoisted, each
+    coefficient factor adds a loop around the accumulation, so twelve P4
+    factors need 15**12 trips per point.
     """
     if kt is None and any(m.denominators for m in cf.monomials.monomials):
         kq1 = quadrature_kernel(cf, points_override, degree_shift=10)
@@ -181,7 +184,7 @@ def _check_kernels(cf, geo, w, kq, kt, points_override=None) -> CrossCheck:
         kq = quadrature_kernel(cf, points_override)
     mode = "quadrature-vs-tensor"
     if kt is None:
-        kt = quadrature_kernel(cf, points_override, zero_elimination=False)
+        kt = quadrature_kernel(cf, degree_shift=2, zero_elimination=False)
         mode = "quadrature-vs-full-tables"
     Aq = interpret_batch(kq, geo, w)
     At = interpret_batch(kt, geo, w)

@@ -188,14 +188,6 @@ class KernelIR:
 
 
 @dataclass(frozen=True)
-class CellGeometry:
-    vertices: np.ndarray  # (d+1, d)
-    jacobian: np.ndarray  # (d, d), columns are edge vectors from vertex 0
-    jinv: np.ndarray  # (d, d)
-    det: float
-
-
-@dataclass(frozen=True)
 class BatchGeometry:
     jinv: np.ndarray  # (B, d, d)
     det: np.ndarray  # (B,)
@@ -232,27 +224,21 @@ def _invert(J: np.ndarray, det: np.ndarray) -> np.ndarray:
     return inv / det[..., None, None]
 
 
-def affine_map(vertices) -> CellGeometry:
-    """Geometry of the affine cell with the given d+1 vertices.
-
-    The Jacobian columns are the edge vectors from vertex 0; requires a
-    positive orientation.
-    """
+def affine_map(vertices) -> BatchGeometry:
+    """Geometry of the affine cell with the given d+1 vertices, as a batch of one."""
     v = np.asarray(vertices, dtype=float)
-    d = v.shape[1]
+    d = v.shape[-1]
     if v.shape != (d + 1, d):
         raise ValueError(f"expected {d + 1} vertices in {d} dimensions")
-    J = (v[1:] - v[0]).T
-    det = float(_dets(J))
-    if abs(det) < 1e-14:
-        raise DegenerateCell(f"cell volume vanishes (det = {det:g})")
-    if det < 0:
-        raise NegativeOrientation(f"negative orientation (det = {det:g})")
-    return CellGeometry(v, J, _invert(J, np.asarray(det)), det)
+    return affine_map_batch(v[None])
 
 
 def affine_map_batch(vertices) -> BatchGeometry:
-    """Vectorised affine_map over a (B, d+1, d) vertex array."""
+    """Jinv and det of each cell of a (B, d+1, d) vertex array.
+
+    The Jacobian columns are the edge vectors from vertex 0; every cell must
+    have a positive orientation.
+    """
     v = np.asarray(vertices, dtype=float)
     J = np.swapaxes(v[:, 1:, :] - v[:, :1, :], 1, 2)
     det = _dets(J)
@@ -263,15 +249,6 @@ def affine_map_batch(vertices) -> BatchGeometry:
     if neg.any():
         raise NegativeOrientation(f"cell {int(np.argmax(neg))} has negative orientation")
     return BatchGeometry(_invert(J, det), det)
-
-
-def map_to_physical(geo: CellGeometry, X: np.ndarray) -> np.ndarray:
-    """x = v0 + J X for reference points X of shape (n, d)."""
-    return geo.vertices[0] + np.asarray(X) @ geo.jacobian.T
-
-
-def map_to_reference(geo: CellGeometry, x: np.ndarray) -> np.ndarray:
-    return (np.asarray(x) - geo.vertices[0]) @ geo.jinv.T
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +397,12 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = F
     """
     if len(w) != len(kernel.coef_sizes):
         raise ValueError(f"expected {len(kernel.coef_sizes)} coefficient arrays")
+    n_cells = geo.det.shape[0]
     for c, size in enumerate(kernel.coef_sizes):
-        if w[c].shape[1] != size:
-            raise ValueError(f"coefficient {c} expects {size} dofs, got {w[c].shape[1]}")
+        if w[c].shape != (n_cells, size):
+            raise ValueError(
+                f"coefficient {c} expects shape {(n_cells, size)}, got {w[c].shape}"
+            )
     run = _Run(kernel, geo.jinv, geo.det, w, count_ops)
     _exec(kernel.statements, run, ())
     if count_ops:
@@ -430,11 +410,12 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = F
     return run.A
 
 
-def interpret(kernel: KernelIR, geo: CellGeometry, w, count_ops: bool = False):
-    """Single-cell interpretation; ``w`` is a list of 1-D dof arrays."""
-    batch_geo = BatchGeometry(geo.jinv[None, :, :], np.array([geo.det]))
+def interpret(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = False):
+    """Interpretation on the one cell of ``geo``; ``w`` is a list of 1-D dof arrays."""
+    if geo.det.shape != (1,):
+        raise ValueError(f"expected the geometry of one cell, got {geo.det.shape[0]}")
     wb = [np.asarray(wc, dtype=float)[None, :] for wc in w]
-    out = interpret_batch(kernel, batch_geo, wb, count_ops)
+    out = interpret_batch(kernel, geo, wb, count_ops)
     if count_ops:
         return out[0][0], out[1]
     return out[0]

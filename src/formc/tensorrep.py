@@ -131,37 +131,27 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
     return ReferenceTensor(values=A0, test_dofs=test_dofs, trial_dofs=trial_dofs)
 
 
-@dataclass(eq=False)
-class GeometryTensorSpec:
+def geometry_tensor_spec(monomials, form) -> tuple:
     """Per-cell products matching one reference tensor.
 
-    ``entries[k]`` corresponds to the k-th flattened alpha index (coefficient
-    dof axes first, then chain-rule axes) and holds the coefficient-dof reads
-    plus, per monomial of the group, (constant, Jinv index pairs).
+    Entry k belongs to the k-th flattened alpha index (coefficient dof axes
+    first, then chain-rule axes) and holds the coefficient-dof reads plus,
+    per monomial of the group, (constant, Jinv index pairs).
     """
-
-    entries: tuple  # ((coef_reads, ((const, jprod), ...)), ...)
-
-
-def geometry_tensor_spec(monomials, form) -> GeometryTensorSpec:
     group = _as_group(monomials)
     lead = group[0]
-    d = form.cell.dim
-    coef_axes = [
-        (f.coef, _factor_block(form, f)[1]) for f in lead.factors if f.role == "coef"
+    reads = product(
+        *[
+            [(f.coef, int(dof)) for dof in _factor_block(form, f)[1]]
+            for f in lead.factors
+            if f.role == "coef"
+        ]
+    )
+    terms = [
+        tuple((m.constant, m.jinv_product(assignment)) for m in group)
+        for assignment in product(range(form.cell.dim), repeat=lead.n_bound)
     ]
-    entries = []
-    coef_ranges = [range(len(dofs)) for _, dofs in coef_axes]
-    bound_ranges = [range(d)] * lead.n_bound
-    for alpha in product(*coef_ranges, *bound_ranges):
-        coef_part = alpha[: len(coef_axes)]
-        assignment = alpha[len(coef_axes) :]
-        reads = tuple(
-            (coef, int(dofs[k])) for (coef, dofs), k in zip(coef_axes, coef_part)
-        )
-        terms = tuple((m.constant, m.jinv_product(assignment)) for m in group)
-        entries.append((reads, terms))
-    return GeometryTensorSpec(tuple(entries))
+    return tuple(product(reads, terms))
 
 
 def _group_key(group) -> tuple:
@@ -226,15 +216,14 @@ def build_tensor_kernel(
 
     for group in groups:
         rt = reference_tensor(group, form)
-        spec = geometry_tensor_spec(group, form)
         base_slot = len(g_names)
         # One geometry scalar per alpha; Jinv sums are hoisted and shared.
-        for reads, terms in spec.entries:
+        for reads, terms in geometry_tensor_spec(group, form):
             gexpr = _geometry_expr(reads, terms, k_names, k_stmts)
             gname = f"G{len(g_names)}"
             g_names.append(gname)
             g_stmts.append(AssignScalar(gname, gexpr))
-        # Axes (test, [trial,] flattened alpha), alpha row-major as in spec.entries.
+        # Axes (test, [trial,] flattened alpha), alpha row-major as in the spec.
         values = rt.values.reshape(rt.values.shape[: 2 if bilinear else 1] + (-1,))
         nz = np.nonzero(values if drop_zeros else np.ones(values.shape, dtype=bool))
         coeffs.append(values[nz])

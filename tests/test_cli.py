@@ -15,11 +15,7 @@ FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 @pytest.fixture(scope="module")
 def form_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("forms")
-    paths = {}
-    for name, src in forms.figure_sources().items():
-        p = d / f"{name}.form"
-        p.write_text(src)
-        paths[name] = str(p)
+    paths = {p.stem: str(p) for p in FORMS_DIR.glob("*.form")}
     paths["mass_small"] = str(d / "mass_small.form")
     Path(paths["mass_small"]).write_text(forms.mass(2, 1))
     return paths
@@ -311,8 +307,9 @@ def test_quadrature_point_budget_rejects(argv, form_files, tmp_path, capsys):
 
 def test_bench_checks_over_budget_polynomial_at_exact_rule(tmp_path, capsys):
     # Twelve P4 factors: degree 50, 26 points per direction, a tensor kernel
-    # far over the term budget.  The check compares quadrature kernels at
-    # that rule, not at the 10 and 16 degrees higher that division forms use.
+    # far over the term budget.  The check compares the quadrature kernel
+    # with one without zero elimination at 27 points per direction, not at
+    # the 10 and 16 degrees higher that division forms use.
     path = tmp_path / "f12.form"
     path.write_text(_HIGH_DEGREE.replace("*".join(["f"] * 16), "*".join(["f"] * 12)))
     assert main(["compile", str(path)]) == 0

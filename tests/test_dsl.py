@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,9 @@ from formc.dsl import (
     typecheck,
 )
 
+
+FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
+FORM_FILES = {p.stem: p.read_text() for p in FORMS_DIR.glob("*.form")}
 
 def test_tokenize_form_statement():
     toks = tokenize("a = w*dot(grad(v), grad(u))*dx")
@@ -130,7 +134,7 @@ def test_unary_minus_is_zero_minus():
     assert prog.integrand == dsl.Sub(ScalarLiteral(0.0), Argument("test", prog.element_decls[0][1]))
 
 
-@pytest.mark.parametrize("name,source", sorted(forms.figure_sources().items()))
+@pytest.mark.parametrize("name,source", sorted(FORM_FILES.items()))
 def test_roundtrip_fixed_point(name, source):
     first = parse_source(source)
     second = parse_source(to_source(first))

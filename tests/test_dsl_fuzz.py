@@ -8,12 +8,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from formc import dsl, forms  # noqa: E402
+from formc import dsl  # noqa: E402
 
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
-SOURCES = [p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))] + sorted(
-    forms.figure_sources().values()
-)
+SOURCES = [p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))]
 # Pieces that once reached, or sit next to, a traceback: digits that are not
 # decimal, non-ASCII decimal digits, unterminated strings, continuations.
 FRAGMENTS = [

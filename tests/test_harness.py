@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from formc import forms, harness
 from formc.elements import TETRAHEDRON, TRIANGLE, FiniteElement, lattice_sites
-from formc.kernel import affine_map, emit_source, source_bytes
+from formc.kernel import affine_map, affine_map_batch, emit_source, source_bytes
 
 
 def test_unit_square_mesh_counts():
@@ -17,7 +19,7 @@ def test_unit_square_mesh_area():
     mesh = harness.unit_square_mesh(7)
     total = 0.0
     for verts in mesh.cell_vertices():
-        total += affine_map(verts).det / 2.0
+        total += affine_map(verts).det[0] / 2.0
     assert abs(total - 1.0) < 1e-14
 
 
@@ -29,7 +31,7 @@ def test_random_cells_deterministic():
     assert not np.allclose(a[0], c[0])
     for verts in harness.random_cells(TETRAHEDRON, 20, 4):
         geo = affine_map(verts)  # must not raise
-        assert 0.1 <= geo.det <= 10.0
+        assert 0.1 <= geo.det[0] <= 10.0
 
 
 def test_dofmap_counts():
@@ -174,11 +176,23 @@ def test_compare_report_and_csv():
 
 def test_compare_over_budget_polynomial_uses_exact_rule():
     # the tensor kernel is over budget, not impossible: quadrature is checked
-    # against its kernel without zero elimination at the same rule
+    # against its kernel without zero elimination, one point per direction more
     report = harness.compare(forms.elasticity(2, 2), "el22", n_cells=5, term_budget=10)
     assert report.tensor_error.startswith("MemoryError")
     assert report.check_mode == "quadrature-vs-full-tables"
     assert report.max_difference < 1e-12
+
+
+def test_full_tables_check_catches_an_underestimated_degree(compile_cached):
+    # two degrees short of the estimate, one point misses the P2 integrand;
+    # the comparison kernel two degrees above the (lowered) estimate does not
+    cf = compile_cached(forms.elasticity(2, 2), "el22")
+    low = dataclasses.replace(cf, degree=cf.degree - 2)
+    geo = affine_map_batch(harness.random_cells(cf.cell, 5, 0))
+    w = harness.random_coefficients(low, 5, 1)
+    check = harness._check_kernels(low, geo, w, None, None)
+    assert check.mode == "quadrature-vs-full-tables"
+    assert check.max_relative_difference > 0.5
 
 
 def test_runtime_rank_order_stable(compile_cached):

@@ -21,8 +21,6 @@ from formc.kernel import (
     interpret,
     interpret_batch,
     kernel_to_json,
-    map_to_physical,
-    map_to_reference,
 )
 
 REF_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
@@ -30,24 +28,25 @@ REF_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 def test_affine_map_examples():
     geo = affine_map(REF_TRI)
-    assert np.allclose(geo.jacobian, np.eye(2)) and geo.det == 1.0
+    assert np.array_equal(geo.jinv, [np.eye(2)]) and np.array_equal(geo.det, [1.0])
     geo = affine_map([[0, 0], [2, 0], [0, 2]])
-    assert np.isclose(geo.det, 4.0)
-    assert np.allclose(geo.jinv, np.diag([0.5, 0.5]))
+    assert np.allclose(geo.det, [4.0])
+    assert np.allclose(geo.jinv, [np.diag([0.5, 0.5])])
     with pytest.raises(DegenerateCell):
         affine_map([[0, 0], [1, 1], [2, 2]])
     with pytest.raises(NegativeOrientation):
         affine_map([[0, 0], [0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="expected 3 vertices"):
+        affine_map([[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="expected 3 vertices"):
+        affine_map([0, 0])
 
 
-def test_affine_map_roundtrip():
-    cells = harness.random_cells(harness.reference_cell("tetrahedron"), 5, 9)
-    X = np.array([[0.1, 0.2, 0.3], [0.25, 0.25, 0.25]])
-    for verts in cells:
-        geo = affine_map(verts)
-        back = map_to_reference(geo, map_to_physical(geo, X))
-        assert np.abs(back - X).max() < 1e-12
-        assert np.abs(geo.jacobian @ geo.jinv - np.eye(3)).max() < 1e-12
+def test_affine_map_batch_inverts_jacobians():
+    verts = harness.random_cells(harness.reference_cell("tetrahedron"), 5, 9)
+    geo = affine_map_batch(verts)
+    J = np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)
+    assert np.abs(J @ geo.jinv - np.eye(3)).max() < 1e-12
 
 
 def _toy_kernel(accumulate: bool):
@@ -166,3 +165,14 @@ def test_coefficient_shape_validation(kernel_cached, compile_cached):
         interpret(k, geo, [])
     with pytest.raises(ValueError):
         interpret(k, geo, [np.ones(4)])
+
+
+def test_batch_coefficients_match_the_cells(kernel_cached, compile_cached):
+    cf = compile_cached(forms.weighted_laplacian(2, 1), "wl21")
+    k = kernel_cached(cf, "quadrature")
+    geo = affine_map_batch(harness.random_cells(cf.cell, 3, 5))
+    for n_cells in (1, 5):
+        with pytest.raises(ValueError, match=r"expects shape \(3, 3\)"):
+            interpret_batch(k, geo, [np.ones((n_cells, 3))])
+    with pytest.raises(ValueError, match="one cell"):
+        interpret(k, geo, [np.ones(3)])

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from formc import dsl, forms, harness, lowering
+from formc import forms, harness, lowering
 from formc.kernel import (
     affine_map_batch,
     count_flops,
@@ -124,7 +124,7 @@ def monomial_sources() -> dict:
 def compute_monomial_digests() -> dict:
     out = {}
     for name, src in monomial_sources().items():
-        text = lowering.format_monomial_sum(lowering.lower(dsl.compile_form(src)))
+        text = lowering.format_monomial_sum(harness.compile_source(src).monomials)
         out[name] = hashlib.sha256(text.encode()).hexdigest()
     return out
 

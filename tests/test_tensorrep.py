@@ -35,8 +35,8 @@ def test_mass_reference_tensor(compile_cached):
     assert rt.values.shape == (3, 3)
     assert np.abs(rt.values - exact).max() < 1e-15
     spec = geometry_tensor_spec(cf.monomials.monomials, cf.typed)
-    assert len(spec.entries) == 1
-    reads, terms = spec.entries[0]
+    assert len(spec) == 1
+    reads, terms = spec[0]
     assert reads == () and terms == ((1.0, ()),)
 
 
@@ -62,8 +62,8 @@ def test_weighted_laplacian_reference_tensor(compile_cached):
     # integral of one barycentric coordinate over the cell is 1/6
     assert np.isclose(abs(rt.values[0, 0, 0, 0, 0]), 1 / 6)
     spec = geometry_tensor_spec(cf.monomials.monomials, cf.typed)
-    assert len(spec.entries) == 3 * 2 * 2
-    reads, terms = spec.entries[0]
+    assert len(spec) == 3 * 2 * 2
+    reads, terms = spec[0]
     assert reads == ((0, 0),)  # w[0][0]
     assert len(terms) == 2  # the two physical directions summed in G
     assert all(len(jprod) == 2 for _, jprod in terms)
@@ -72,8 +72,8 @@ def test_weighted_laplacian_reference_tensor(compile_cached):
 def test_premultiplied_geometry_tensor(compile_cached):
     cf = compile_cached(forms.mass(2, 2, n_f=2, p=3), "mass_premult")
     spec = geometry_tensor_spec(cf.monomials.monomials, cf.typed)
-    assert len(spec.entries) == 10 * 10
-    reads, terms = spec.entries[0]
+    assert len(spec) == 10 * 10
+    reads, terms = spec[0]
     assert [c for c, _ in reads] == [0, 1]
     assert terms == ((1.0, ()),)
 
