@@ -4,8 +4,9 @@ Exit codes: 0 on success, 2 when the arguments or the front end reject a
 form or its file cannot be read as UTF-8 text, or the requested
 representation or the assembly cannot build it (division or a
 quadrature-only flag under tensor, a term, entry or quadrature-point budget
-exceeded, a linear form or a non-triangle form under assemble), 3 when a
-cross-check exceeds its tolerance.
+exceeded, a linear form or a non-triangle form under assemble), or when
+``compile --emit`` cannot write its directory or file, 3 when a cross-check
+exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -90,10 +91,13 @@ def cmd_compile(args) -> int:
     if args.dump_ir:
         print(kernel_to_json(kernel))
     if args.emit:
-        out = Path(args.emit)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{cf.name}_{args.representation}.kernel.c"
-        path.write_text(emit_source(kernel))
+        path = Path(args.emit) / f"{cf.name}_{args.representation}.kernel.c"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(emit_source(kernel))
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_REJECTED
         print(f"wrote {path}")
     print(
         f"{cf.name}: representation={args.representation}"

@@ -27,9 +27,9 @@ from .kernel import (
 )
 from .lowering import MonomialSum
 from .quadrature import rule_for_form
+from .tensorrep import DEFAULT_TERM_BUDGET
 
 DEFAULT_BENCH_N = 10_000
-DEFAULT_TERM_BUDGET = 8_000_000
 ASSEMBLY_ENTRY_BUDGET = 20_000_000  # cells x local test dofs x local trial dofs
 INTERPRET_FLOP_BUDGET = 10**9  # flops per cell of a kernel that assemble interprets
 ASSEMBLY_CHUNK = 256  # cells per interpreted batch in assemble
@@ -85,12 +85,8 @@ def quadrature_kernel(
     )
 
 
-def tensor_kernel(
-    cf: CompiledForm, *, term_budget: int | None = DEFAULT_TERM_BUDGET, drop_zeros: bool = True
-) -> KernelIR:
-    return tensorrep.build_tensor_kernel(
-        cf.monomials, term_budget=term_budget, drop_zeros=drop_zeros, name=cf.name
-    )
+def tensor_kernel(cf: CompiledForm, *, term_budget: int = DEFAULT_TERM_BUDGET) -> KernelIR:
+    return tensorrep.build_tensor_kernel(cf.monomials, term_budget=term_budget, name=cf.name)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +448,7 @@ def compare(
     n_cells: int = 100,
     seed: int = 0,
     bench_n: int = 0,
-    term_budget: int | None = DEFAULT_TERM_BUDGET,
+    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> ComparisonReport:
     """Compile under both representations, cross-check, count and time."""
     cf = compile_source(source, name)
@@ -571,7 +567,6 @@ def trend_suite(
     include_3d: bool = False,
     bench_n: int = 0,
     n_cells: int = 20,
-    term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> list[tuple[TrendCell, ComparisonReport | None, str | None]]:
     """Sweep the benchmark families; failures are recorded, not fatal.
 
@@ -583,13 +578,7 @@ def trend_suite(
     rows = []
     for cell in cells:
         try:
-            report = compare(
-                cell.source(),
-                cell.label(),
-                n_cells=n_cells,
-                bench_n=bench_n,
-                term_budget=term_budget,
-            )
+            report = compare(cell.source(), cell.label(), n_cells=n_cells, bench_n=bench_n)
             rows.append((cell, report, None))
         except Exception as exc:  # record per-cell failures, keep sweeping
             rows.append((cell, None, f"{type(exc).__name__}: {exc}"))

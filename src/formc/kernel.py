@@ -29,7 +29,7 @@ class NegativeOrientation(ValueError):
 
 
 class DivisionByZero(ArithmeticError):
-    """Runtime divide by zero; carries the statement location."""
+    """Runtime divide by zero; the message names the divisor."""
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,7 @@ class Contract:
 
     One CSR row per element-tensor entry; an entry without terms is zero.
     Coefficients of magnitude one skip their multiply in flops and emitted
-    code.  Exact-zero coefficients (kept when zeros are not dropped) are
-    counted and emitted, but the interpreter leaves them out of the sum.
+    code.
     """
 
     names: tuple  # geometry scalars addressed by slots
@@ -286,13 +285,12 @@ def count_flops(kernel: KernelIR) -> int:
 
 
 class _Run:
-    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "B", "ops", "count")
+    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "ops", "count")
 
     def __init__(self, kernel, jinv, det, w, count):
         self.kernel = kernel
         self.env = dict(kernel.const_scalars)
-        self.B = det.shape[0]
-        self.A = np.zeros((self.B, kernel.n_entries))
+        self.A = np.zeros((det.shape[0], kernel.n_entries))
         self.w = w
         self.jinv = jinv
         self.det = det
@@ -313,10 +311,10 @@ def _eval_ix(ix, run: _Run) -> int:
     return total
 
 
-def _eval(expr, run: _Run, loc):
+def _eval(expr, run: _Run):
     if isinstance(expr, BinOp):
-        a = _eval(expr.a, run, loc)
-        b = _eval(expr.b, run, loc)
+        a = _eval(expr.a, run)
+        b = _eval(expr.b, run)
         op = expr.op
         if op == "*":
             return a * b
@@ -326,7 +324,7 @@ def _eval(expr, run: _Run, loc):
             return a - b
         zero = (b == 0.0).any() if isinstance(b, np.ndarray) else b == 0.0
         if zero:
-            raise DivisionByZero(f"division by zero at statement {loc}")
+            raise DivisionByZero(f"division by zero: {_expr_str(expr.b)} is zero")
         return a / b
     if isinstance(expr, TableRef):
         tab = run.kernel.tables[expr.table]
@@ -349,26 +347,18 @@ def _eval(expr, run: _Run, loc):
 def _contract(stmt: Contract, run: _Run) -> None:
     gmat = np.array([run.env[name] for name in stmt.names])  # (names, B)
     coeffs, slots = stmt.coeffs, stmt.slots
-    # exact zeros ahead of each entry's first term
-    zeros = np.concatenate(([0], np.cumsum(coeffs == 0.0)))[stmt.indptr].tolist()
-    bounds = stmt.indptr.tolist()
-    for e, (s0, s1) in enumerate(pairwise(bounds)):
-        if s1 == s0:
-            continue
-        c, s = coeffs[s0:s1], slots[s0:s1]
-        if zeros[e + 1] > zeros[e]:
-            live = c != 0.0
-            c, s = c[live], s[live]
-        run.A[:, e] = c @ gmat[s]
+    for e, (s0, s1) in enumerate(pairwise(stmt.indptr.tolist())):
+        if s1 > s0:
+            run.A[:, e] = coeffs[s0:s1] @ gmat[slots[s0:s1]]
 
 
-def _exec(stmts, run: _Run, path) -> None:
+def _exec(stmts, run: _Run) -> None:
     env = run.env
-    for k, stmt in enumerate(stmts):
+    for stmt in stmts:
         if isinstance(stmt, Loop):
             for trip in range(stmt.extent):
                 env[stmt.var] = trip
-                _exec(stmt.body, run, path + (k,))
+                _exec(stmt.body, run)
             continue
         if isinstance(stmt, Comment):
             continue
@@ -377,7 +367,7 @@ def _exec(stmts, run: _Run, path) -> None:
         if isinstance(stmt, Contract):
             _contract(stmt, run)
             continue
-        val = _eval(stmt.expr, run, path + (k,))
+        val = _eval(stmt.expr, run)
         if isinstance(stmt, AssignScalar):
             env[stmt.name] = val
         elif isinstance(stmt, AccumScalar):
@@ -404,7 +394,7 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = F
                 f"coefficient {c} expects shape {(n_cells, size)}, got {w[c].shape}"
             )
     run = _Run(kernel, geo.jinv, geo.det, w, count_ops)
-    _exec(kernel.statements, run, ())
+    _exec(kernel.statements, run)
     if count_ops:
         return run.A, run.ops
     return run.A
@@ -493,7 +483,7 @@ def _accumulated_names(stmts, out: set) -> None:
             out.add(s.name)
 
 
-def _emit_stmts(stmts, lines, indent, declared, accumulated) -> None:
+def _emit_stmts(stmts, lines, indent, accumulated) -> None:
     pad = "  " * indent
     for s in stmts:
         if isinstance(s, Comment):
@@ -501,19 +491,14 @@ def _emit_stmts(stmts, lines, indent, declared, accumulated) -> None:
         elif isinstance(s, Loop):
             lines.append(f"{pad}for (unsigned int {s.var} = 0; {s.var} < {s.extent}; {s.var}++)")
             if len(s.body) == 1 and not isinstance(s.body[0], (Loop, Comment)):
-                _emit_stmts(s.body, lines, indent + 1, declared, accumulated)
+                _emit_stmts(s.body, lines, indent + 1, accumulated)
             else:
                 lines.append(f"{pad}{{")
-                _emit_stmts(s.body, lines, indent + 1, declared, accumulated)
+                _emit_stmts(s.body, lines, indent + 1, accumulated)
                 lines.append(f"{pad}}}")
         elif isinstance(s, AssignScalar):
-            rhs = _expr_str(s.expr)
-            if s.name in accumulated:
-                decl = "" if s.name in declared else "double "
-                declared.add(s.name)
-                lines.append(f"{pad}{decl}{s.name} = {rhs};")
-            else:
-                lines.append(f"{pad}const double {s.name} = {rhs};")
+            decl = "double" if s.name in accumulated else "const double"
+            lines.append(f"{pad}{decl} {s.name} = {_expr_str(s.expr)};")
         elif isinstance(s, AccumScalar):
             lines.append(f"{pad}{s.name} += {_expr_str(s.expr)};")
         elif isinstance(s, Contract):
@@ -623,7 +608,7 @@ def _source_lines(kernel: KernelIR):
         lines.append("")
     accumulated: set = set()
     _accumulated_names(kernel.statements, accumulated)
-    _emit_stmts(kernel.statements, lines, 1, set(), accumulated)
+    _emit_stmts(kernel.statements, lines, 1, accumulated)
     lines.append("}")
     return lines
 

@@ -48,7 +48,11 @@ class SumIndex:
 
 @dataclass(frozen=True)
 class BasisFactor:
-    """One basis-function evaluation: role, component, reference derivative."""
+    """One basis-function evaluation: role, component, derivative.
+
+    Before the chain rule the derivative holds sorted physical directions;
+    after it, reference directions.
+    """
 
     role: str  # "test" | "trial" | "coef"
     coef: int  # coefficient id, -1 for arguments
@@ -123,30 +127,17 @@ class MonomialSum:
 
 
 @dataclass(frozen=True)
-class _PF:
-    """Physical-space factor: basis function with physical derivatives."""
-
-    role: str
-    coef: int
-    component: int
-    derivs: tuple  # physical directions, sorted
-
-    def sort_key(self):
-        return (_ROLE_ORDER[self.role], self.coef, self.component, self.derivs)
-
-
-@dataclass(frozen=True)
 class _Term:
     const: float
-    factors: tuple  # _PF, sorted
-    denoms: tuple  # _PF, sorted
+    factors: tuple  # BasisFactor with sorted physical derivatives, sorted
+    denoms: tuple  # coefficient BasisFactor, sorted
 
 
 def _mk_term(const, factors, denoms) -> _Term:
     return _Term(
         const,
-        tuple(sorted(factors, key=_PF.sort_key)),
-        tuple(sorted(denoms, key=_PF.sort_key)),
+        tuple(sorted(factors, key=BasisFactor.sort_key)),
+        tuple(sorted(denoms, key=BasisFactor.sort_key)),
     )
 
 
@@ -176,8 +167,8 @@ def _ddx_terms(terms, b: int):
 
 def _leaf_value(role: str, coef: int, element, d: int):
     if element.is_vector:
-        return {(c,): (_mk_term(1.0, (_PF(role, coef, c, ()),), ()),) for c in range(d)}
-    return {(): (_mk_term(1.0, (_PF(role, coef, 0, ()),), ()),)}
+        return {(c,): (_mk_term(1.0, (BasisFactor(role, coef, c, ()),), ()),) for c in range(d)}
+    return {(): (_mk_term(1.0, (BasisFactor(role, coef, 0, ()),), ()),)}
 
 
 def _eval(expr: FormExpr, d: int) -> dict:
@@ -266,7 +257,7 @@ def _eval(expr: FormExpr, d: int) -> dict:
 # Phase 2: chain rule to reference coordinates
 
 
-def _chain_rule_order(f: _PF) -> tuple:
+def _chain_rule_order(f: BasisFactor) -> tuple:
     return (_ROLE_ORDER[f.role], f.coef, f.component, len(f.derivs), f.derivs)
 
 
@@ -290,17 +281,13 @@ def _term_to_monomial(term: _Term) -> Monomial:
         ref = tuple(SumIndex(len(jinvs) + k) for k in range(len(f.derivs)))
         jinvs += [JinvFactor(ix, b) for ix, b in zip(ref, f.derivs)]
         factors.append(BasisFactor(f.role, f.coef, f.component, ref))
-    for g in term.denoms:
-        if g.derivs:
-            raise UnsupportedDenominator("derivative of a coefficient in a denominator")
-    denoms = tuple(
-        BasisFactor("coef", g.coef, g.component, ()) for g in term.denoms
-    )
+    if any(g.derivs for g in term.denoms):
+        raise UnsupportedDenominator("derivative of a coefficient in a denominator")
     return Monomial(
         constant=term.const,
         factors=tuple(factors),
         jinvs=tuple(jinvs),
-        denominators=tuple(sorted(denoms, key=BasisFactor.sort_key)),
+        denominators=term.denoms,
         n_bound=len(jinvs),
     )
 

@@ -58,10 +58,10 @@ class NonzeroColumnMap:
         return self.survivors == tuple(range(self.n_original))
 
 
-def eliminate_zero_columns(table: np.ndarray, tol: float = ZERO_TOLERANCE) -> NonzeroColumnMap:
+def eliminate_zero_columns(table: np.ndarray) -> NonzeroColumnMap:
     """Drop columns that vanish at every integration point."""
     table = np.asarray(table)
-    keep = np.where(np.any(np.abs(table) >= tol, axis=0))[0]
+    keep = np.where(np.any(np.abs(table) >= ZERO_TOLERANCE, axis=0))[0]
     return NonzeroColumnMap(table.shape[1], tuple(int(k) for k in keep), table[:, keep])
 
 
@@ -375,11 +375,5 @@ def build_quadrature_kernel(
         const_scalars=tuple(const_scalars),
         tables=tables,
         statements=tuple(stmts),
-        meta={
-            "n_points": rule.n_points,
-            "points_per_direction": rule.points_per_direction,
-            "rule_degree": rule.degree,
-            "zero_elimination": zero_elimination,
-            "hoisting": hoisting,
-        },
+        meta={"n_points": rule.n_points},
     )

@@ -33,6 +33,7 @@ from .quadrature import simplex_rule
 
 SNAP_TOLERANCE = 1e-12
 DEGREE_MARGIN = 2
+DEFAULT_TERM_BUDGET = 8_000_000
 
 
 class UnsupportedDivision(Exception):
@@ -167,8 +168,7 @@ def _group_key(group) -> tuple:
 def build_tensor_kernel(
     ms: MonomialSum,
     *,
-    drop_zeros: bool = True,
-    term_budget: int | None = None,
+    term_budget: int = DEFAULT_TERM_BUDGET,
     name: str = "form",
 ) -> KernelIR:
     """Unrolled-contraction kernel: A[e] = sum_alpha A0[e, alpha] * G[alpha].
@@ -191,20 +191,18 @@ def build_tensor_kernel(
         by_sig.setdefault(m.signature(), []).append(m)
     groups = sorted((tuple(g) for g in by_sig.values()), key=_group_key)
 
-    if term_budget is not None:
-        upper = 0
-        d = form.cell.dim
-        for group in groups:
-            lead = group[0]
-            size = d**lead.n_bound
-            for f in lead.factors:
-                size *= len(_factor_block(form, f)[1])
-            upper += size
-        if upper > term_budget:
-            raise MemoryError(
-                f"unrolled contraction needs up to {upper} terms"
-                f" (budget {term_budget})"
-            )
+    upper = 0
+    d = form.cell.dim
+    for group in groups:
+        lead = group[0]
+        size = d**lead.n_bound
+        for f in lead.factors:
+            size *= len(_factor_block(form, f)[1])
+        upper += size
+    if upper > term_budget:
+        raise MemoryError(
+            f"unrolled contraction needs up to {upper} terms (budget {term_budget})"
+        )
 
     k_names: dict = {}
     k_stmts: list = []
@@ -225,7 +223,7 @@ def build_tensor_kernel(
             g_stmts.append(AssignScalar(gname, gexpr))
         # Axes (test, [trial,] flattened alpha), alpha row-major as in the spec.
         values = rt.values.reshape(rt.values.shape[: 2 if bilinear else 1] + (-1,))
-        nz = np.nonzero(values if drop_zeros else np.ones(values.shape, dtype=bool))
+        nz = np.nonzero(values)
         coeffs.append(values[nz])
         test_ids = rt.test_dofs[nz[0]]
         entry_ids.append(test_ids * n2 + rt.trial_dofs[nz[1]] if bilinear else test_ids)
@@ -255,11 +253,7 @@ def build_tensor_kernel(
         const_scalars=(),
         tables={},
         statements=tuple(stmts),
-        meta={
-            "n_groups": len(groups),
-            "n_terms": len(coeffs),
-            "drop_zeros": drop_zeros,
-        },
+        meta={"n_terms": len(coeffs)},
     )
 
 

@@ -52,6 +52,14 @@ def test_compile_dumps_and_emit(form_files, capsys, tmp_path):
     assert "void mass_small" in emitted.read_text()
 
 
+def test_compile_emit_to_a_file_is_rejected(form_files, capsys, tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["compile", form_files["mass_small"], "--emit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}") and len(err.splitlines()) == 1
+
+
 def test_compile_rejects_division_under_tensor(form_files, capsys):
     rc = main(["compile", form_files["pressure_equation_2d"], "-r", "tensor"])
     err = capsys.readouterr().err

@@ -144,7 +144,7 @@ def test_division_by_zero_reported(compile_cached):
     geo = affine_map(REF_TRI)
     w = [np.full(e.space_dim, 1.0) for _, e in cf.typed.coefficients]
     w[2] = np.zeros(3)  # f2 sits in a denominator
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match="F2 is zero"):
         interpret(k, geo, w)
 
 

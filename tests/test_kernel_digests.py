@@ -29,6 +29,7 @@ import pytest
 
 from formc import forms, harness, lowering
 from formc.kernel import (
+    Contract,
     affine_map_batch,
     count_flops,
     emit_source,
@@ -134,8 +135,7 @@ VARIANTS = {
     "q-nozero": dict(zero_elimination=False, hoisting=True),
     "q-nohoist": dict(zero_elimination=True, hoisting=False),
     "q-nozero-nohoist": dict(zero_elimination=False, hoisting=False),
-    "t": dict(drop_zeros=True),
-    "t-keepzeros": dict(drop_zeros=False),
+    "t": {},
 }
 
 
@@ -152,6 +152,9 @@ def _digest(cf, variant: str, inputs):
             k = harness.quadrature_kernel(cf, **opts)
     except UnsupportedDivision:
         return "UnsupportedDivision", None
+    for s in k.statements:
+        if isinstance(s, Contract):
+            assert s.coeffs.all(), "tensor kernel holds an exact-zero coefficient"
     source = emit_source(k)
     assert source_bytes(k) == len(source.encode()), variant
     text = source + kernel_to_json(k)

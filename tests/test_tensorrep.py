@@ -24,6 +24,7 @@ from formc.tensorrep import (
     geometry_tensor_spec,
     reference_tensor,
 )
+from test_cli import _HEAVY_P3
 
 REF_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
@@ -91,6 +92,11 @@ def test_term_budget():
     cf = harness.compile_source(forms.mass(2, 2), "m")
     with pytest.raises(MemoryError):
         build_tensor_kernel(cf.monomials, term_budget=10)
+    # Six P3 coefficient factors: 10**2 * 10**6 terms.  Without a budget
+    # argument the default is checked before anything is built.
+    cf = harness.compile_source(_HEAVY_P3, "heavy_p3")
+    with pytest.raises(MemoryError, match="100000000 terms"):
+        build_tensor_kernel(cf.monomials)
 
 
 def test_reference_rule_budget():
@@ -128,17 +134,6 @@ def test_multilinearity_exact(compile_cached, kernel_cached):
         assert np.array_equal(A, s * base)
 
 
-def test_zero_dropping_sound(compile_cached):
-    cf = compile_cached(forms.poisson(2, 2), "poisson22")
-    k_drop = harness.tensor_kernel(cf)
-    k_keep = harness.tensor_kernel(cf, drop_zeros=False)
-    assert count_flops(k_keep) > count_flops(k_drop)
-    geo = affine_map_batch(harness.random_cells(cf.cell, 10, 5))
-    A1 = interpret_batch(k_drop, geo, [])
-    A2 = interpret_batch(k_keep, geo, [])
-    assert np.array_equal(A1, A2)
-
-
 def _contract_kernel(indptr, coeffs, slots):
     names = ("G0", "G1", "G2", "G3")
     contract = Contract(
@@ -169,9 +164,9 @@ def test_unit_coefficients_skip_multiplies():
     assert np.isclose(A[0], (1 - 1 + 2 + 0.25) * 2.0)
     assert "  A[0] = G0 - G1 + 2.0*G2 + 0.25*G3;\n" in emit_source(k)
 
-    # A[1] has no terms: no flops, a literal zero, value 0.  A[2] keeps an
-    # exact-zero coefficient: emitted and counted (1 add, 1 multiply), but
-    # the interpreter leaves it out of the sum.
+    # A[1] has no terms: no flops, a literal zero, value 0.  A[2] holds an
+    # exact-zero coefficient, which a built kernel never does: it is emitted,
+    # counted (1 add, 1 multiply) and interpreted like any other term.
     k = _contract_kernel([0, 4, 4, 6], [1.0, -1.0, 2.0, 0.25, 0.0, -1.0], [0, 1, 2, 3, 2, 3])
     assert count_flops(k) == 5 + 0 + 2
     A, ops = interpret(k, geo, [], count_ops=True)
@@ -198,7 +193,7 @@ _RNG = np.random.default_rng(3)
         ([0, 0], [], []),  # one empty entry
         # negative leading coefficients, an empty entry, |c| == 1 in lead and tail
         ([0, 2, 2, 5], [-0.5, 1.0, -1.0, 1.0, -3.25], [3, 0, 1, 2, 0]),
-        # kept exact zeros, one of them leading
+        # exact-zero coefficients, one of them leading
         ([0, 4, 4, 6, 8], [1.0, -1.0, 2.0, 0.25, 0.0, -1.0, 0.0, 0.0], [0, 1, 2, 3, 2, 3, 0, 1]),
         # 1- to 3-digit entry indices, repeated magnitudes of both signs
         (
