@@ -9,11 +9,31 @@ coincides exactly with the number of operations an instrumented run performs.
 Flop convention: '+' and '*' count one each, '-' counts as '+', '/' counts
 as '*', a compound '+=' counts one, constant-table construction costs zero.
 Geometry (Jinv, det) is an input, never computed inside the kernel.
+
+The interpreter evaluates a batch of cells at once, the batch axis last,
+and where it cannot change a bit it evaluates a loop over its whole range:
+
+- a perfect nest (loops nested one in the next around ``AccumA``
+  statements only, such as a hoisted i/j nest or the coefficient loops of
+  an un-hoisted kernel) binds each loop variable to an ``arange`` on its
+  own axis and evaluates each statement once;
+- a point loop (assignments and reductions ahead of statements that write
+  no scalar) evaluates its scalars for all points at once, reductions still
+  added term by term, then runs the rest one point at a time;
+- any other loop runs one trip at a time.
+
+Each entry of A still sums its contributions in trip-then-statement order,
+so results equal the trip-by-trip walk bit for bit.  A nest is evaluated in
+slices of its outer loop (and a point loop in slices of its points) that
+hold about ``_BLOCK_BYTES`` of values at a time.  With ``count_ops`` a
+vectorised block adds its static count, so the dynamic count equals
+``count_flops`` by construction.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import pairwise
 
@@ -281,33 +301,39 @@ def count_flops(kernel: KernelIR) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Interpretation (vectorised over a batch of cells)
+# Interpretation (vectorised over a batch of cells, and over whole loops)
+
+# Bytes of float64 values a vectorised loop holds at once, per slice of its
+# trips; a single trip may exceed it.
+_BLOCK_BYTES = 1 << 20
 
 
 class _Run:
-    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "ops", "count")
+    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "cells", "ops", "count")
 
     def __init__(self, kernel, jinv, det, w, count):
         self.kernel = kernel
         self.env = dict(kernel.const_scalars)
-        self.A = np.zeros((det.shape[0], kernel.n_entries))
+        self.A = np.zeros((kernel.n_entries, det.shape[0]))  # entries x cells
         self.w = w
         self.jinv = jinv
         self.det = det
+        self.cells = np.arange(det.shape[0])
         self.ops = 0
         self.count = count
 
 
-def _eval_ix(ix, run: _Run) -> int:
+def _eval_ix(ix, run: _Run):
+    """An index, or an integer array of indices where loop variables are arrays."""
     if isinstance(ix, IxVar):
         return run.env[ix.name]
     if isinstance(ix, IxConst):
         return ix.value
     if isinstance(ix, IxMap):
-        return int(run.kernel.tables[ix.table][_eval_ix(ix.inner, run)])
+        return run.kernel.tables[ix.table][_eval_ix(ix.inner, run)].astype(np.intp)
     total = ix.const
     for c, sub in ix.terms:
-        total += c * _eval_ix(sub, run)
+        total = total + c * _eval_ix(sub, run)
     return total
 
 
@@ -327,16 +353,15 @@ def _eval(expr, run: _Run):
             raise DivisionByZero(f"division by zero: {_expr_str(expr.b)} is zero")
         return a / b
     if isinstance(expr, TableRef):
-        tab = run.kernel.tables[expr.table]
-        for ix in expr.indices:
-            tab = tab[_eval_ix(ix, run)]
-        return tab
+        return run.kernel.tables[expr.table][tuple(_eval_ix(ix, run) for ix in expr.indices)]
     if isinstance(expr, ScalarRef):
         return run.env[expr.name]
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, CoefRef):
-        return run.w[expr.coef][:, _eval_ix(expr.index, run)]
+        ix = _eval_ix(expr.index, run)
+        w = run.w[expr.coef]
+        return w[run.cells, ix] if isinstance(ix, np.ndarray) else w[:, ix]
     if isinstance(expr, JinvRef):
         return run.jinv[:, expr.ref, expr.phys]
     if isinstance(expr, DetRef):
@@ -349,16 +374,23 @@ def _contract(stmt: Contract, run: _Run) -> None:
     coeffs, slots = stmt.coeffs, stmt.slots
     for e, (s0, s1) in enumerate(pairwise(stmt.indptr.tolist())):
         if s1 > s0:
-            run.A[:, e] = coeffs[s0:s1] @ gmat[slots[s0:s1]]
+            run.A[e] = coeffs[s0:s1] @ gmat[slots[s0:s1]]
 
 
 def _exec(stmts, run: _Run) -> None:
     env = run.env
     for stmt in stmts:
         if isinstance(stmt, Loop):
-            for trip in range(stmt.extent):
-                env[stmt.var] = trip
-                _exec(stmt.body, run)
+            # a perfect nest at once, a point loop's scalars at once, or trip by trip
+            nest = _perfect_nest(stmt)
+            if nest is not None:
+                _exec_nest(stmt, *nest, run)
+            elif n_scalar := _scalar_prefix(stmt.body):
+                _exec_points(stmt, n_scalar, run)
+            else:
+                for trip in range(stmt.extent):
+                    env[stmt.var] = trip
+                    _exec(stmt.body, run)
             continue
         if isinstance(stmt, Comment):
             continue
@@ -373,18 +405,162 @@ def _exec(stmts, run: _Run) -> None:
         elif isinstance(stmt, AccumScalar):
             env[stmt.name] = env[stmt.name] + val
         else:  # AccumA
-            run.A[:, _eval_ix(stmt.index, run)] += val
+            run.A[_eval_ix(stmt.index, run)] += val
+
+
+def _perfect_nest(loop: Loop):
+    """(variables, extents, statements) of loops nested one in the next around AccumAs only."""
+    names, extents = [], []
+    while True:
+        names.append(loop.var)
+        extents.append(loop.extent)
+        body = loop.body
+        if len(body) == 1 and isinstance(body[0], Loop):
+            loop = body[0]
+        elif body and all(isinstance(s, AccumA) for s in body):
+            return names, extents, body
+        else:
+            return None
+
+
+def _exec_nest(loop: Loop, names, extents, body, run: _Run) -> None:
+    """Each statement once per slice of the outer loop, every loop variable an arange.
+
+    Variable k spans axis k; the batch axis comes last.
+    """
+    env = run.env
+    n_cells = run.A.shape[1]
+    depth = len(extents)
+    for k in range(1, depth):
+        env[names[k]] = np.arange(extents[k]).reshape((-1,) + (1,) * (depth - k))
+    per_trip = n_cells * math.prod(extents[1:]) * len(body)
+    step = max(1, _BLOCK_BYTES // (8 * max(per_trip, 1)))
+    for start in range(0, extents[0], step):
+        stop = min(start + step, extents[0])
+        env[names[0]] = np.arange(start, stop).reshape((-1,) + (1,) * depth)
+        shape = (stop - start, *extents[1:])
+        index = np.empty(shape + (len(body),), np.intp)
+        value = np.empty(shape + (len(body), n_cells))
+        for k, s in enumerate(body):
+            index[..., k : k + 1] = _eval_ix(s.index, run)
+            value[..., k, :] = _eval(s.expr, run)
+        _scatter(run.A, index.ravel(), value.reshape(index.size, n_cells))
+    if run.count:
+        run.ops += _stmt_ops(run.kernel, loop)
+
+
+def _scatter(A: np.ndarray, index: np.ndarray, value: np.ndarray) -> None:
+    """A[index[k]] += value[k] for k in order, one fancy-index add per rank.
+
+    A contribution's rank is the number of earlier ones to the same entry,
+    so the entries of one rank are distinct and every entry adds its
+    contributions in list order.
+    """
+    order = np.argsort(index, kind="stable")
+    first = np.flatnonzero(np.diff(index[order], prepend=-1))
+    if len(first) == len(index):
+        A[index] += value
+        return
+    rank = np.arange(len(index)) - np.repeat(first, np.diff(first, append=len(index)))
+    by_rank = order[np.argsort(rank, kind="stable")]
+    bounds = np.cumsum(np.bincount(rank)).tolist()
+    for lo, hi in pairwise([0, *bounds]):
+        pick = by_rank[lo:hi]
+        A[index[pick]] += value[pick]
+
+
+def _writes_scalars(stmts) -> bool:
+    return any(
+        isinstance(s, (AssignScalar, AccumScalar))
+        or (isinstance(s, Loop) and _writes_scalars(s.body))
+        for s in stmts
+    )
+
+
+def _scalar_names(expr) -> set:
+    if isinstance(expr, BinOp):
+        return _scalar_names(expr.a) | _scalar_names(expr.b)
+    return {expr.name} if isinstance(expr, ScalarRef) else set()
+
+
+def _scalar_prefix(body) -> int:
+    """Length of the leading scalar statements that can run for all trips at once.
+
+    They are assignments and reduction loops (loops of AccumScalars onto
+    scalars assigned before them), none reads a scalar that the trip
+    assigns only later, and the statements after them write no scalar.  A
+    point loop of a quadrature kernel, with its F and Gip scalars ahead of
+    the accumulation nests, has such a prefix.
+    """
+    later = {s.name for s in body if isinstance(s, AssignScalar)}
+    done: set = set()
+    n = 0
+    for s in body:
+        reduction = isinstance(s, Loop) and all(isinstance(t, AccumScalar) for t in s.body)
+        if not (reduction or isinstance(s, AssignScalar)):
+            break
+        for t in s.body if reduction else (s,):
+            if _scalar_names(t.expr) & later or (reduction and t.name not in done):
+                return 0
+        if not reduction:
+            later.discard(s.name)
+            done.add(s.name)
+        n += 1
+    return 0 if _writes_scalars(body[n:]) else n
+
+
+def _exec_points(loop: Loop, n_scalar: int, run: _Run) -> None:
+    """The scalar prefix for a slice of trips at once, then the rest trip by trip.
+
+    Reductions still add term by term over their own loop; the rest of the
+    body reads each scalar at its own trip.
+    """
+    env = run.env
+    prefix, rest = loop.body[:n_scalar], loop.body[n_scalar:]
+    names = {s.name for s in prefix if isinstance(s, AssignScalar)}
+    n_cells = run.A.shape[1]
+    step = max(1, _BLOCK_BYTES // (8 * max(n_cells * len(names), 1)))
+    for start in range(0, loop.extent, step):
+        stop = min(start + step, loop.extent)
+        env[loop.var] = np.arange(start, stop)[:, None]
+        for s in prefix:
+            if isinstance(s, AssignScalar):
+                env[s.name] = _eval(s.expr, run)
+                continue
+            for trip in range(s.extent):
+                env[s.var] = trip
+                for t in s.body:
+                    env[t.name] = env[t.name] + _eval(t.expr, run)
+        if run.count:
+            run.ops += (stop - start) * sum(_stmt_ops(run.kernel, s) for s in prefix)
+        full = {name: np.broadcast_to(env[name], (stop - start, n_cells)) for name in names}
+        for trip in range(start, stop):
+            env[loop.var] = trip
+            env.update((name, v[trip - start]) for name, v in full.items())
+            _exec(rest, run)
 
 
 def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = False):
     """Run the kernel on a batch of cells; returns (B, n_entries) tensors.
 
-    ``w`` is a list with one (B, n_dofs) array per coefficient.  Execution
-    is sequential in statement order per entry, so results are
-    bit-reproducible across runs.  Kernels are immutable and hold no run
-    state; interpreting one kernel concurrently over disjoint batches is
-    safe.
+    ``geo`` holds a (B, dim, dim) Jacobian inverse and a (B,) determinant,
+    and ``w`` one (B, n_dofs) array per coefficient.  Each entry of A sums
+    its contributions in trip-then-statement order, as a walk of the loops
+    one trip and one statement at a time would, so results are bit-identical
+    to that walk and bit-reproducible across runs; the summation order of
+    each ``Contract`` entry is that of its one matrix product.  Which loops
+    run at once, and the memory a vectorised nest holds, are set out in the
+    module docstring.  Kernels are immutable and hold no run state;
+    interpreting one kernel concurrently over disjoint batches is safe.  The
+    result is a transposed view of the (n_entries, B) tensor the interpreter
+    fills.
     """
+    d = kernel.dim
+    if geo.det.ndim != 1 or geo.jinv.shape != (len(geo.det), d, d):
+        raise ValueError(
+            f"expected Jinv of shape (B, {d}, {d}) and det of shape (B,),"
+            f" got {geo.jinv.shape} and {geo.det.shape}"
+        )
     if len(w) != len(kernel.coef_sizes):
         raise ValueError(f"expected {len(kernel.coef_sizes)} coefficient arrays")
     n_cells = geo.det.shape[0]
@@ -396,8 +572,8 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = F
     run = _Run(kernel, geo.jinv, geo.det, w, count_ops)
     _exec(kernel.statements, run)
     if count_ops:
-        return run.A, run.ops
-    return run.A
+        return run.A.T, run.ops
+    return run.A.T
 
 
 def interpret(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = False):

@@ -1,21 +1,35 @@
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formc import forms, harness
 from formc.kernel import (
     AccumA,
+    AccumScalar,
     AssignScalar,
+    BatchGeometry,
     BinOp,
+    CoefRef,
     DegenerateCell,
+    DetRef,
     DivisionByZero,
+    IxConst,
     IxLin,
+    IxMap,
     IxVar,
+    JinvRef,
     KernelIR,
+    Lit,
     Loop,
     NegativeOrientation,
     ScalarRef,
+    TableRef,
     affine_map,
     affine_map_batch,
+    chain,
     count_flops,
     emit_source,
     interpret,
@@ -176,3 +190,151 @@ def test_batch_coefficients_match_the_cells(kernel_cached, compile_cached):
             interpret_batch(k, geo, [np.ones((n_cells, 3))])
     with pytest.raises(ValueError, match="one cell"):
         interpret(k, geo, [np.ones(3)])
+
+
+def test_geometry_must_match_the_kernel(kernel_cached, compile_cached):
+    k2 = kernel_cached(compile_cached(forms.mass(2, 1), "mass21"), "quadrature")
+    k3 = kernel_cached(compile_cached(forms.mass(3, 1), "mass31"), "tensor")
+    geo2 = affine_map_batch(harness.random_cells(harness.reference_cell("triangle"), 2, 3))
+    geo3 = affine_map_batch(harness.random_cells(harness.reference_cell("tetrahedron"), 2, 3))
+    for k, geo in ((k2, geo3), (k3, geo2), (k2, BatchGeometry(geo2.jinv, geo2.det[:1]))):
+        with pytest.raises(ValueError, match=r"expected Jinv of shape \(B, \d, \d\)"):
+            interpret_batch(k, geo, [])
+
+
+def test_empty_batch(kernel_cached, compile_cached):
+    cf = compile_cached(forms.mass(2, 2, n_f=1, p=2), "masspre")
+    geo = affine_map_batch(np.zeros((0, 3, 2)))
+    for rep in ("quadrature", "tensor"):
+        k = kernel_cached(cf, rep)
+        A, ops = interpret_batch(k, geo, [np.zeros((0, 6))], count_ops=True)
+        assert A.shape == (0, k.n_entries) and ops == count_flops(k)
+
+
+# Differential test of the accumulation order: the interpreter against a walk
+# of one cell, one trip and one statement at a time, on kernels whose entries
+# collect colliding contributions of magnitudes where any other summation
+# order changes bits.
+
+_MAGNITUDES = (1e16, 1.0, -1e16, 0.5, -3.0)
+_POSITIVE = (0.5, 1.0, 2.0)
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _walk(k: KernelIR, geo: BatchGeometry, w) -> np.ndarray:
+    out = np.zeros((len(geo.det), k.n_entries))
+    for b in range(len(geo.det)):
+        env = dict(k.const_scalars)
+
+        def ix(e):
+            if isinstance(e, IxVar):
+                return env[e.name]
+            if isinstance(e, IxConst):
+                return e.value
+            if isinstance(e, IxMap):
+                return int(k.tables[e.table][ix(e.inner)])
+            return e.const + sum(c * ix(sub) for c, sub in e.terms)
+
+        def val(e):
+            if isinstance(e, BinOp):
+                return _OPS[e.op](val(e.a), val(e.b))
+            if isinstance(e, TableRef):
+                return float(k.tables[e.table][tuple(ix(i) for i in e.indices)])
+            if isinstance(e, CoefRef):
+                return float(w[e.coef][b, ix(e.index)])
+            if isinstance(e, JinvRef):
+                return float(geo.jinv[b, e.ref, e.phys])
+            if isinstance(e, DetRef):
+                return float(geo.det[b])
+            return env[e.name] if isinstance(e, ScalarRef) else e.value
+
+        def run(stmts):
+            for s in stmts:
+                if isinstance(s, Loop):
+                    for trip in range(s.extent):
+                        env[s.var] = trip
+                        run(s.body)
+                elif isinstance(s, AssignScalar):
+                    env[s.name] = val(s.expr)
+                elif isinstance(s, AccumScalar):
+                    env[s.name] += val(s.expr)
+                else:
+                    out[b, ix(s.index)] += val(s.expr)
+
+        run(k.statements)
+    return out
+
+
+@st.composite
+def _order_cases(draw):
+    """A point loop (optionally with F reductions, a divisor and a Gip) around
+    perfect and non-perfect nests over i, j and k, with colliding index maps.
+
+    With ``carried`` F0 is set before the point loop, so each point's
+    reduction continues the previous one's and the loop cannot run its
+    scalars for all points at once.
+    """
+
+    def array(shape, values=_MAGNITUDES):
+        n = int(np.prod(shape))
+        drawn = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+        return np.array(drawn).reshape(shape)
+
+    n_points = draw(st.integers(1, 3))
+    tables = {"W": array((n_points,)), "T": array((n_points, 4))}
+    tables["P"] = array((n_points, 3), _POSITIVE)
+    for v in "ijk":  # index maps onto 0..2: targets collide
+        tables[f"M{v}"] = array((4,), (0, 1, 2)).astype(np.uint32)
+    scalars = draw(st.booleans())
+    ip = IxVar("ip")
+
+    def accum(loop_vars):
+        factors = [TableRef("T", (ip, IxVar(v))) for v in loop_vars]
+        factors.append(CoefRef(0, IxMap(f"M{loop_vars[-1]}", IxVar(loop_vars[-1]))))
+        pool = [DetRef(), Lit(draw(st.sampled_from(_MAGNITUDES)))]
+        factors.append(draw(st.sampled_from(pool + ([ScalarRef("Gip")] if scalars else []))))
+        expr = chain("*", factors)
+        if scalars and draw(st.booleans()):
+            expr = BinOp("/", expr, ScalarRef("F1"))
+        terms = tuple((1, IxMap(f"M{v}", IxVar(v))) for v in loop_vars)
+        return AccumA(IxLin(terms, draw(st.integers(0, 2))), expr)
+
+    carried = scalars and draw(st.booleans())  # F0 sums over this and the earlier points
+    body = []
+    if scalars:
+        for f, (table, coef) in enumerate((("T", 0), ("P", 1))):
+            if not (f == 0 and carried):
+                body.append(AssignScalar(f"F{f}", Lit(0.0)))
+            term = BinOp("*", TableRef(table, (ip, IxVar("r"))), CoefRef(coef, IxVar("r")))
+            body.append(Loop("r", 3, (AccumScalar(f"F{f}", term),)))
+        gip = chain("*", [ScalarRef("G"), TableRef("W", (ip,)), ScalarRef("F0")])
+        body.append(AssignScalar("Gip", BinOp("/", gip, ScalarRef("F1"))))
+    for _ in range(draw(st.integers(1, 3))):
+        loop_vars = "ij"[: draw(st.integers(1, 2))]
+        stmts = [accum(loop_vars) for _ in range(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):  # an inner loop beside the statements: not a perfect nest
+            inner = Loop("k", draw(st.integers(1, 4)), (accum(loop_vars + "k"),))
+            stmts.insert(draw(st.integers(0, len(stmts))), inner)
+        nest = tuple(stmts)
+        for v in reversed(loop_vars):
+            nest = (Loop(v, draw(st.integers(1, 4)), nest),)
+        body.extend(nest)
+    statements = (
+        AssignScalar("G", BinOp("*", JinvRef(0, 1), DetRef())),
+        *([AssignScalar("F0", Lit(0.0))] if carried else []),
+        Loop("ip", n_points, tuple(body)),
+    )
+    k = KernelIR("order", "quadrature", (9,), 2, (3, 3), (), tables, statements)
+    n_cells = draw(st.integers(0, 4))  # often equal to a loop extent
+    geo = BatchGeometry(array((n_cells, 2, 2)), array((n_cells,), _POSITIVE))
+    return k, geo, [array((n_cells, 3)), array((n_cells, 3), _POSITIVE)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_order_cases())
+def test_interpreter_keeps_each_entrys_summation_order(case):
+    k, geo, w = case
+    A, ops = interpret_batch(k, geo, w, count_ops=True)
+    assert A.shape == (len(geo.det), 9)
+    assert A.tobytes() == _walk(k, geo, w).tobytes()
+    assert ops == count_flops(k)
