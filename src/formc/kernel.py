@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import pairwise
 
 import numpy as np
@@ -201,6 +202,11 @@ class KernelIR:
     def n_entries(self) -> int:
         return int(np.prod(self.shape))
 
+    @cached_property
+    def flops(self) -> int:
+        """Static '+'/'*' count, walked once per kernel: see ``count_flops``."""
+        return sum(_stmt_ops(self, s) for s in self.statements)
+
 
 # ---------------------------------------------------------------------------
 # Affine cell geometry
@@ -297,7 +303,7 @@ def _stmt_ops(kernel: KernelIR, stmt) -> int:
 
 def count_flops(kernel: KernelIR) -> int:
     """Static '+'/'*' count with loop bodies multiplied by their extents."""
-    return sum(_stmt_ops(kernel, s) for s in kernel.statements)
+    return kernel.flops
 
 
 # ---------------------------------------------------------------------------

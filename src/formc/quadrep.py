@@ -10,6 +10,14 @@ Every expression is hoisted to the outermost scope in which all its operands
 are defined.  The quadrature weight is folded into the geometry constants
 only for single-point rules; multi-point rules keep the weight table at
 point scope.
+
+The concrete terms Psi_i*Psi_j*Gip come from summing each monomial over
+every assignment of its bound (chain-rule) indices.  Each basis factor owns
+consecutive bound indices, so ``_flatten`` enumerates one factor's
+assignments at a time and combines them: the same terms, in the same
+order, as one walk per assignment of all indices.  A form whose monomials
+need more than ``MAX_CONCRETE_TERMS`` such terms is rejected before any is
+built.
 """
 
 from __future__ import annotations
@@ -39,10 +47,14 @@ from .kernel import (
     TableRef,
     chain,
 )
-from .lowering import MonomialSum, resolve
+from .lowering import MonomialSum
 from .quadrature import QuadratureRule
 
 ZERO_TOLERANCE = 1e-14
+
+# Concrete terms sum_m dim**n_bound(m) that _flatten may enumerate; beyond
+# it build_quadrature_kernel raises MemoryError before it enumerates any.
+MAX_CONCRETE_TERMS = 10**6
 
 
 @dataclass(frozen=True)
@@ -69,33 +81,61 @@ def eliminate_zero_columns(table: np.ndarray) -> NonzeroColumnMap:
 # Monomial flattening: enumerate bound indices into concrete terms
 
 
+def _factor_options(f, jinvs, d: int) -> list:
+    """(sorted concrete derivs, concrete Jinv pairs) of a factor, per assignment.
+
+    A lowered factor's derivative slots all hold bound indices; their
+    assignments come in ``product(range(d), repeat=k)`` order, and the pairs
+    resolve the Jinv factors whose reference index the factor binds.
+    """
+    own = [(f.derivs.index(j.ref), j.phys) for j in jinvs if j.ref in f.derivs]
+    return [
+        (tuple(sorted(values)), tuple((values[k], phys) for k, phys in own))
+        for values in product(range(d), repeat=len(f.derivs))
+    ]
+
+
 def _flatten(ms: MonomialSum):
     """Concrete terms grouped as groups[key1][key2][jprod] = constant.
 
     key1 is the (test, trial) basis-table signature pair driving the inner
     loops, key2 the coefficient/denominator value products, and jprod the
     multiset of Jinv entries.
+
+    Lowering hands each basis factor consecutive bound indices, in factor
+    order (test, trial, then coefficients), each tied to the reference slot
+    of one Jinv factor.  So each factor's options are enumerated once, and
+    the product of the test, trial and coefficient options visits the
+    assignments in the order of ``product(range(d), repeat=n_bound)``:
+    every dict is filled in that order and every constant is summed in that
+    order.
     """
     d = ms.form.cell.dim
     groups: dict = {}
     for m in ms.monomials:
-        for sigma in product(range(d), repeat=m.n_bound):
-            test = trial = None
-            coefs = []
-            for f in m.factors:
-                derivs = tuple(sorted(resolve(x, sigma) for x in f.derivs))
-                if f.role == "test":
-                    test = (f.component, derivs)
-                elif f.role == "trial":
-                    trial = (f.component, derivs)
-                else:
-                    coefs.append((f.coef, f.component, derivs))
-            denoms = tuple((f.coef, f.component, f.derivs) for f in m.denominators)
-            jprod = m.jinv_product(sigma)
-            key1 = (test, trial)
-            key2 = (tuple(sorted(coefs)), denoms)
-            sub = groups.setdefault(key1, {}).setdefault(key2, {})
-            sub[jprod] = sub.get(jprod, 0.0) + m.constant
+        test = trial = [(None, ())]
+        coefs = []
+        for f in m.factors:
+            options = _factor_options(f, m.jinvs, d)
+            if f.role == "test":
+                test = [((f.component, derivs), pairs) for derivs, pairs in options]
+            elif f.role == "trial":
+                trial = [((f.component, derivs), pairs) for derivs, pairs in options]
+            else:
+                coefs.append([((f.coef, f.component, derivs), pairs) for derivs, pairs in options])
+        denoms = tuple((f.coef, f.component, f.derivs) for f in m.denominators)
+        combos = [
+            ((tuple(sorted(sig for sig, _ in combo)), denoms), sum((p for _, p in combo), ()))
+            for combo in product(*coefs)
+        ]
+        for t, t_pairs in test:
+            for u, u_pairs in trial:
+                by_key2 = groups.setdefault((t, u), {})
+                tu_pairs = t_pairs + u_pairs
+                for key2, c_pairs in combos:
+                    sub = by_key2.setdefault(key2, {})
+                    jprod = tuple(sorted(tu_pairs + c_pairs))
+                    sub[jprod] = sub.get(jprod, 0.0) + m.constant
     for key1 in list(groups):
         for key2 in list(groups[key1]):
             groups[key1][key2] = {j: c for j, c in groups[key1][key2].items() if c != 0.0}
@@ -192,11 +232,15 @@ def _point_value(entries, sig, var: str):
     return BinOp("*", psi, CoefRef(sig[0], _col_index(nzc, var)))
 
 
-def _table_signatures(key1, key2) -> list:
-    """(role, coef, component, derivs) of every basis table a term group reads."""
+def _argument_signatures(key1) -> tuple:
+    """(role, coef, component, derivs) of the test and trial tables of a term group."""
     test, trial = key1
-    sigs = [("test", -1) + test] + ([("trial", -1) + trial] if trial else [])
-    return sigs + [("coef",) + sig for sig in key2[0] + key2[1]]
+    return (("test", -1) + test,) + ((("trial", -1) + trial,) if trial else ())
+
+
+def _coefficient_signatures(key2) -> tuple:
+    """(role, coef, component, derivs) of the coefficient tables of a term group."""
+    return tuple(("coef",) + sig for sig in key2[0] + key2[1])
 
 
 def build_quadrature_kernel(
@@ -215,23 +259,30 @@ def build_quadrature_kernel(
     shape = (n1, n2) if bilinear else (n1,)
     single_point = rule.n_points == 1
 
+    n_terms = sum(form.cell.dim**m.n_bound for m in ms.monomials)
+    if n_terms > MAX_CONCRETE_TERMS:
+        raise MemoryError(
+            f"quadrature kernel needs {n_terms} concrete terms, more than {MAX_CONCRETE_TERMS}"
+        )
     groups = _flatten(ms)
+    # Each distinct key reads its signatures once.
+    arg_sigs = {key1: _argument_signatures(key1) for key1 in groups}
+    key2s = {key2 for sub in groups.values() for key2 in sub}
+    coef_sigs = {key2: _coefficient_signatures(key2) for key2 in key2s}
     entries, basis = _basis_tables(
         form,
         rule,
         zero_elimination,
-        {sig for k1, sub in groups.items() for k2 in sub for sig in _table_signatures(k1, k2)},
+        {sig for sigs in (*arg_sigs.values(), *coef_sigs.values()) for sig in sigs},
     )
 
     # Drop groups whose basis tables lost every column.
+    dead = {sig for sig, (_, _, extent) in entries.items() if extent == 0}
+    live_key2 = {key2 for key2, sigs in coef_sigs.items() if dead.isdisjoint(sigs)}
     live: dict = {}
     for key1, subgroups in groups.items():
-        kept = {
-            key2: v
-            for key2, v in subgroups.items()
-            if all(entries[sig][2] > 0 for sig in _table_signatures(key1, key2))
-        }
-        if kept:
+        kept = {key2: v for key2, v in subgroups.items() if key2 in live_key2}
+        if kept and dead.isdisjoint(arg_sigs[key1]):
             live[key1] = kept
     groups = live
     group_keys = sorted(

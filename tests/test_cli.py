@@ -358,3 +358,35 @@ def test_seed_must_be_non_negative(command, form_files, capsys):
         main([command, form_files["mass_small"], "--seed", "-1"])
     assert exc.value.code == 2
     assert "expected a non-negative integer" in capsys.readouterr().err
+
+
+def _gradient_power(cell: str, k: int) -> str:
+    """P1 form with dot(grad(f), grad(f)) written out k times."""
+    return (
+        f'element = FiniteElement("Lagrange", "{cell}", 1)\n'
+        "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
+        "a = " + "*".join(["dot(grad(f), grad(f))"] * k) + "*v*u*dx\n"
+    )
+
+
+# The front end lowers these in well under a second, but the quadrature
+# kernel would enumerate every assignment of their bound indices:
+# 172,186,884 concrete terms for k=7 on a tetrahedron.  assemble rejects
+# tetrahedra first, so it gets a triangle form: 2,621,440 terms for k=9.
+@pytest.mark.parametrize(
+    "argv, cell, k, n_terms",
+    [
+        (["compile"], "tetrahedron", 7, 172186884),
+        (["bench", "-N", "0"], "tetrahedron", 7, 172186884),
+        (["assemble"], "triangle", 9, 2621440),
+    ],
+    ids=["compile", "bench", "assemble"],
+)
+def test_quadrature_term_budget_rejects(argv, cell, k, n_terms, tmp_path, capsys):
+    path = tmp_path / "gradient_power.form"
+    path.write_text(_gradient_power(cell, k))
+    t0 = time.perf_counter()
+    assert main([argv[0], str(path)] + argv[1:]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert f"{n_terms} concrete terms" in err and len(err.strip().splitlines()) == 1

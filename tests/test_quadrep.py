@@ -1,5 +1,10 @@
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formc import forms, harness
 from formc.kernel import (
@@ -10,7 +15,11 @@ from formc.kernel import (
     count_flops,
     interpret_batch,
 )
-from formc.quadrep import eliminate_zero_columns
+from formc.lowering import resolve
+from formc.quadrep import _flatten, eliminate_zero_columns
+from test_kernel_digests import _EXTRA, _LAPLACIAN_GRADIENTS, _gradf2
+
+FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 
 
 def test_eliminate_zero_columns_examples():
@@ -159,3 +168,105 @@ def test_table_dedup_shares_test_and_trial(compile_cached):
     # the value table is used by the coefficient; derivative tables by v and u
     assert any("w" in n for n in names)
     assert any("vu" in n for n in names)
+
+
+def _flatten_oracle(ms):
+    """``_flatten`` as one walk of every factor per assignment of all bound indices."""
+    d = ms.form.cell.dim
+    groups: dict = {}
+    for m in ms.monomials:
+        for sigma in product(range(d), repeat=m.n_bound):
+            test = trial = None
+            coefs = []
+            for f in m.factors:
+                derivs = tuple(sorted(resolve(x, sigma) for x in f.derivs))
+                if f.role == "test":
+                    test = (f.component, derivs)
+                elif f.role == "trial":
+                    trial = (f.component, derivs)
+                else:
+                    coefs.append((f.coef, f.component, derivs))
+            denoms = tuple((f.coef, f.component, f.derivs) for f in m.denominators)
+            jprod = m.jinv_product(sigma)
+            key2 = (tuple(sorted(coefs)), denoms)
+            sub = groups.setdefault((test, trial), {}).setdefault(key2, {})
+            sub[jprod] = sub.get(jprod, 0.0) + m.constant
+    for key1 in list(groups):
+        for key2 in list(groups[key1]):
+            groups[key1][key2] = {j: c for j, c in groups[key1][key2].items() if c != 0.0}
+            if not groups[key1][key2]:
+                del groups[key1][key2]
+        if not groups[key1]:
+            del groups[key1]
+    return groups
+
+
+def _layout(groups) -> list:
+    """Keys in insertion order at every level, constants as exact bits."""
+    return [
+        (key1, [(key2, [(j, c.hex()) for j, c in sub.items()]) for key2, sub in by_key2.items()])
+        for key1, by_key2 in groups.items()
+    ]
+
+
+FLATTEN_FORMS = {
+    **{p.stem: p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))},
+    **_EXTRA,  # linear forms (no trial) and quotients
+    "pressure_equation": forms.pressure_equation(),
+    "laplacian_gradients": _LAPLACIAN_GRADIENTS,  # second derivatives
+    "gradf2_2d": _gradf2("triangle"),
+    "gradf2_3d": _gradf2("tetrahedron"),
+    "vector_poisson_div_3d_q1_p1_nf3": forms.vector_poisson_div(1, 3, 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", FLATTEN_FORMS)
+def test_flatten_matches_per_assignment_walk(name, compile_cached):
+    ms = compile_cached(FLATTEN_FORMS[name], name).monomials
+    assert _layout(_flatten(ms)) == _layout(_flatten_oracle(ms))
+
+
+_dims = st.sampled_from([2, 3])
+_q = st.integers(1, 3)
+_n_f = st.integers(0, 2)
+_p = st.integers(0, 2)
+_BUILT_FORMS = st.one_of(
+    st.builds(forms.mass, _dims, _q, _n_f, _p),
+    st.builds(forms.weighted_laplacian, _dims, _q),
+    st.builds(forms.poisson, _dims, _q),
+    st.builds(forms.elasticity, _dims, _q, _n_f, _p),
+    st.builds(forms.vector_poisson_div, _q, _n_f, st.integers(1, 2), _dims),
+)
+
+# Up to two coefficient factors ahead of the arguments, with first and second
+# derivatives and denominators: at most 8 bound indices, 6561 terms in 3D.
+_COEFFICIENT_FACTORS = ["f", "dot(grad(f), grad(g))", "div(grad(f))", "dot(grad(g), grad(g))"]
+_ARGUMENT_FACTORS = [
+    "v*u",
+    "dot(grad(v), grad(u))",
+    "dot(grad(f), grad(v))*u",
+    "div(grad(v))*u",
+    "v",
+    "dot(grad(g), grad(v))",
+]
+
+
+@st.composite
+def _composed_forms(draw):
+    cell = draw(st.sampled_from(["triangle", "tetrahedron"]))
+    factors = draw(st.lists(st.sampled_from(_COEFFICIENT_FACTORS), max_size=2))
+    arguments = draw(st.sampled_from(_ARGUMENT_FACTORS))
+    denominator = draw(st.sampled_from(["", "/g", "/(f*g)"]))
+    trial = "u = TrialFunction(element)\n" if "u" in arguments else ""
+    return (
+        f'element = FiniteElement("Lagrange", "{cell}", 2)\n'
+        f"v = TestFunction(element)\n{trial}f = Function(element)\ng = Function(element)\n"
+        f"a = {'*'.join(factors + [arguments])}{denominator}*dx\n"
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_BUILT_FORMS, _composed_forms()))
+def test_flatten_matches_per_assignment_walk_on_generated_forms(source):
+    ms = harness.compile_source(source).monomials
+    assert _layout(_flatten(ms)) == _layout(_flatten_oracle(ms))
