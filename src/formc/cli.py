@@ -233,8 +233,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("trends", help="sweep the benchmark families")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--include-3d", action="store_true")
+    sweep = p.add_mutually_exclusive_group()  # the quick sweep has no 3D cells
+    sweep.add_argument("--quick", action="store_true")
+    sweep.add_argument("--include-3d", action="store_true")
     p.add_argument("--bench-n", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_trends)
 

@@ -4,7 +4,7 @@ A kernel is a straight-line program of constant tables, scalar assignments
 and loop nests accumulating into the element tensor A; a tensor kernel's
 unrolled contraction is one ``Contract`` statement of CSR arrays.  There are
 no conditionals, so the static flop count (loop bodies multiplied by extents)
-coincides exactly with the number of operations an instrumented run performs.
+is the number of operations any run performs on one cell.
 
 Flop convention: '+' and '*' count one each, '-' counts as '+', '/' counts
 as '*', a compound '+=' counts one, constant-table construction costs zero.
@@ -25,9 +25,9 @@ and where it cannot change a bit it evaluates a loop over its whole range:
 Each entry of A still sums its contributions in trip-then-statement order,
 so results equal the trip-by-trip walk bit for bit.  A nest is evaluated in
 slices of its outer loop (and a point loop in slices of its points) that
-hold about ``_BLOCK_BYTES`` of values at a time.  With ``count_ops`` a
-vectorised block adds its static count, so the dynamic count equals
-``count_flops`` by construction.
+hold about ``_BLOCK_BYTES`` of values at a time.  The interpreter counts
+no operations: the tests check ``count_flops`` against a one-cell walk that
+counts each operation it performs and never calls ``_stmt_ops``.
 """
 
 from __future__ import annotations
@@ -315,9 +315,9 @@ _BLOCK_BYTES = 1 << 20
 
 
 class _Run:
-    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "cells", "ops", "count")
+    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "cells")
 
-    def __init__(self, kernel, jinv, det, w, count):
+    def __init__(self, kernel, jinv, det, w):
         self.kernel = kernel
         self.env = dict(kernel.const_scalars)
         self.A = np.zeros((kernel.n_entries, det.shape[0]))  # entries x cells
@@ -325,8 +325,6 @@ class _Run:
         self.jinv = jinv
         self.det = det
         self.cells = np.arange(det.shape[0])
-        self.ops = 0
-        self.count = count
 
 
 def _eval_ix(ix, run: _Run):
@@ -390,7 +388,7 @@ def _exec(stmts, run: _Run) -> None:
             # a perfect nest at once, a point loop's scalars at once, or trip by trip
             nest = _perfect_nest(stmt)
             if nest is not None:
-                _exec_nest(stmt, *nest, run)
+                _exec_nest(*nest, run)
             elif n_scalar := _scalar_prefix(stmt.body):
                 _exec_points(stmt, n_scalar, run)
             else:
@@ -400,8 +398,6 @@ def _exec(stmts, run: _Run) -> None:
             continue
         if isinstance(stmt, Comment):
             continue
-        if run.count:
-            run.ops += _stmt_ops(run.kernel, stmt)
         if isinstance(stmt, Contract):
             _contract(stmt, run)
             continue
@@ -429,7 +425,7 @@ def _perfect_nest(loop: Loop):
             return None
 
 
-def _exec_nest(loop: Loop, names, extents, body, run: _Run) -> None:
+def _exec_nest(names, extents, body, run: _Run) -> None:
     """Each statement once per slice of the outer loop, every loop variable an arange.
 
     Variable k spans axis k; the batch axis comes last.
@@ -451,8 +447,6 @@ def _exec_nest(loop: Loop, names, extents, body, run: _Run) -> None:
             index[..., k : k + 1] = _eval_ix(s.index, run)
             value[..., k, :] = _eval(s.expr, run)
         _scatter(run.A, index.ravel(), value.reshape(index.size, n_cells))
-    if run.count:
-        run.ops += _stmt_ops(run.kernel, loop)
 
 
 def _scatter(A: np.ndarray, index: np.ndarray, value: np.ndarray) -> None:
@@ -537,8 +531,6 @@ def _exec_points(loop: Loop, n_scalar: int, run: _Run) -> None:
                 env[s.var] = trip
                 for t in s.body:
                     env[t.name] = env[t.name] + _eval(t.expr, run)
-        if run.count:
-            run.ops += (stop - start) * sum(_stmt_ops(run.kernel, s) for s in prefix)
         full = {name: np.broadcast_to(env[name], (stop - start, n_cells)) for name in names}
         for trip in range(start, stop):
             env[loop.var] = trip
@@ -546,7 +538,7 @@ def _exec_points(loop: Loop, n_scalar: int, run: _Run) -> None:
             _exec(rest, run)
 
 
-def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = False):
+def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w) -> np.ndarray:
     """Run the kernel on a batch of cells; returns (B, n_entries) tensors.
 
     ``geo`` holds a (B, dim, dim) Jacobian inverse and a (B,) determinant,
@@ -559,7 +551,8 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = F
     module docstring.  Kernels are immutable and hold no run state;
     interpreting one kernel concurrently over disjoint batches is safe.  The
     result is a transposed view of the (n_entries, B) tensor the interpreter
-    fills.
+    fills; the operations a run performs are ``count_flops`` per cell, which
+    the interpreter does not count again.
     """
     d = kernel.dim
     if geo.det.ndim != 1 or geo.jinv.shape != (len(geo.det), d, d):
@@ -575,22 +568,17 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = F
             raise ValueError(
                 f"coefficient {c} expects shape {(n_cells, size)}, got {w[c].shape}"
             )
-    run = _Run(kernel, geo.jinv, geo.det, w, count_ops)
+    run = _Run(kernel, geo.jinv, geo.det, w)
     _exec(kernel.statements, run)
-    if count_ops:
-        return run.A.T, run.ops
     return run.A.T
 
 
-def interpret(kernel: KernelIR, geo: BatchGeometry, w, count_ops: bool = False):
+def interpret(kernel: KernelIR, geo: BatchGeometry, w) -> np.ndarray:
     """Interpretation on the one cell of ``geo``; ``w`` is a list of 1-D dof arrays."""
     if geo.det.shape != (1,):
         raise ValueError(f"expected the geometry of one cell, got {geo.det.shape[0]}")
     wb = [np.asarray(wc, dtype=float)[None, :] for wc in w]
-    out = interpret_batch(kernel, geo, wb, count_ops)
-    if count_ops:
-        return out[0][0], out[1]
-    return out[0]
+    return interpret_batch(kernel, geo, wb)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -155,16 +155,6 @@ def geometry_tensor_spec(monomials, form) -> tuple:
     return tuple(product(reads, terms))
 
 
-def _group_key(group) -> tuple:
-    lead = group[0]
-    return (
-        tuple(f.sort_key() for f in lead.factors),
-        tuple(f.sort_key() for f in lead.denominators),
-        lead.n_bound,
-        tuple(sorted(tuple(j.sort_key() for j in m.jinvs) for m in group)),
-    )
-
-
 def build_tensor_kernel(
     ms: MonomialSum,
     *,
@@ -186,10 +176,12 @@ def build_tensor_kernel(
     n2 = form.trial_element.space_dim if bilinear else 1
     shape = (n1, n2) if bilinear else (n1,)
 
+    # simplify sorts the monomials by their factors, which fix the signature
+    # of a monomial without denominators: groups come in factor order
     by_sig: dict = {}
     for m in ms.monomials:
         by_sig.setdefault(m.signature(), []).append(m)
-    groups = sorted((tuple(g) for g in by_sig.values()), key=_group_key)
+    groups = list(by_sig.values())
 
     upper = 0
     d = form.cell.dim

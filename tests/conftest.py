@@ -1,10 +1,18 @@
-"""Shared caches so expensive compilations happen once per session."""
+"""Shared caches so expensive compilations happen once per session.
+
+Property tests run under one hypothesis profile: no deadline, derandomised
+and without an example database, so every run draws the same examples.
+"""
 
 import functools
 
 import pytest
+from hypothesis import settings
 
 from formc import harness
+
+settings.register_profile("formc", deadline=None, derandomize=True, database=None)
+settings.load_profile("formc")
 
 
 @functools.lru_cache(maxsize=None)

@@ -210,6 +210,14 @@ def test_bench_counts_must_be_non_negative(argv, form_files, capsys):
     assert "expected a non-negative integer" in capsys.readouterr().err
 
 
+def test_trends_quick_excludes_3d(capsys):
+    # the quick sweep has no 3D cells, so the pair would drop --include-3d
+    with pytest.raises(SystemExit) as exc:
+        main(["trends", "--quick", "--include-3d"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_bench_zero_count_skips_timing(form_files, capsys):
     assert main(["bench", form_files["mass_small"], "-N", "0"]) == 0
     fields = capsys.readouterr().out.splitlines()[1].split(",")

@@ -2,13 +2,10 @@
 
 from pathlib import Path
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from formc import dsl  # noqa: E402
+from formc import dsl
 
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 SOURCES = [p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))]
@@ -18,7 +15,7 @@ FRAGMENTS = [
     "²", "½", "٣", "2²", '"', "\\\n", "\\", "#", "(", ")", "*dx", "1e999", ".", "1.", "é",
 ]
 
-_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+_SETTINGS = settings(max_examples=300)
 
 
 def _parses_or_form_error(source: str) -> None:

@@ -7,9 +7,12 @@ SHA-256 of its interpreted element tensors on seeded cells and coefficients.
 The recorded values in ``golden/kernel_digests.json`` pin the IR, the
 emitted text, the flops and the interpreter's output bits of both
 representations, including the non-default toggles.  Each kernel's
-``source_bytes`` must equal the byte length of its emitted source, and
-every interpreted kernel's dynamic operation count must equal its static
-one.  Un-hoisted kernels evaluate their inline products once per innermost
+``source_bytes`` must equal the byte length of its emitted source.  Every
+interpreted kernel is also run on its first cell by the reference walk
+(``reference_walk.py``): the walk's element tensor must equal the
+interpreter's, bit for bit for quadrature kernels and to 1e-12 relative for
+tensor ones, and the operations it counts must equal the static count.
+Un-hoisted kernels evaluate their inline products once per innermost
 trip; the cap leaves out the three that would take the interpreter longest
 (``pressure_equation_2d`` in both zero settings,
 ``vector_poisson_div_2d_q2_p1_nf2`` without zero elimination).  The others
@@ -32,6 +35,7 @@ import pytest
 
 from formc import forms, harness, lowering
 from formc.kernel import (
+    BatchGeometry,
     Contract,
     affine_map_batch,
     count_flops,
@@ -41,6 +45,7 @@ from formc.kernel import (
     source_bytes,
 )
 from formc.tensorrep import UnsupportedDivision
+from reference_walk import walk
 
 ROOT = Path(__file__).resolve().parent
 DIGESTS = ROOT / "golden" / "kernel_digests.json"
@@ -147,7 +152,7 @@ NOHOIST_FLOP_CAP = 2_000_000
 
 
 def _digest(cf, variant: str, inputs):
-    """[text SHA-256, static flops(, interpreter SHA-256)] and the dynamic count."""
+    """[text SHA-256, static flops(, interpreter SHA-256)] and the walk's count."""
     opts = VARIANTS[variant]
     try:
         if variant.startswith("t"):
@@ -165,7 +170,13 @@ def _digest(cf, variant: str, inputs):
     record = [hashlib.sha256(text.encode()).hexdigest(), count_flops(k)]
     if "nohoist" in variant and record[1] >= NOHOIST_FLOP_CAP:
         return record, None
-    A, ops = interpret_batch(k, *inputs, count_ops=True)
+    A = interpret_batch(k, *inputs)
+    geo, w = inputs
+    ref, ops = walk(k, BatchGeometry(geo.jinv[:1], geo.det[:1]), [wc[:1] for wc in w])
+    if variant.startswith("t"):  # one matrix product per entry: another summation order
+        assert harness.relative_max_difference(ref, A[:1]) <= 1e-12, variant
+    else:
+        assert ref[0].tobytes() == A[0].tobytes(), variant
     return record + [hashlib.sha256(A.tobytes()).hexdigest()], ops
 
 
@@ -201,7 +212,7 @@ def test_kernels_byte_identical(name, recorded):
     for variant in VARIANTS:
         got[variant], ops = _digest(cf, variant, inputs)
         if ops is not None:
-            assert ops == got[variant][1], variant  # dynamic flops equal static flops
+            assert ops == got[variant][1], variant  # walked operations equal static flops
     assert got == recorded[name]
 
 

@@ -265,7 +265,7 @@ def _composed_forms(draw):
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.one_of(_BUILT_FORMS, _composed_forms()))
 def test_flatten_matches_per_assignment_walk_on_generated_forms(source):
     ms = harness.compile_source(source).monomials

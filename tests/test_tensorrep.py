@@ -24,6 +24,7 @@ from formc.tensorrep import (
     geometry_tensor_spec,
     reference_tensor,
 )
+from reference_walk import walk
 from test_cli import _HEAVY_P3
 
 REF_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
@@ -169,8 +170,8 @@ def test_unit_coefficients_skip_multiplies():
     # counted (1 add, 1 multiply) and interpreted like any other term.
     k = _contract_kernel([0, 4, 4, 6], [1.0, -1.0, 2.0, 0.25, 0.0, -1.0], [0, 1, 2, 3, 2, 3])
     assert count_flops(k) == 5 + 0 + 2
-    A, ops = interpret(k, geo, [], count_ops=True)
-    assert ops == count_flops(k)
+    A = interpret(k, geo, [])
+    assert walk(k, geo, [])[1] == count_flops(k)
     assert A[1] == 0.0 and A[2] == -2.0
     text = emit_source(k)
     assert "  A[1] = 0.0;\n" in text and "  A[2] = 0.0*G2 - G3;\n" in text
