@@ -1,13 +1,18 @@
 """Kernel IR shared by both representations, with interpreter and emitter.
 
 A kernel is a straight-line program of constant tables, scalar assignments
-and loop nests accumulating into the element tensor A; a tensor kernel's
-unrolled contraction is one ``Contract`` statement of CSR arrays.  There are
-no conditionals, so the static flop count (loop bodies multiplied by extents)
-is the number of operations any run performs on one cell.
+and loop nests accumulating into the element tensor A.  A tensor kernel
+holds each monomial group's geometry tensor as one ``GeometryTensor``
+statement of arrays (its rows' coefficient dofs and closing factors) and
+its unrolled contraction as one ``Contract`` statement of CSR arrays.  There
+are no conditionals, so the static flop count (loop bodies multiplied by
+extents) is the number of operations any run performs on one cell.
 
 Flop convention: '+' and '*' count one each, '-' counts as '+', '/' counts
 as '*', a compound '+=' counts one, constant-table construction costs zero.
+A ``GeometryTensor`` row of f factors (det, one per coefficient read, and
+its closing factor if it has one) counts f - 1 multiplies, so a block counts
+n_rows * n_reads plus the number of its rows with a closing factor.
 Geometry (Jinv, det) is an input, never computed inside the kernel.
 
 The interpreter evaluates a batch of cells at once, the batch axis last,
@@ -22,8 +27,12 @@ and where it cannot change a bit it evaluates a loop over its whole range:
   added term by term, then runs the rest one point at a time;
 - any other loop runs one trip at a time.
 
-Each entry of A still sums its contributions in trip-then-statement order,
-so results equal the trip-by-trip walk bit for bit.  A nest is evaluated in
+A geometry block multiplies all its rows at once, as (n_rows, B) arrays
+factor by factor, left to right: each row gets the products its scalar chain
+``det*w[c][d]*...*factor`` would, and a ``Contract`` reads the block's rows
+as one array.  Each entry of A still sums its contributions in
+trip-then-statement order, so results equal the trip-by-trip walk bit for
+bit.  A nest is evaluated in
 slices of its outer loop (and a point loop in slices of its points) that
 hold about ``_BLOCK_BYTES`` of values at a time.  The interpreter counts
 no operations: the tests check ``count_flops`` against a one-cell walk that
@@ -184,6 +193,24 @@ class Contract:
     slots: np.ndarray  # int32
 
 
+@dataclass(frozen=True, eq=False)
+class GeometryTensor:
+    """names[r] = det * w[coefs[0]][dofs[r, 0]] * ... * factors[closing[r]], one row per r.
+
+    One monomial group's geometry tensor: each row multiplies, left to
+    right, the determinant, the row's coefficient dofs, one per read column,
+    and its closing factor (a ``ScalarRef`` to a hoisted Jinv sum, a ``Lit``,
+    or None for no factor).  Its rows are read by a ``Contract`` that lists
+    them in block order.
+    """
+
+    names: tuple  # one geometry scalar per row
+    coefs: tuple  # coefficient number of each read column
+    dofs: np.ndarray  # (n_rows, n_reads) integer dofs
+    factors: tuple  # ScalarRef | Lit | None
+    closing: np.ndarray  # (n_rows,) index into factors
+
+
 @dataclass(eq=False)
 class KernelIR:
     """Element-tensor kernel: constant tables plus a statement list."""
@@ -298,6 +325,10 @@ def _stmt_ops(kernel: KernelIR, stmt) -> int:
         c = stmt.coeffs
         filled = np.count_nonzero(np.diff(stmt.indptr))
         return len(c) - int(filled) + int(np.count_nonzero(np.abs(c) != 1.0))
+    if isinstance(stmt, GeometryTensor):
+        # factors - 1 multiplies per row: det, the reads, a closing factor if any
+        closes = np.array([f is not None for f in stmt.factors], bool)
+        return len(stmt.names) * len(stmt.coefs) + int(np.count_nonzero(closes[stmt.closing]))
     return 0  # Comment
 
 
@@ -315,11 +346,12 @@ _BLOCK_BYTES = 1 << 20
 
 
 class _Run:
-    __slots__ = ("kernel", "env", "A", "w", "jinv", "det", "cells")
+    __slots__ = ("kernel", "env", "blocks", "A", "w", "jinv", "det", "cells")
 
     def __init__(self, kernel, jinv, det, w):
         self.kernel = kernel
         self.env = dict(kernel.const_scalars)
+        self.blocks = {}  # first row name -> (GeometryTensor, (n_rows, B) values)
         self.A = np.zeros((kernel.n_entries, det.shape[0]))  # entries x cells
         self.w = w
         self.jinv = jinv
@@ -373,8 +405,37 @@ def _eval(expr, run: _Run):
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 
 
+def _geometry(stmt: GeometryTensor, run: _Run) -> None:
+    """All rows at once, each multiplied left to right as its scalar chain would be."""
+    n_cells = run.A.shape[1]
+    values = np.broadcast_to(run.det, (len(stmt.names), n_cells))
+    for c, dofs in zip(stmt.coefs, stmt.dofs.T):
+        values = values * run.w[c].T[dofs]
+    if any(f is not None for f in stmt.factors):
+        table = np.ones((len(stmt.factors), n_cells))
+        for row, f in zip(table, stmt.factors):
+            if f is not None:
+                row[:] = _eval(f, run)
+        values = values * table[stmt.closing]  # x * 1.0 is x, bit for bit
+    run.blocks[stmt.names[0]] = (stmt, values)
+
+
+def _geometry_rows(names, run: _Run) -> np.ndarray:
+    """(len(names), B) values: a geometry block's rows at once, other names one by one."""
+    parts, i = [], 0
+    while i < len(names):
+        stmt, values = run.blocks.get(names[i], (None, None))
+        if stmt is not None and names[i : i + len(stmt.names)] == stmt.names:
+            parts.append(values)
+            i += len(stmt.names)
+        else:
+            parts.append(np.broadcast_to(run.env[names[i]], (1, run.A.shape[1])))
+            i += 1
+    return np.concatenate(parts) if parts else np.empty((0, run.A.shape[1]))
+
+
 def _contract(stmt: Contract, run: _Run) -> None:
-    gmat = np.array([run.env[name] for name in stmt.names])  # (names, B)
+    gmat = _geometry_rows(stmt.names, run)  # (names, B)
     coeffs, slots = stmt.coeffs, stmt.slots
     for e, (s0, s1) in enumerate(pairwise(stmt.indptr.tolist())):
         if s1 > s0:
@@ -400,6 +461,9 @@ def _exec(stmts, run: _Run) -> None:
             continue
         if isinstance(stmt, Contract):
             _contract(stmt, run)
+            continue
+        if isinstance(stmt, GeometryTensor):
+            _geometry(stmt, run)
             continue
         val = _eval(stmt.expr, run)
         if isinstance(stmt, AssignScalar):
@@ -471,7 +535,7 @@ def _scatter(A: np.ndarray, index: np.ndarray, value: np.ndarray) -> None:
 
 def _writes_scalars(stmts) -> bool:
     return any(
-        isinstance(s, (AssignScalar, AccumScalar))
+        isinstance(s, (AssignScalar, AccumScalar, GeometryTensor))
         or (isinstance(s, Loop) and _writes_scalars(s.body))
         for s in stmts
     )
@@ -671,7 +735,7 @@ def _emit_stmts(stmts, lines, indent, accumulated) -> None:
             lines.append(f"{pad}{decl} {s.name} = {_expr_str(s.expr)};")
         elif isinstance(s, AccumScalar):
             lines.append(f"{pad}{s.name} += {_expr_str(s.expr)};")
-        elif isinstance(s, Contract):
+        elif isinstance(s, (Contract, GeometryTensor)):
             lines.append((s, pad))  # rows written or counted by the caller
         else:
             lines.append(f"{pad}A[{_ix_str(s.index)}] += {_expr_str(s.expr)};")
@@ -692,22 +756,57 @@ def emit_source(kernel: KernelIR) -> str:
     A, coefficient dofs w, and the cell geometry (flattened Jacobian inverse
     plus determinant) as inputs.
     """
-    lines = _source_lines(kernel)
-    for i, line in enumerate(lines):
-        if not isinstance(line, str):
-            lines[i : i + 1] = _contract_lines(*line)
+    lines = []
+    for line in _source_lines(kernel):
+        if isinstance(line, str):
+            lines.append(line)
+        elif isinstance(line[0], Contract):
+            lines.extend(_contract_lines(*line))
+        else:
+            lines.extend(_geometry_lines(*line))
     return "\n".join(lines) + "\n"
 
 
 def source_bytes(kernel: KernelIR) -> int:
-    """``len(emit_source(kernel).encode())``, without the contraction rows' text."""
+    """``len(emit_source(kernel).encode())``, without the text of block statements' rows."""
     total = 0
     for line in _source_lines(kernel):
         if isinstance(line, str):
             total += len(line.encode()) + 1
-        else:
+        elif isinstance(line[0], Contract):
             total += _contract_bytes(*line)
+        else:
+            total += _geometry_bytes(*line)
     return total
+
+
+def _digits(values: np.ndarray) -> int:
+    """Total decimal digits of non-negative integers."""
+    if not values.size:
+        return 0
+    top = len(str(int(values.max())))
+    return values.size + sum(int(np.count_nonzero(values >= 10**k)) for k in range(1, top))
+
+
+def _closing_strs(stmt: GeometryTensor) -> list:
+    return ["" if f is None else f"*{_expr_str(f)}" for f in stmt.factors]
+
+
+def _geometry_lines(stmt: GeometryTensor, pad: str):
+    reads = [f"*w[{c}][" for c in stmt.coefs]
+    closing = _closing_strs(stmt)
+    for name, dofs, k in zip(stmt.names, stmt.dofs.tolist(), stmt.closing.tolist()):
+        body = "".join(f"{r}{d}]" for r, d in zip(reads, dofs))
+        yield f"{pad}const double {name} = det{body}{closing[k]};"
+
+
+def _geometry_bytes(stmt: GeometryTensor, pad: str) -> int:
+    """Byte length of the rows of ``_geometry_lines``, newlines included."""
+    n = len(stmt.names)
+    fixed = n * (len(f"{pad}const double  = det;") + 1) + sum(map(len, stmt.names))
+    reads = n * sum(len(f"*w[{c}][]") for c in stmt.coefs) + _digits(stmt.dofs)
+    closing = np.array([len(t) for t in _closing_strs(stmt)], int)
+    return fixed + reads + int(closing[stmt.closing].sum())
 
 
 def _contract_bytes(stmt: Contract, pad: str) -> int:
@@ -729,8 +828,7 @@ def _contract_bytes(stmt: Contract, pad: str) -> int:
     negative_leads = int(np.count_nonzero(stmt.coeffs[starts] < 0))
     separators = 3 * (len(stmt.coeffs) - filled)
     # "A[", "] = ", ";" and the newline, plus the entry's digits
-    digits = n + sum(n - 10**k for k in range(1, len(str(n))))
-    fixed = n * (len(pad) + 8) + digits
+    fixed = n * (len(pad) + 8) + _digits(np.arange(n))
     return fixed + terms + negative_leads + separators + 3 * (n - filled)
 
 
@@ -815,11 +913,26 @@ def _expr_json(expr):
     raise TypeError(type(expr).__name__)
 
 
+def _geometry_json(stmt: GeometryTensor):
+    """One "assign" record per row, its product nested as a left-deep chain."""
+    closing = [None if f is None else _expr_json(f) for f in stmt.factors]
+    for name, dofs, k in zip(stmt.names, stmt.dofs.tolist(), stmt.closing.tolist()):
+        expr = {"det": True}
+        for c, d in zip(stmt.coefs, dofs):
+            expr = {"op": "*", "a": expr, "b": {"w": c, "index": {"const": d}}}
+        if closing[k] is not None:
+            expr = {"op": "*", "a": expr, "b": closing[k]}
+        yield {"assign": name, "expr": expr}
+
+
 def _stmts_json(stmts) -> list:
-    """One record per statement; a contraction gives one "assignA" per entry."""
+    """One record per statement; a contraction gives one "assignA" per entry and
+    a geometry tensor one "assign" per row."""
     out = []
     for stmt in stmts:
-        if isinstance(stmt, Contract):
+        if isinstance(stmt, GeometryTensor):
+            out.extend(_geometry_json(stmt))
+        elif isinstance(stmt, Contract):
             for e, coeffs, slots in _contract_rows(stmt):
                 rhs = {"termsum": {"coeffs": coeffs, "slots": slots}} if coeffs else {"lit": 0.0}
                 out.append({"assignA": {"lin": [], "offset": e}, "expr": rhs})

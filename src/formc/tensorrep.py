@@ -3,8 +3,11 @@ geometry tensor, fully unrolled contraction with exact-zero dropping.
 
 Monomials that share their basis-factor structure share one reference
 tensor; their geometry products are summed inside the geometry-tensor
-entries.  Division cannot be expressed in this representation and is a hard
-error.
+entries.  Each group's geometry tensor is one ``GeometryTensor`` statement
+whose dof and closing-factor arrays are filled with numpy, row for row in
+the order of ``geometry_tensor_spec``; its Jinv sums are hoisted into ``K``
+scalars, shared across groups.  Division cannot be expressed in this
+representation and is a hard error.
 """
 
 from __future__ import annotations
@@ -17,11 +20,9 @@ import numpy as np
 from .elements import tabulate
 from .kernel import (
     AssignScalar,
-    CoefRef,
     Comment,
     Contract,
-    DetRef,
-    IxConst,
+    GeometryTensor,
     JinvRef,
     KernelIR,
     Lit,
@@ -132,6 +133,19 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
     return ReferenceTensor(values=A0, test_dofs=test_dofs, trial_dofs=trial_dofs)
 
 
+def _coef_blocks(group, form) -> list:
+    """(coefficient, dofs) of each coefficient factor of the group, in factor order."""
+    return [(f.coef, _factor_block(form, f)[1]) for f in group[0].factors if f.role == "coef"]
+
+
+def _bound_terms(group, dim: int) -> list:
+    """Per chain-rule assignment, row-major: (constant, Jinv index pairs) per monomial."""
+    return [
+        tuple((m.constant, m.jinv_product(assignment)) for m in group)
+        for assignment in product(range(dim), repeat=group[0].n_bound)
+    ]
+
+
 def geometry_tensor_spec(monomials, form) -> tuple:
     """Per-cell products matching one reference tensor.
 
@@ -140,19 +154,10 @@ def geometry_tensor_spec(monomials, form) -> tuple:
     per monomial of the group, (constant, Jinv index pairs).
     """
     group = _as_group(monomials)
-    lead = group[0]
     reads = product(
-        *[
-            [(f.coef, int(dof)) for dof in _factor_block(form, f)[1]]
-            for f in lead.factors
-            if f.role == "coef"
-        ]
+        *[[(coef, int(dof)) for dof in dofs] for coef, dofs in _coef_blocks(group, form)]
     )
-    terms = [
-        tuple((m.constant, m.jinv_product(assignment)) for m in group)
-        for assignment in product(range(form.cell.dim), repeat=lead.n_bound)
-    ]
-    return tuple(product(reads, terms))
+    return tuple(product(reads, _bound_terms(group, form.cell.dim)))
 
 
 def build_tensor_kernel(
@@ -199,7 +204,7 @@ def build_tensor_kernel(
     k_names: dict = {}
     k_stmts: list = []
     g_stmts: list = []
-    g_names: list = []
+    g_names: tuple = ()
     # (entry, coefficient, geometry slot) of every kept term, per group; the
     # empty seeds serve a form whose monomials all cancel.
     entry_ids, coeffs, slots = [np.empty(0, np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
@@ -207,12 +212,8 @@ def build_tensor_kernel(
     for group in groups:
         rt = reference_tensor(group, form)
         base_slot = len(g_names)
-        # One geometry scalar per alpha; Jinv sums are hoisted and shared.
-        for reads, terms in geometry_tensor_spec(group, form):
-            gexpr = _geometry_expr(reads, terms, k_names, k_stmts)
-            gname = f"G{len(g_names)}"
-            g_names.append(gname)
-            g_stmts.append(AssignScalar(gname, gexpr))
+        g_stmts.append(_geometry_tensor(group, form, base_slot, k_names, k_stmts))
+        g_names += g_stmts[-1].names
         # Axes (test, [trial,] flattened alpha), alpha row-major as in the spec.
         values = rt.values.reshape(rt.values.shape[: 2 if bilinear else 1] + (-1,))
         nz = np.nonzero(values)
@@ -233,7 +234,7 @@ def build_tensor_kernel(
     stmts.extend(k_stmts)
     stmts.extend(g_stmts)
     stmts.append(Comment("Unrolled contraction"))
-    stmts.append(Contract(tuple(g_names), indptr, coeffs, slots))
+    stmts.append(Contract(g_names, indptr, coeffs, slots))
 
     coef_sizes = tuple(elem.space_dim for _, elem in form.coefficients)
     return KernelIR(
@@ -249,24 +250,40 @@ def build_tensor_kernel(
     )
 
 
-def _geometry_expr(reads, terms, k_names, k_stmts):
-    """det * coefficient dofs * (hoisted sum of Jinv products)."""
-    parts = [DetRef()] + [CoefRef(coef, IxConst(dof)) for coef, dof in reads]
+def _geometry_tensor(group, form, first: int, k_names, k_stmts) -> GeometryTensor:
+    """The group's rows G{first}, G{first + 1}, ... in the order of ``geometry_tensor_spec``.
+
+    Rows run over the coefficient dofs, first factor slowest, then over the
+    chain-rule assignments, each of which closes its rows with one factor.
+    """
+    blocks = _coef_blocks(group, form)
+    terms = _bound_terms(group, form.cell.dim)
+    grids = np.meshgrid(*[dofs for _, dofs in blocks], indexing="ij")
+    reads = np.stack([g.ravel() for g in grids], axis=-1) if blocks else np.empty((1, 0), int)
+    n_rows = len(reads) * len(terms)
+    return GeometryTensor(
+        names=tuple(f"G{first + r}" for r in range(n_rows)),
+        coefs=tuple(coef for coef, _ in blocks),
+        dofs=np.repeat(reads, len(terms), axis=0),
+        factors=tuple(_closing_factor(t, k_names, k_stmts) for t in terms),
+        closing=np.tile(np.arange(len(terms)), len(reads)),
+    )
+
+
+def _closing_factor(terms, k_names, k_stmts):
+    """The constant if no term has a Jinv product (None for one), else a hoisted K sum."""
     if all(not jprod for _, jprod in terms):
         total = sum(c for c, _ in terms)
-        if total != 1.0:
-            parts.append(Lit(total))
-    else:
-        kname = k_names.get(terms)
-        if kname is None:
-            summands = []
-            for c, jprod in terms:
-                factors = [JinvRef(a, b) for a, b in jprod]
-                if c != 1.0 or not factors:
-                    factors.append(Lit(c))
-                summands.append(chain("*", factors))
-            kname = f"K{len(k_names)}"
-            k_names[terms] = kname
-            k_stmts.append(AssignScalar(kname, chain("+", summands)))
-        parts.append(ScalarRef(kname))
-    return chain("*", parts)
+        return None if total == 1.0 else Lit(total)
+    kname = k_names.get(terms)
+    if kname is None:
+        summands = []
+        for c, jprod in terms:
+            factors = [JinvRef(a, b) for a, b in jprod]
+            if c != 1.0 or not factors:
+                factors.append(Lit(c))
+            summands.append(chain("*", factors))
+        kname = f"K{len(k_names)}"
+        k_names[terms] = kname
+        k_stmts.append(AssignScalar(kname, chain("+", summands)))
+    return ScalarRef(kname)

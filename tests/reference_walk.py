@@ -4,8 +4,10 @@
 '*', '/' and compound '+=' it performs, so its count is a dynamic one,
 independent of ``kernel._stmt_ops``.  A ``Contract`` row is walked term by
 term in row order: a multiply only where |c| is not one, a free sign where c
-is -1, and one add between terms.  Every entry of A adds its contributions
-in trip-then-statement order, the order ``interpret_batch`` keeps.
+is -1, and one add between terms.  A ``GeometryTensor`` row is walked factor
+by factor: det, then one multiply per coefficient read, then one for its
+closing factor if it has one.  Every entry of A adds its contributions in
+trip-then-statement order, the order ``interpret_batch`` keeps.
 """
 
 import operator
@@ -22,6 +24,7 @@ from formc.kernel import (
     Comment,
     Contract,
     DetRef,
+    GeometryTensor,
     IxConst,
     IxMap,
     IxVar,
@@ -96,6 +99,20 @@ def walk(k: KernelIR, geo: BatchGeometry, w) -> tuple:
                         ops += 1
                 out[b, e] = 0.0 if total is None else total
 
+        def geometry(s: GeometryTensor):
+            nonlocal ops
+            dofs, closing = s.dofs.tolist(), s.closing.tolist()
+            for r, name in enumerate(s.names):
+                g = float(geo.det[b])
+                for c, dof in zip(s.coefs, dofs[r]):
+                    g *= float(w[c][b, dof])
+                    ops += 1
+                factor = s.factors[closing[r]]
+                if factor is not None:
+                    g *= val(factor)
+                    ops += 1
+                env[name] = g
+
         def run(stmts):
             nonlocal ops
             for s in stmts:
@@ -105,6 +122,8 @@ def walk(k: KernelIR, geo: BatchGeometry, w) -> tuple:
                         run(s.body)
                 elif isinstance(s, Contract):
                     contract(s)
+                elif isinstance(s, GeometryTensor):
+                    geometry(s)
                 elif isinstance(s, AssignScalar):
                     env[s.name] = val(s.expr)
                 elif isinstance(s, AccumScalar):

@@ -293,3 +293,17 @@ def test_interpreter_keeps_each_entrys_summation_order(case):
     assert A.tobytes() == ref.tobytes()
     if len(geo.det):  # a batch of no cells performs no operation
         assert ops == count_flops(k)
+
+
+def test_division_flops_match_the_walk(compile_cached, kernel_cached):
+    # criterion 7 walks no kernel that divides: check '/' counts here
+    from test_kernel_digests import _EXTRA
+
+    sources = {"pressure_equation_2d": forms.pressure_equation()}
+    sources.update({n: _EXTRA[n] for n in ("linear_quotient_2d", "quotient_laplacian_2d")})
+    geo = affine_map([[0.2, 0.1], [1.4, 0.3], [0.4, 1.2]])
+    for name, src in sources.items():
+        cf = compile_cached(src, name)
+        k = kernel_cached(cf, "quadrature")
+        w = [np.full(e.space_dim, 1.1) for _, e in cf.typed.coefficients]
+        assert walk(k, geo, w)[1] == count_flops(k), name

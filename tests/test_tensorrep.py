@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,18 @@ import pytest
 from formc import forms, harness
 from formc.kernel import (
     AssignScalar,
+    CoefRef,
     Contract,
     DetRef,
+    GeometryTensor,
+    IxConst,
+    JinvRef,
     KernelIR,
+    Lit,
+    _stmts_json,
     affine_map,
     affine_map_batch,
+    chain,
     count_flops,
     emit_source,
     interpret,
@@ -207,6 +216,8 @@ _RNG = np.random.default_rng(3)
 def test_source_bytes_matches_emitted_length(indptr, coeffs, slots):
     k = _contract_kernel(indptr, coeffs, slots)
     assert source_bytes(k) == len(emit_source(k).encode())
+    # the unit-coefficient rule of count_flops against the operations walked
+    assert count_flops(k) == walk(k, affine_map(REF_TRI), [])[1]
 
 
 def test_source_bytes_without_contraction(compile_cached, kernel_cached):
@@ -238,3 +249,107 @@ def test_contraction_matches_quadrature(compile_cached, kernel_cached):
         Aq = interpret_batch(kq, geo, w)
         At = interpret_batch(kt, geo, w)
         assert harness.relative_max_difference(Aq, At) < 1e-10
+
+
+# Oracle for the geometry tensor: each GeometryTensor row expanded back into
+# one AssignScalar chain det*w[c][d]*...*factor must leave every output the
+# same, and the rows must be those of geometry_tensor_spec.
+
+FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
+ORACLE_SOURCES = {c.label(): c.source() for c in harness.quick_trend_cells()}
+ORACLE_SOURCES.update({p.stem: p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))})
+# Kernels over either size compare their emitted text without the Contract,
+# which both kernels share unchanged (68 MB of text for mass-2d-p3-q4-nf4),
+# and their statement records as compact JSON: kernel_to_json indents, and
+# json.dumps indents with its pure-Python encoder, about 5 s per 10^4 rows.
+ORACLE_FULL_TERMS = 50_000
+ORACLE_FULL_ROWS = 2_000
+
+
+def _expand_geometry(k: KernelIR) -> KernelIR:
+    """The kernel with each geometry block written as one AssignScalar per row."""
+    stmts = []
+    for s in k.statements:
+        if not isinstance(s, GeometryTensor):
+            stmts.append(s)
+            continue
+        for name, dofs, c in zip(s.names, s.dofs.tolist(), s.closing.tolist()):
+            parts = [DetRef()] + [CoefRef(coef, IxConst(d)) for coef, d in zip(s.coefs, dofs)]
+            if s.factors[c] is not None:
+                parts.append(s.factors[c])
+            stmts.append(AssignScalar(name, chain("*", parts)))
+    return dataclasses.replace(k, statements=tuple(stmts))
+
+
+def _jinv_sum(terms):
+    """The hoisted K expression of a row's terms."""
+    summands = []
+    for c, jprod in terms:
+        factors = [JinvRef(a, b) for a, b in jprod]
+        if c != 1.0 or not factors:
+            factors.append(Lit(c))
+        summands.append(chain("*", factors))
+    return chain("+", summands)
+
+
+def _check_rows_against_spec(k: KernelIR, cf) -> None:
+    groups: dict = {}
+    for m in cf.monomials.monomials:
+        groups.setdefault(m.signature(), []).append(m)
+    blocks = [s for s in k.statements if isinstance(s, GeometryTensor)]
+    assert len(blocks) == len(groups)
+    k_exprs = {s.name: s.expr for s in k.statements if isinstance(s, AssignScalar)}
+    first = 0
+    for block, group in zip(blocks, groups.values()):
+        spec = geometry_tensor_spec(group, cf.typed)
+        assert block.names == tuple(f"G{first + r}" for r in range(len(spec)))
+        first += len(spec)
+        dofs, closing = block.dofs.tolist(), block.closing.tolist()
+        for r, (reads, terms) in enumerate(spec):
+            assert tuple(zip(block.coefs, dofs[r])) == reads, r
+            factor = block.factors[closing[r]]
+            if all(not jprod for _, jprod in terms):
+                total = sum(c for c, _ in terms)
+                assert factor == (None if total == 1.0 else Lit(total)), r
+            else:
+                assert k_exprs[factor.name] == _jinv_sum(terms), r
+
+
+def _without_contract(k: KernelIR) -> KernelIR:
+    stmts = tuple(s for s in k.statements if not isinstance(s, Contract))
+    return dataclasses.replace(k, statements=stmts)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SOURCES))
+def test_geometry_tensor_matches_expanded_chains(name, compile_cached):
+    cf = compile_cached(ORACLE_SOURCES[name], name)
+    if any(m.denominators for m in cf.monomials.monomials):
+        with pytest.raises(UnsupportedDivision):
+            harness.tensor_kernel(cf)
+        return
+    k = harness.tensor_kernel(cf)
+    old = _expand_geometry(k)
+    assert any(isinstance(s, GeometryTensor) for s in k.statements)
+    _check_rows_against_spec(k, cf)
+    assert count_flops(k) == count_flops(old)
+    assert source_bytes(k) == source_bytes(old)
+    geo = affine_map_batch(harness.random_cells(cf.cell, 3, 5))
+    w = harness.random_coefficients(cf, 3, 6)
+    assert interpret_batch(k, geo, w).tobytes() == interpret_batch(old, geo, w).tobytes()
+    if k.meta["n_terms"] <= ORACLE_FULL_TERMS and len(old.statements) <= ORACLE_FULL_ROWS:
+        assert emit_source(k) == emit_source(old)
+        assert kernel_to_json(k) == kernel_to_json(old)
+    else:
+        k, old = _without_contract(k), _without_contract(old)
+        assert emit_source(k) == emit_source(old)
+        records = [json.dumps(_stmts_json(x.statements), sort_keys=True) for x in (k, old)]
+        assert records[0] == records[1]
+
+
+def test_geometry_tensor_is_one_statement(compile_cached):
+    cf = compile_cached(harness.TrendCell("mass", 2, 3, 1, 4).source(), "mass-2d-p3-q1-nf4")
+    k = harness.tensor_kernel(cf)
+    (block,) = [s for s in k.statements if isinstance(s, GeometryTensor)]
+    assert len(block.names) == 10_000 and block.dofs.shape == (10_000, 4)
+    # a handful of statements around the 10^4 geometry rows, not one per row
+    assert len(k.statements) <= 5
