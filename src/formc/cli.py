@@ -4,7 +4,8 @@ Exit codes: 0 on success, 2 when the arguments or the front end reject a
 form or its file cannot be read as UTF-8 text, or the requested
 representation or the assembly cannot build it (division or a
 quadrature-only flag under tensor, a term, entry or quadrature-point budget
-exceeded, a linear form or a non-triangle form under assemble), or when
+exceeded, a linear form or a non-triangle form under assemble), when
+``check --cells`` exceeds ``harness.MAX_CHECK_CELLS``, or when
 ``compile --emit`` cannot write its directory or file, 3 when a cross-check
 exceeds its tolerance.
 """

@@ -87,27 +87,3 @@ def vector_poisson_div(q: int, n_f: int = 1, p: int = 1, dim: int = 2) -> str:
     lines.append(f"a = {factor}dot(grad(v), grad(u))*dx")
     return "\n".join(lines) + "\n"
 
-
-def pressure_equation() -> str:
-    """The coefficient-heavy stabilised pressure form (2D, with division)."""
-    lines = [
-        'scalar_p = FiniteElement("Lagrange", "triangle", 2)',
-        'scalar = FiniteElement("Lagrange", "triangle", 1)',
-        'dscalar = FiniteElement("Discontinuous Lagrange", "triangle", 0)',
-        'vector = VectorElement("Discontinuous Lagrange", "triangle", 1)',
-        "q = TestFunction(scalar_p)",
-        "p = TrialFunction(scalar_p)",
-    ]
-    lines += [f"f{k} = Function(scalar)" for k in range(7)]
-    lines += [f"g{k} = Function(dscalar)" for k in range(8)]
-    lines += [f"u{k} = Function(vector)" for k in range(3)]
-    lines += [
-        "Sgu = mult(g0, u0) + mult(g1, u1) + mult(g2, u2)",
-        "S = g6*(1 - g5)*(f1/f2 + f3/f4 + f5/f6)",
-        "a_0 = q*g3*f0*g2/g4*p - q*(1 - g5)*dot(Sgu, grad(p)) - S*dot(grad(q), grad(p))",
-        "a_1 = g7*dot(Sgu, grad(q))*g3*f0*g2/g4*p"
-        " - g7*dot(Sgu, grad(q))*(1 - g5)*dot(Sgu, grad(p))"
-        " + g7*dot(Sgu, grad(q))*S*div(grad(p))",
-        "a = (a_0 + a_1)*dx",
-    ]
-    return "\n".join(lines) + "\n"

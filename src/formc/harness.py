@@ -18,6 +18,7 @@ import numpy as np
 from . import dsl, forms, lowering, quadrep, tensorrep
 from .elements import FiniteElement, ReferenceCell, lattice_sites, reference_cell
 from .kernel import (
+    BatchGeometry,
     KernelIR,
     affine_map_batch,
     count_flops,
@@ -32,8 +33,8 @@ from .tensorrep import DEFAULT_TERM_BUDGET
 DEFAULT_BENCH_N = 10_000
 ASSEMBLY_ENTRY_BUDGET = 20_000_000  # cells x local test dofs x local trial dofs
 INTERPRET_FLOP_BUDGET = 10**9  # flops per cell of a kernel that assemble interprets
-ASSEMBLY_CHUNK = 256  # cells per interpreted batch in assemble
-BENCH_CHUNK = 200  # cells per interpreted batch in _bench
+BATCH_CELLS = 256  # cells per interpreted batch: assemble, _bench and the cross-check
+MAX_CHECK_CELLS = 100_000  # cells one cross_check may interpret
 COEF_LOW, COEF_HIGH = 0.5, 1.5  # bounded away from zero for division forms
 
 
@@ -97,7 +98,8 @@ def random_cells(cell: ReferenceCell, count: int, seed: int) -> np.ndarray:
     """Seeded affine perturbations of the reference simplex.
 
     Jacobian determinants land in [0.1, 10] with positive orientation, so
-    every generated cell passes the affine map.
+    every generated cell passes the affine map.  ``seed`` may also be a
+    numpy ``Generator``, which the cells are drawn from.
     """
     if count < 1:
         raise ValueError("need at least one cell")
@@ -117,11 +119,27 @@ def random_cells(cell: ReferenceCell, count: int, seed: int) -> np.ndarray:
 
 
 def random_coefficients(cf: CompiledForm, count: int, seed: int) -> list[np.ndarray]:
+    """One (count, n_dofs) array per coefficient; ``seed`` may be a ``Generator``."""
     rng = np.random.default_rng(seed)
     return [
         rng.uniform(COEF_LOW, COEF_HIGH, size=(count, elem.space_dim))
         for _, elem in cf.typed.coefficients
     ]
+
+
+def _cell_batches(cf: CompiledForm, n_cells: int, seed: int):
+    """(geometry, coefficients) of ``n_cells`` random cells, ``BATCH_CELLS`` at a time.
+
+    The cells come from one generator seeded ``seed``, the coefficients from
+    one seeded ``seed + 1``, so a single batch holds the inputs of
+    ``random_cells(cell, n_cells, seed)`` and
+    ``random_coefficients(cf, n_cells, seed + 1)``.
+    """
+    cells, coefs = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    for start in range(0, n_cells, BATCH_CELLS):
+        count = min(BATCH_CELLS, n_cells - start)
+        geo = affine_map_batch(random_cells(cf.cell, count, cells))
+        yield geo, random_coefficients(cf, count, coefs)
 
 
 def relative_max_difference(A: np.ndarray, B: np.ndarray) -> float:
@@ -148,19 +166,24 @@ def cross_check(
     estimate is nominal for rational integrands, so both degrees carry a
     safety shift large enough for Gauss convergence to the check tolerance).
     An explicit ``points_override`` permits deliberately inexact quadrature.
-    A tensor kernel beyond the default term budget raises MemoryError.
+    More than ``MAX_CHECK_CELLS`` cells, or a tensor kernel beyond the
+    default term budget, raises MemoryError before any cell is generated.
     """
-    geo = affine_map_batch(random_cells(cf.cell, n_cells, seed))
-    w = random_coefficients(cf, n_cells, seed + 1)
+    if n_cells > MAX_CHECK_CELLS:
+        raise MemoryError(f"{n_cells} cells exceed the cross-check maximum of {MAX_CHECK_CELLS}")
     try:
         kt = tensor_kernel(cf)
     except tensorrep.UnsupportedDivision:
         kt = None
-    return _check_kernels(cf, geo, w, None, kt, points_override)
+    return _check_kernels(cf, n_cells, seed, None, kt, points_override)
 
 
-def _check_kernels(cf, geo, w, kq, kt, points_override=None) -> CrossCheck:
+def _check_kernels(cf, n_cells, seed, kq, kt, points_override=None) -> CrossCheck:
     """The comparison of cross_check and compare; a ``kq`` of None is built here.
+
+    Both kernels run on the cells of ``_cell_batches``, one batch at a time,
+    and only the running maxima of |A - B| and |B| are kept: the result is
+    ``relative_max_difference`` of the whole tensors.
 
     Without a tensor kernel, a division form compares two quadrature
     degrees, and a polynomial form (over the term budget) compares against
@@ -170,21 +193,24 @@ def _check_kernels(cf, geo, w, kq, kt, points_override=None) -> CrossCheck:
     coefficient factor adds a loop around the accumulation, so twelve P4
     factors need 15**12 trips per point.
     """
+    mode = "quadrature-vs-tensor"
     if kt is None and any(m.denominators for m in cf.monomials.monomials):
-        kq1 = quadrature_kernel(cf, points_override, degree_shift=10)
-        kq2 = quadrature_kernel(cf, degree_shift=16)
-        A1 = interpret_batch(kq1, geo, w)
-        A2 = interpret_batch(kq2, geo, w)
-        return CrossCheck(relative_max_difference(A1, A2), "quadrature-two-degrees")
+        mode = "quadrature-two-degrees"
+        kq = quadrature_kernel(cf, points_override, degree_shift=10)
+        kt = quadrature_kernel(cf, degree_shift=16)
     if kq is None:
         kq = quadrature_kernel(cf, points_override)
-    mode = "quadrature-vs-tensor"
     if kt is None:
-        kt = quadrature_kernel(cf, degree_shift=2, zero_elimination=False)
         mode = "quadrature-vs-full-tables"
-    Aq = interpret_batch(kq, geo, w)
-    At = interpret_batch(kt, geo, w)
-    return CrossCheck(relative_max_difference(Aq, At), mode)
+        kt = quadrature_kernel(cf, degree_shift=2, zero_elimination=False)
+    diff = scale = np.float64(0.0)
+    for geo, w in _cell_batches(cf, n_cells, seed):
+        Aq = interpret_batch(kq, geo, w)
+        At = interpret_batch(kt, geo, w)
+        # np.maximum keeps a NaN
+        diff = np.maximum(diff, np.abs(Aq - At).max())
+        scale = np.maximum(scale, np.abs(At).max())
+    return CrossCheck(float(diff / max(scale, 1e-300)), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +371,10 @@ def assemble(
     verts = mesh.cell_vertices()[order]
     t_compute = 0.0
     t_insert = 0.0
-    for start in range(0, len(order), ASSEMBLY_CHUNK):
-        batch = order[start : start + ASSEMBLY_CHUNK]
+    for start in range(0, len(order), BATCH_CELLS):
+        batch = order[start : start + BATCH_CELLS]
         t0 = time.perf_counter()
-        geo = affine_map_batch(verts[start : start + ASSEMBLY_CHUNK])
+        geo = affine_map_batch(verts[start : start + BATCH_CELLS])
         w = [
             vals[m.cell_dofs[batch]]
             for m, vals in zip(coef_maps, coefficient_values)
@@ -430,14 +456,13 @@ CSV_HEADER = (
 
 
 def _bench(kernel: KernelIR, cf: CompiledForm, n: int, seed: int) -> float:
-    cells = random_cells(cf.cell, min(n, BENCH_CHUNK), seed)
-    geo = affine_map_batch(cells)
+    """Seconds to interpret ``n`` cells, one batch of random cells reused."""
+    geo = affine_map_batch(random_cells(cf.cell, min(n, BATCH_CELLS), seed))
     w = random_coefficients(cf, geo.det.shape[0], seed + 1)
-    done = 0
     t0 = time.perf_counter()
-    while done < n:
-        interpret_batch(kernel, geo, w)
-        done += geo.det.shape[0]
+    for start in range(0, n, BATCH_CELLS):
+        k = min(BATCH_CELLS, n - start)
+        interpret_batch(kernel, BatchGeometry(geo.jinv[:k], geo.det[:k]), [wc[:k] for wc in w])
     return time.perf_counter() - t0
 
 
@@ -472,9 +497,7 @@ def compare(
     except MemoryError as exc:
         tensor_error = f"MemoryError: {exc}"
 
-    geo = affine_map_batch(random_cells(cf.cell, n_cells, seed))
-    w = random_coefficients(cf, n_cells, seed + 1)
-    check = _check_kernels(cf, geo, w, kq, kt)
+    check = _check_kernels(cf, n_cells, seed, kq, kt)
 
     runtime_q = runtime_t = None
     if bench_n:

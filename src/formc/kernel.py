@@ -3,17 +3,18 @@
 A kernel is a straight-line program of constant tables, scalar assignments
 and loop nests accumulating into the element tensor A.  A tensor kernel
 holds each monomial group's geometry tensor as one ``GeometryTensor``
-statement of arrays (its rows' coefficient dofs and closing factors) and
-its unrolled contraction as one ``Contract`` statement of CSR arrays.  There
-are no conditionals, so the static flop count (loop bodies multiplied by
-extents) is the number of operations any run performs on one cell.
+statement (coefficient reads times closing factors) and its unrolled
+contraction as one ``Contract`` statement of CSR arrays over the geometry
+slots ``G{k}``.  There are no conditionals, so the static flop count (loop
+bodies multiplied by extents) is the number of operations any run performs
+on one cell.
 
 Flop convention: '+' and '*' count one each, '-' counts as '+', '/' counts
 as '*', a compound '+=' counts one, constant-table construction costs zero.
-A ``GeometryTensor`` row of f factors (det, one per coefficient read, and
-its closing factor if it has one) counts f - 1 multiplies, so a block counts
-n_rows * n_reads plus the number of its rows with a closing factor.
-Geometry (Jinv, det) is an input, never computed inside the kernel.
+A ``GeometryTensor`` of R read rows of n_reads reads and T closing factors
+counts R*T*n_reads multiplies plus R per closing factor that is set, as its
+rows ``det*w[c][d]*...*factor`` would.  Geometry (Jinv, det) is an input,
+never computed inside the kernel.
 
 The interpreter evaluates a batch of cells at once, the batch axis last,
 and where it cannot change a bit it evaluates a loop over its whole range:
@@ -27,15 +28,14 @@ and where it cannot change a bit it evaluates a loop over its whole range:
   added term by term, then runs the rest one point at a time;
 - any other loop runs one trip at a time.
 
-A geometry block multiplies all its rows at once, as (n_rows, B) arrays
-factor by factor, left to right: each row gets the products its scalar chain
-``det*w[c][d]*...*factor`` would, and a ``Contract`` reads the block's rows
-as one array.  Each entry of A still sums its contributions in
-trip-then-statement order, so results equal the trip-by-trip walk bit for
-bit.  A nest is evaluated in
-slices of its outer loop (and a point loop in slices of its points) that
-hold about ``_BLOCK_BYTES`` of values at a time.  The interpreter counts
-no operations: the tests check ``count_flops`` against a one-cell walk that
+A geometry block multiplies det by its reads once per read row, left to
+right, then by its closing factors, so each row gets the bits its scalar
+chain would; a ``Contract`` reads the blocks' rows as one array.  Each entry
+of A still sums its contributions in trip-then-statement order, so results
+equal the trip-by-trip walk bit for bit.  A nest is evaluated in slices of
+its outer loop (and a point loop in slices of its points) that hold about
+``_BLOCK_BYTES`` of values at a time.  The interpreter counts no
+operations: the tests check ``count_flops`` against a one-cell walk that
 counts each operation it performs and never calls ``_stmt_ops``.
 """
 
@@ -180,14 +180,15 @@ class AccumA:
 
 @dataclass(frozen=True, eq=False)
 class Contract:
-    """A[e] = sum_k coeffs[k] * names[slots[k]] over k in indptr[e]:indptr[e+1].
+    """A[e] = sum_k coeffs[k] * G[slots[k]] over k in indptr[e]:indptr[e+1].
 
     One CSR row per element-tensor entry; an entry without terms is zero.
-    Coefficients of magnitude one skip their multiply in flops and emitted
-    code.
+    G is the kernel's ``GeometryTensor`` rows in statement order, or in a
+    kernel without one its scalars ``G{k}``.  Coefficients of magnitude one
+    skip their multiply in flops and emitted code.
     """
 
-    names: tuple  # geometry scalars addressed by slots
+    n_slots: int
     indptr: np.ndarray  # (n_entries + 1,)
     coeffs: np.ndarray  # float64
     slots: np.ndarray  # int32
@@ -195,20 +196,21 @@ class Contract:
 
 @dataclass(frozen=True, eq=False)
 class GeometryTensor:
-    """names[r] = det * w[coefs[0]][dofs[r, 0]] * ... * factors[closing[r]], one row per r.
+    """G[first + a*T + t] = det * w[coefs[0]][reads[a, 0]] * ... * factors[t], T = len(factors).
 
-    One monomial group's geometry tensor: each row multiplies, left to
-    right, the determinant, the row's coefficient dofs, one per read column,
-    and its closing factor (a ``ScalarRef`` to a hoisted Jinv sum, a ``Lit``,
-    or None for no factor).  Its rows are read by a ``Contract`` that lists
-    them in block order.
+    One monomial group's geometry tensor: each row of coefficient dofs
+    times each closing factor (a ``ScalarRef`` to a hoisted Jinv sum, a
+    ``Lit``, or None for no factor), multiplied left to right.
     """
 
-    names: tuple  # one geometry scalar per row
+    first: int  # slot of the first row
     coefs: tuple  # coefficient number of each read column
-    dofs: np.ndarray  # (n_rows, n_reads) integer dofs
-    factors: tuple  # ScalarRef | Lit | None
-    closing: np.ndarray  # (n_rows,) index into factors
+    reads: np.ndarray  # (R, n_reads) integer dofs
+    factors: tuple  # ScalarRef | Lit | None, one per chain-rule assignment
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.reads) * len(self.factors)
 
 
 @dataclass(eq=False)
@@ -232,7 +234,7 @@ class KernelIR:
     @cached_property
     def flops(self) -> int:
         """Static '+'/'*' count, walked once per kernel: see ``count_flops``."""
-        return sum(_stmt_ops(self, s) for s in self.statements)
+        return sum(_stmt_ops(s) for s in self.statements)
 
 
 # ---------------------------------------------------------------------------
@@ -307,28 +309,27 @@ def affine_map_batch(vertices) -> BatchGeometry:
 # Flop counting
 
 
-def _expr_ops(kernel: KernelIR, expr) -> int:
+def _expr_ops(expr) -> int:
     if isinstance(expr, BinOp):
-        return 1 + _expr_ops(kernel, expr.a) + _expr_ops(kernel, expr.b)
+        return 1 + _expr_ops(expr.a) + _expr_ops(expr.b)
     return 0
 
 
-def _stmt_ops(kernel: KernelIR, stmt) -> int:
+def _stmt_ops(stmt) -> int:
     if isinstance(stmt, Loop):
-        return stmt.extent * sum(_stmt_ops(kernel, s) for s in stmt.body)
+        return stmt.extent * sum(_stmt_ops(s) for s in stmt.body)
     if isinstance(stmt, (AccumScalar, AccumA)):
-        return 1 + _expr_ops(kernel, stmt.expr)
+        return 1 + _expr_ops(stmt.expr)
     if isinstance(stmt, AssignScalar):
-        return _expr_ops(kernel, stmt.expr)
+        return _expr_ops(stmt.expr)
     if isinstance(stmt, Contract):
         # n - 1 adds per non-empty entry, one multiply per non-unit coefficient
         c = stmt.coeffs
         filled = np.count_nonzero(np.diff(stmt.indptr))
         return len(c) - int(filled) + int(np.count_nonzero(np.abs(c) != 1.0))
     if isinstance(stmt, GeometryTensor):
-        # factors - 1 multiplies per row: det, the reads, a closing factor if any
-        closes = np.array([f is not None for f in stmt.factors], bool)
-        return len(stmt.names) * len(stmt.coefs) + int(np.count_nonzero(closes[stmt.closing]))
+        closes = sum(f is not None for f in stmt.factors)
+        return stmt.n_rows * len(stmt.coefs) + len(stmt.reads) * closes
     return 0  # Comment
 
 
@@ -351,7 +352,7 @@ class _Run:
     def __init__(self, kernel, jinv, det, w):
         self.kernel = kernel
         self.env = dict(kernel.const_scalars)
-        self.blocks = {}  # first row name -> (GeometryTensor, (n_rows, B) values)
+        self.blocks = []  # (n_rows, B) values of each GeometryTensor, in statement order
         self.A = np.zeros((kernel.n_entries, det.shape[0]))  # entries x cells
         self.w = w
         self.jinv = jinv
@@ -407,35 +408,26 @@ def _eval(expr, run: _Run):
 
 def _geometry(stmt: GeometryTensor, run: _Run) -> None:
     """All rows at once, each multiplied left to right as its scalar chain would be."""
-    n_cells = run.A.shape[1]
-    values = np.broadcast_to(run.det, (len(stmt.names), n_cells))
-    for c, dofs in zip(stmt.coefs, stmt.dofs.T):
-        values = values * run.w[c].T[dofs]
+    shape = (len(stmt.reads), len(stmt.factors), run.A.shape[1])  # (R, T, B)
+    values = np.broadcast_to(run.det, (shape[0], 1, shape[2]))
+    for c, dofs in zip(stmt.coefs, stmt.reads.T):
+        values = values * run.w[c].T[dofs, None]
     if any(f is not None for f in stmt.factors):
-        table = np.ones((len(stmt.factors), n_cells))
+        table = np.ones(shape[1:])
         for row, f in zip(table, stmt.factors):
             if f is not None:
                 row[:] = _eval(f, run)
-        values = values * table[stmt.closing]  # x * 1.0 is x, bit for bit
-    run.blocks[stmt.names[0]] = (stmt, values)
-
-
-def _geometry_rows(names, run: _Run) -> np.ndarray:
-    """(len(names), B) values: a geometry block's rows at once, other names one by one."""
-    parts, i = [], 0
-    while i < len(names):
-        stmt, values = run.blocks.get(names[i], (None, None))
-        if stmt is not None and names[i : i + len(stmt.names)] == stmt.names:
-            parts.append(values)
-            i += len(stmt.names)
-        else:
-            parts.append(np.broadcast_to(run.env[names[i]], (1, run.A.shape[1])))
-            i += 1
-    return np.concatenate(parts) if parts else np.empty((0, run.A.shape[1]))
+        values = values * table  # x * 1.0 is x, bit for bit
+    run.blocks.append(np.broadcast_to(values, shape).reshape(stmt.n_rows, shape[2]))
 
 
 def _contract(stmt: Contract, run: _Run) -> None:
-    gmat = _geometry_rows(stmt.names, run)  # (names, B)
+    n_cells = run.A.shape[1]
+    rows = run.blocks or [
+        np.broadcast_to(run.env[f"G{k}"], (1, n_cells)) for k in range(stmt.n_slots)
+    ]
+    # (n_slots, B): one block is read in place, not copied
+    gmat = rows[0] if len(rows) == 1 else np.concatenate([np.empty((0, n_cells)), *rows])
     coeffs, slots = stmt.coeffs, stmt.slots
     for e, (s0, s1) in enumerate(pairwise(stmt.indptr.tolist())):
         if s1 > s0:
@@ -697,11 +689,10 @@ def _contract_rows(stmt: Contract):
 
 
 def _contract_lines(stmt: Contract, pad: str):
-    names = stmt.names
     for e, coeffs, slots in _contract_rows(stmt):
         parts = []
         for c, slot in zip(coeffs, slots):
-            body = names[slot] if abs(c) == 1.0 else f"{_fmt(abs(c))}*{names[slot]}"
+            body = f"G{slot}" if abs(c) == 1.0 else f"{_fmt(abs(c))}*G{slot}"
             if not parts:
                 parts.append(body if c >= 0 else f"-{body}")
             else:
@@ -793,20 +784,24 @@ def _closing_strs(stmt: GeometryTensor) -> list:
 
 
 def _geometry_lines(stmt: GeometryTensor, pad: str):
-    reads = [f"*w[{c}][" for c in stmt.coefs]
+    columns = [f"*w[{c}][" for c in stmt.coefs]
     closing = _closing_strs(stmt)
-    for name, dofs, k in zip(stmt.names, stmt.dofs.tolist(), stmt.closing.tolist()):
-        body = "".join(f"{r}{d}]" for r, d in zip(reads, dofs))
-        yield f"{pad}const double {name} = det{body}{closing[k]};"
+    slot = stmt.first
+    for dofs in stmt.reads.tolist():
+        body = "".join(f"{r}{d}]" for r, d in zip(columns, dofs))
+        for tail in closing:
+            yield f"{pad}const double G{slot} = det{body}{tail};"
+            slot += 1
 
 
 def _geometry_bytes(stmt: GeometryTensor, pad: str) -> int:
     """Byte length of the rows of ``_geometry_lines``, newlines included."""
-    n = len(stmt.names)
-    fixed = n * (len(f"{pad}const double  = det;") + 1) + sum(map(len, stmt.names))
-    reads = n * sum(len(f"*w[{c}][]") for c in stmt.coefs) + _digits(stmt.dofs)
-    closing = np.array([len(t) for t in _closing_strs(stmt)], int)
-    return fixed + reads + int(closing[stmt.closing].sum())
+    n, n_factors = stmt.n_rows, len(stmt.factors)
+    fixed = n * (len(f"{pad}const double G = det;") + 1)
+    names = _digits(np.arange(stmt.first, stmt.first + n))
+    reads = n * sum(len(f"*w[{c}][]") for c in stmt.coefs) + n_factors * _digits(stmt.reads)
+    closing = len(stmt.reads) * sum(map(len, _closing_strs(stmt)))
+    return fixed + names + reads + closing
 
 
 def _contract_bytes(stmt: Contract, pad: str) -> int:
@@ -821,8 +816,7 @@ def _contract_bytes(stmt: Contract, pad: str) -> int:
     n = len(stmt.indptr) - 1
     mags, inverse = np.unique(np.abs(stmt.coeffs), return_inverse=True)
     factor_len = np.array([0 if m == 1.0 else len(_fmt(m)) + 1 for m in mags.tolist()], int)
-    name_len = np.array([len(name) for name in stmt.names], int)
-    terms = int(name_len[stmt.slots].sum() + factor_len[inverse].sum())
+    terms = len(stmt.slots) + _digits(stmt.slots) + int(factor_len[inverse].sum())
     starts = stmt.indptr[:-1][np.diff(stmt.indptr) > 0]
     filled = len(starts)
     negative_leads = int(np.count_nonzero(stmt.coeffs[starts] < 0))
@@ -916,13 +910,15 @@ def _expr_json(expr):
 def _geometry_json(stmt: GeometryTensor):
     """One "assign" record per row, its product nested as a left-deep chain."""
     closing = [None if f is None else _expr_json(f) for f in stmt.factors]
-    for name, dofs, k in zip(stmt.names, stmt.dofs.tolist(), stmt.closing.tolist()):
-        expr = {"det": True}
+    slot = stmt.first
+    for dofs in stmt.reads.tolist():
+        reads = {"det": True}
         for c, d in zip(stmt.coefs, dofs):
-            expr = {"op": "*", "a": expr, "b": {"w": c, "index": {"const": d}}}
-        if closing[k] is not None:
-            expr = {"op": "*", "a": expr, "b": closing[k]}
-        yield {"assign": name, "expr": expr}
+            reads = {"op": "*", "a": reads, "b": {"w": c, "index": {"const": d}}}
+        for factor in closing:
+            expr = reads if factor is None else {"op": "*", "a": reads, "b": factor}
+            yield {"assign": f"G{slot}", "expr": expr}
+            slot += 1
 
 
 def _stmts_json(stmts) -> list:
@@ -959,7 +955,9 @@ def kernel_to_json(kernel: KernelIR) -> str:
         "coef_sizes": list(kernel.coef_sizes),
         "const_scalars": [[n, v] for n, v in kernel.const_scalars],
         "tables": {n: arr.tolist() for n, arr in kernel.tables.items()},
-        "g_slots": [n for s in kernel.statements if isinstance(s, Contract) for n in s.names],
+        "g_slots": [
+            f"G{k}" for s in kernel.statements if isinstance(s, Contract) for k in range(s.n_slots)
+        ],
         "flops": count_flops(kernel),
         "statements": _stmts_json(kernel.statements),
     }

@@ -3,11 +3,13 @@ geometry tensor, fully unrolled contraction with exact-zero dropping.
 
 Monomials that share their basis-factor structure share one reference
 tensor; their geometry products are summed inside the geometry-tensor
-entries.  Each group's geometry tensor is one ``GeometryTensor`` statement
-whose dof and closing-factor arrays are filled with numpy, row for row in
-the order of ``geometry_tensor_spec``; its Jinv sums are hoisted into ``K``
-scalars, shared across groups.  Division cannot be expressed in this
-representation and is a hard error.
+entries.  Each group's geometry tensor is one ``GeometryTensor`` statement:
+its coefficient-dof reads, one row per combination of the coefficient
+factors' dofs, times one closing factor per chain-rule assignment, which is
+the row order of ``geometry_tensor_spec``.  The groups' rows take
+consecutive geometry slots, and the closing factors' Jinv sums are hoisted
+into ``K`` scalars, shared across groups.  Division cannot be expressed in
+this representation and is a hard error.
 """
 
 from __future__ import annotations
@@ -204,23 +206,22 @@ def build_tensor_kernel(
     k_names: dict = {}
     k_stmts: list = []
     g_stmts: list = []
-    g_names: tuple = ()
+    n_slots = 0
     # (entry, coefficient, geometry slot) of every kept term, per group; the
     # empty seeds serve a form whose monomials all cancel.
     entry_ids, coeffs, slots = [np.empty(0, np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
 
     for group in groups:
         rt = reference_tensor(group, form)
-        base_slot = len(g_names)
-        g_stmts.append(_geometry_tensor(group, form, base_slot, k_names, k_stmts))
-        g_names += g_stmts[-1].names
+        g_stmts.append(_geometry_tensor(group, form, n_slots, k_names, k_stmts))
         # Axes (test, [trial,] flattened alpha), alpha row-major as in the spec.
         values = rt.values.reshape(rt.values.shape[: 2 if bilinear else 1] + (-1,))
         nz = np.nonzero(values)
         coeffs.append(values[nz])
         test_ids = rt.test_dofs[nz[0]]
         entry_ids.append(test_ids * n2 + rt.trial_dofs[nz[1]] if bilinear else test_ids)
-        slots.append(base_slot + nz[-1])
+        slots.append(n_slots + nz[-1])
+        n_slots += g_stmts[-1].n_rows
 
     # A stable sort keeps each entry's terms in group order, then in
     # reference-tensor order within a group.
@@ -234,7 +235,7 @@ def build_tensor_kernel(
     stmts.extend(k_stmts)
     stmts.extend(g_stmts)
     stmts.append(Comment("Unrolled contraction"))
-    stmts.append(Contract(g_names, indptr, coeffs, slots))
+    stmts.append(Contract(n_slots, indptr, coeffs, slots))
 
     coef_sizes = tuple(elem.space_dim for _, elem in form.coefficients)
     return KernelIR(
@@ -251,22 +252,20 @@ def build_tensor_kernel(
 
 
 def _geometry_tensor(group, form, first: int, k_names, k_stmts) -> GeometryTensor:
-    """The group's rows G{first}, G{first + 1}, ... in the order of ``geometry_tensor_spec``.
+    """The group's geometry tensor from slot ``first`` on.
 
-    Rows run over the coefficient dofs, first factor slowest, then over the
-    chain-rule assignments, each of which closes its rows with one factor.
+    Read rows run over the coefficient dofs, first factor slowest; the
+    closing factors over the chain-rule assignments.
     """
     blocks = _coef_blocks(group, form)
-    terms = _bound_terms(group, form.cell.dim)
     grids = np.meshgrid(*[dofs for _, dofs in blocks], indexing="ij")
-    reads = np.stack([g.ravel() for g in grids], axis=-1) if blocks else np.empty((1, 0), int)
-    n_rows = len(reads) * len(terms)
     return GeometryTensor(
-        names=tuple(f"G{first + r}" for r in range(n_rows)),
+        first=first,
         coefs=tuple(coef for coef, _ in blocks),
-        dofs=np.repeat(reads, len(terms), axis=0),
-        factors=tuple(_closing_factor(t, k_names, k_stmts) for t in terms),
-        closing=np.tile(np.arange(len(terms)), len(reads)),
+        reads=np.stack([g.ravel() for g in grids], axis=-1) if blocks else np.empty((1, 0), int),
+        factors=tuple(
+            _closing_factor(t, k_names, k_stmts) for t in _bound_terms(group, form.cell.dim)
+        ),
     )
 
 

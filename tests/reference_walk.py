@@ -4,9 +4,10 @@
 '*', '/' and compound '+=' it performs, so its count is a dynamic one,
 independent of ``kernel._stmt_ops``.  A ``Contract`` row is walked term by
 term in row order: a multiply only where |c| is not one, a free sign where c
-is -1, and one add between terms.  A ``GeometryTensor`` row is walked factor
-by factor: det, then one multiply per coefficient read, then one for its
-closing factor if it has one.  Every entry of A adds its contributions in
+is -1, and one add between terms; slot k is the scalar ``G{k}``.  A
+``GeometryTensor`` row (read row a, closing factor t) is walked factor by
+factor: det, then one multiply per coefficient read, then one for its
+closing factor if that is set.  Every entry of A adds its contributions in
 trip-then-statement order, the order ``interpret_batch`` keeps.
 """
 
@@ -84,7 +85,7 @@ def walk(k: KernelIR, geo: BatchGeometry, w) -> tuple:
             for e in range(len(indptr) - 1):
                 total = None
                 for t in range(indptr[e], indptr[e + 1]):
-                    c, g = coeffs[t], env[s.names[slots[t]]]
+                    c, g = coeffs[t], env[f"G{slots[t]}"]
                     if c == 1.0:
                         term = g
                     elif c == -1.0:
@@ -101,17 +102,18 @@ def walk(k: KernelIR, geo: BatchGeometry, w) -> tuple:
 
         def geometry(s: GeometryTensor):
             nonlocal ops
-            dofs, closing = s.dofs.tolist(), s.closing.tolist()
-            for r, name in enumerate(s.names):
-                g = float(geo.det[b])
-                for c, dof in zip(s.coefs, dofs[r]):
-                    g *= float(w[c][b, dof])
-                    ops += 1
-                factor = s.factors[closing[r]]
-                if factor is not None:
-                    g *= val(factor)
-                    ops += 1
-                env[name] = g
+            slot = s.first
+            for dofs in s.reads.tolist():
+                for factor in s.factors:
+                    g = float(geo.det[b])
+                    for c, dof in zip(s.coefs, dofs):
+                        g *= float(w[c][b, dof])
+                        ops += 1
+                    if factor is not None:
+                        g *= val(factor)
+                        ops += 1
+                    env[f"G{slot}"] = g
+                    slot += 1
 
         def run(stmts):
             nonlocal ops

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from formc import forms
+from formc import forms, harness
 from formc.cli import main
 from formc.elements import MAX_DEGREE
 from formc.quadrature import MAX_POINTS_PER_DIRECTION
@@ -77,6 +77,18 @@ def test_check_ok_and_failure(form_files, capsys):
     rc = main(["check", form_files["mass_2d_q2"], "--cells", "5", "--points", "1"])
     out = capsys.readouterr().out
     assert rc == 3 and "FAILED" in out
+
+
+def test_check_rejects_too_many_cells(tmp_path, capsys):
+    # rejected before the kernels are built or any cell is generated
+    path = tmp_path / "mass-2d-p3-q1-nf4.form"
+    path.write_text(harness.TrendCell("mass", 2, 3, 1, 4).source())
+    t0 = time.perf_counter()
+    rc = main(["check", str(path), "--cells", str(harness.MAX_CHECK_CELLS + 1)])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert rc == 2 and elapsed < 2.0
+    assert f"maximum of {harness.MAX_CHECK_CELLS}" in err and len(err.splitlines()) == 1
 
 
 def test_check_division_form(form_files, capsys):

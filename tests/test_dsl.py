@@ -153,7 +153,7 @@ def test_typecheck_weighted_laplacian():
 
 
 def test_typecheck_pressure_equation_coefficients():
-    typed = typecheck(parse_source(forms.pressure_equation()))
+    typed = typecheck(parse_source(FORM_FILES["pressure_equation_2d"]))
     assert typed.arity == 2
     names = [n for n, _ in typed.coefficients]
     assert len(names) == 18

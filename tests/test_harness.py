@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from formc import forms, harness
 from formc.elements import TETRAHEDRON, TRIANGLE, FiniteElement, lattice_sites
 from formc.kernel import affine_map, affine_map_batch, emit_source, source_bytes
+
+FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
+PRESSURE_EQUATION = (FORMS_DIR / "pressure_equation_2d.form").read_text()
 
 
 def test_unit_square_mesh_counts():
@@ -152,10 +156,44 @@ def test_cross_check_modes(compile_cached):
     chk = harness.cross_check(cf, n_cells=10, seed=0)
     assert chk.mode == "quadrature-vs-tensor"
     assert chk.max_relative_difference < 1e-12
-    cfp = compile_cached(forms.pressure_equation(), "pressure")
+    cfp = compile_cached(PRESSURE_EQUATION, "pressure")
     chk = harness.cross_check(cfp, n_cells=5, seed=0)
     assert chk.mode == "quadrature-two-degrees"
     assert chk.max_relative_difference < 1e-8
+
+
+def test_cross_check_of_one_batch_sees_the_seeded_cells(compile_cached):
+    cf = compile_cached(forms.weighted_laplacian(2, 2), "wl22")
+    n = harness.BATCH_CELLS
+    geo = affine_map_batch(harness.random_cells(cf.cell, n, 3))
+    w = harness.random_coefficients(cf, n, 4)
+    Aq = harness.interpret_batch(harness.quadrature_kernel(cf), geo, w)
+    At = harness.interpret_batch(harness.tensor_kernel(cf), geo, w)
+    chk = harness.cross_check(cf, n_cells=n, seed=3)
+    assert chk.max_relative_difference == harness.relative_max_difference(Aq, At)
+
+
+def test_cross_check_over_several_batches(compile_cached):
+    for src, name in [(forms.weighted_laplacian(2, 2), "wl22"), (PRESSURE_EQUATION, "pressure")]:
+        cf = compile_cached(src, name)
+        chk = harness.cross_check(cf, n_cells=2 * harness.BATCH_CELLS + 1, seed=5)
+        tol = 1e-8 if chk.mode == "quadrature-two-degrees" else 1e-10
+        assert 0.0 < chk.max_relative_difference <= tol, name
+
+
+def test_bench_interprets_exactly_n_cells(compile_cached, monkeypatch):
+    cf = compile_cached(forms.mass(2, 1), "mass21")
+    k = harness.quadrature_kernel(cf)
+    batches = []
+    interpret = harness.interpret_batch
+
+    def counting(kernel, geo, w):
+        batches.append(len(geo.det))
+        return interpret(kernel, geo, w)
+
+    monkeypatch.setattr(harness, "interpret_batch", counting)
+    harness._bench(k, cf, 2 * harness.BATCH_CELLS + 88, 0)
+    assert batches == [harness.BATCH_CELLS, harness.BATCH_CELLS, 88]
 
 
 def test_compare_report_and_csv():
@@ -167,7 +205,7 @@ def test_compare_report_and_csv():
     assert row.split(",")[0] == "mass"
     assert len(row.split(",")) == len(harness.CSV_HEADER.split(","))
 
-    rej = harness.compare(forms.pressure_equation(), "pressure", n_cells=5)
+    rej = harness.compare(PRESSURE_EQUATION, "pressure", n_cells=5)
     assert rej.flops_t is None and rej.ratio is None
     assert rej.tensor_error and "UnsupportedDivision" in rej.tensor_error
     fields = rej.csv_row().split(",")
@@ -188,9 +226,7 @@ def test_full_tables_check_catches_an_underestimated_degree(compile_cached):
     # the comparison kernel two degrees above the (lowered) estimate does not
     cf = compile_cached(forms.elasticity(2, 2), "el22")
     low = dataclasses.replace(cf, degree=cf.degree - 2)
-    geo = affine_map_batch(harness.random_cells(cf.cell, 5, 0))
-    w = harness.random_coefficients(low, 5, 1)
-    check = harness._check_kernels(low, geo, w, None, None)
+    check = harness._check_kernels(low, 5, 0, None, None)
     assert check.mode == "quadrature-vs-full-tables"
     assert check.max_relative_difference > 0.5
 

@@ -119,7 +119,6 @@ def monomial_sources() -> dict:
     out.update({c.label(): c.source() for c in harness.full_trend_cells(include_3d=True)})
     out.update(
         {
-            "pressure_equation": forms.pressure_equation(),
             "gradf2_p2_2d": _gradf2("triangle"),
             "gradf2_p2_3d": _gradf2("tetrahedron"),
             "laplacian_gradients_p2_2d": _LAPLACIAN_GRADIENTS,

@@ -1,4 +1,5 @@
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from formc.lowering import (
     resolve,
     simplify,
 )
+
+FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
+PRESSURE_EQUATION = (FORMS_DIR / "pressure_equation_2d.form").read_text()
 
 # ---------------------------------------------------------------------------
 # An independent pointwise oracle: exact multivariate polynomials plus
@@ -227,7 +231,7 @@ ORACLE_FORMS = [
     ("mass_premult", forms.mass(2, 1, n_f=2, p=1)),
     ("elasticity2", forms.elasticity(2, 1)),
     ("vpdiv", forms.vector_poisson_div(1, 1, 1)),
-    ("pressure", forms.pressure_equation()),
+    ("pressure", PRESSURE_EQUATION),
     (
         "grad_of_quotient",
         'element = FiniteElement("Lagrange", "triangle", 2)\n'
@@ -368,7 +372,7 @@ def test_degree_estimates():
         (forms.mass(2, 1), 2),
         (forms.weighted_laplacian(3, 3), 7),
         (forms.mass(2, 2, n_f=2, p=3), 10),
-        (forms.pressure_equation(), 5),
+        (PRESSURE_EQUATION, 5),
     ]
     for source, expected in cases:
         ms = lower(typecheck(parse_source(source)))

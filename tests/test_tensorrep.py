@@ -16,6 +16,7 @@ from formc.kernel import (
     JinvRef,
     KernelIR,
     Lit,
+    ScalarRef,
     _stmts_json,
     affine_map,
     affine_map_batch,
@@ -37,6 +38,7 @@ from reference_walk import walk
 from test_cli import _HEAVY_P3
 
 REF_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 
 
 def test_mass_reference_tensor(compile_cached):
@@ -90,7 +92,7 @@ def test_premultiplied_geometry_tensor(compile_cached):
 
 
 def test_unsupported_division(compile_cached):
-    cf = compile_cached(forms.pressure_equation(), "pressure")
+    cf = compile_cached((FORMS_DIR / "pressure_equation_2d.form").read_text(), "pressure")
     with pytest.raises(UnsupportedDivision):
         build_tensor_kernel(cf.monomials)
     divided = [m for m in cf.monomials.monomials if m.denominators]
@@ -147,7 +149,7 @@ def test_multilinearity_exact(compile_cached, kernel_cached):
 def _contract_kernel(indptr, coeffs, slots):
     names = ("G0", "G1", "G2", "G3")
     contract = Contract(
-        names,
+        len(names),
         np.array(indptr),
         np.array(coeffs, dtype=float),
         np.array(slots, dtype=np.int32),
@@ -255,7 +257,6 @@ def test_contraction_matches_quadrature(compile_cached, kernel_cached):
 # one AssignScalar chain det*w[c][d]*...*factor must leave every output the
 # same, and the rows must be those of geometry_tensor_spec.
 
-FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 ORACLE_SOURCES = {c.label(): c.source() for c in harness.quick_trend_cells()}
 ORACLE_SOURCES.update({p.stem: p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))})
 # Kernels over either size compare their emitted text without the Contract,
@@ -273,11 +274,12 @@ def _expand_geometry(k: KernelIR) -> KernelIR:
         if not isinstance(s, GeometryTensor):
             stmts.append(s)
             continue
-        for name, dofs, c in zip(s.names, s.dofs.tolist(), s.closing.tolist()):
-            parts = [DetRef()] + [CoefRef(coef, IxConst(d)) for coef, d in zip(s.coefs, dofs)]
-            if s.factors[c] is not None:
-                parts.append(s.factors[c])
-            stmts.append(AssignScalar(name, chain("*", parts)))
+        for a, dofs in enumerate(s.reads.tolist()):
+            reads = [DetRef()] + [CoefRef(coef, IxConst(d)) for coef, d in zip(s.coefs, dofs)]
+            for t, factor in enumerate(s.factors):
+                parts = reads if factor is None else reads + [factor]
+                slot = s.first + a * len(s.factors) + t
+                stmts.append(AssignScalar(f"G{slot}", chain("*", parts)))
     return dataclasses.replace(k, statements=tuple(stmts))
 
 
@@ -302,12 +304,13 @@ def _check_rows_against_spec(k: KernelIR, cf) -> None:
     first = 0
     for block, group in zip(blocks, groups.values()):
         spec = geometry_tensor_spec(group, cf.typed)
-        assert block.names == tuple(f"G{first + r}" for r in range(len(spec)))
+        assert block.first == first and block.n_rows == len(spec)
         first += len(spec)
-        dofs, closing = block.dofs.tolist(), block.closing.tolist()
+        dofs, n_factors = block.reads.tolist(), len(block.factors)
         for r, (reads, terms) in enumerate(spec):
-            assert tuple(zip(block.coefs, dofs[r])) == reads, r
-            factor = block.factors[closing[r]]
+            a, t = divmod(r, n_factors)
+            assert tuple(zip(block.coefs, dofs[a])) == reads, r
+            factor = block.factors[t]
             if all(not jprod for _, jprod in terms):
                 total = sum(c for c, _ in terms)
                 assert factor == (None if total == 1.0 else Lit(total)), r
@@ -350,6 +353,55 @@ def test_geometry_tensor_is_one_statement(compile_cached):
     cf = compile_cached(harness.TrendCell("mass", 2, 3, 1, 4).source(), "mass-2d-p3-q1-nf4")
     k = harness.tensor_kernel(cf)
     (block,) = [s for s in k.statements if isinstance(s, GeometryTensor)]
-    assert len(block.names) == 10_000 and block.dofs.shape == (10_000, 4)
+    assert block.n_rows == 10_000 and block.reads.shape == (10_000, 4)
     # a handful of statements around the 10^4 geometry rows, not one per row
     assert len(k.statements) <= 5
+
+
+def _hand_built_blocks() -> KernelIR:
+    """Two blocks: G0 = det*K0 without reads, then G1 ... G12 from slot one on.
+
+    The second block has 4 read rows times 3 closing factors (none, a
+    literal and a hoisted K), so its slots cross from one digit to two.
+    """
+    k0 = AssignScalar("K0", chain("+", [chain("*", [JinvRef(0, 0), JinvRef(1, 1)]), Lit(0.25)]))
+    lone = GeometryTensor(0, (), np.empty((1, 0), int), (ScalarRef("K0"),))
+    reads = np.array([[0, 2], [1, 0], [2, 1], [0, 0]])
+    block = GeometryTensor(1, (0, 1), reads, (None, Lit(0.5), ScalarRef("K0")))
+    contract = Contract(
+        13,
+        np.array([0, 5, 5, 13]),
+        np.array([1.0, -0.75, 2.0, -1.0, 3.5, 0.125, -1.0, 1.0, 4.0, -2.5, 1.0, 0.5, -3.0]),
+        np.array([0, 3, 10, 12, 7, 1, 2, 4, 5, 6, 8, 9, 11], dtype=np.int32),
+    )
+    return KernelIR(
+        name="blocks",
+        representation="tensor",
+        shape=(3,),
+        dim=2,
+        coef_sizes=(3, 3),
+        const_scalars=(),
+        tables={},
+        statements=(k0, lone, block, contract),
+    )
+
+
+def test_hand_built_geometry_blocks():
+    k = _hand_built_blocks()
+    old = _expand_geometry(k)
+    assert [s.name for s in old.statements[1:-1]] == [f"G{r}" for r in range(13)]
+    # K0: 2; G0: one closing multiply; G1..G12: 2 reads each, plus 4 rows
+    # for each of the 2 factors that are set; the contraction: 11 adds, 8 multiplies
+    assert count_flops(k) == 2 + 1 + (12 * 2 + 4 * 2) + (11 + 8) == count_flops(old)
+    text = emit_source(k)
+    assert source_bytes(k) == len(text.encode())
+    assert "  const double G7 = det*w[0][2]*w[1][1];\n" in text
+    assert "  const double G8 = det*w[0][2]*w[1][1]*0.5;\n" in text
+    assert "  const double G12 = det*w[0][0]*w[1][0]*K0;\n" in text
+    assert text == emit_source(old) and kernel_to_json(k) == kernel_to_json(old)
+    cells = harness.random_cells(harness.reference_cell("triangle"), 4, 9)
+    geo = affine_map_batch(cells)
+    rng = np.random.default_rng(10)
+    w = [rng.uniform(0.5, 1.5, (4, 3)) for _ in range(2)]
+    assert interpret_batch(k, geo, w).tobytes() == interpret_batch(old, geo, w).tobytes()
+    assert walk(k, affine_map(cells[0]), [wc[0] for wc in w])[1] == count_flops(k)
