@@ -99,22 +99,32 @@ def random_cells(cell: ReferenceCell, count: int, seed: int) -> np.ndarray:
 
     Jacobian determinants land in [0.1, 10] with positive orientation, so
     every generated cell passes the affine map.  ``seed`` may also be a
-    numpy ``Generator``, which the cells are drawn from.
+    numpy ``Generator``, which the cells are drawn from.  A cell draws d
+    rows of d Jacobian entries until their determinant is in range, then a
+    row of d offsets.  Draws are tested in blocks, and leave the generator
+    as one-by-one draws would.
     """
     if count < 1:
         raise ValueError("need at least one cell")
     rng = np.random.default_rng(seed)
     d = cell.dim
-    ref = cell.vertices
     out = np.empty((count, d + 1, d))
-    for k in range(count):
-        while True:
-            J = rng.uniform(-1.6, 1.6, size=(d, d))
-            det = np.linalg.det(J)
-            if 0.1 <= det <= 10.0:
-                break
-        v0 = rng.uniform(-1.0, 1.0, size=d)
-        out[k] = v0 + ref @ J.T
+    u, n = np.empty((0, d)), 0  # u: the drawn rows not used yet
+    while n < count:
+        # the least the cells left use, so no double is drawn that one-by-one draws would not
+        u = np.concatenate([u, rng.random(((count - n) * (d + 1) - len(u), d))])
+        x = -1.6 + 3.2 * u  # rng.uniform(-1.6, 1.6), double for double
+        J = np.stack([x[i : len(x) - d + 1 + i] for i in range(d)], axis=1)  # J[k] = x[k:k+d]
+        ok = [0.1 <= det <= 10.0 for det in np.linalg.det(J).tolist()]
+        taken, k = [], 0  # the first rows of the accepted Jacobians, and the rows used
+        while k + d < len(u):
+            if ok[k]:
+                taken.append(k)
+            k += d + 1 if ok[k] else d
+        at = np.array(taken, dtype=np.intp)
+        v0 = -1.0 + 2.0 * u[at + d]  # rng.uniform(-1.0, 1.0)
+        out[n : n + len(at)] = v0[:, None] + cell.vertices @ J[at].transpose(0, 2, 1)
+        n, u = n + len(at), u[k:]
     return out
 
 

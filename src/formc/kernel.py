@@ -30,19 +30,27 @@ and where it cannot change a bit it evaluates a loop over its whole range:
 
 A geometry block multiplies det by its reads once per read row, left to
 right, then by its closing factors, so each row gets the bits its scalar
-chain would; a ``Contract`` reads the blocks' rows as one array.  Each entry
-of A still sums its contributions in trip-then-statement order, so results
-equal the trip-by-trip walk bit for bit.  A nest is evaluated in slices of
-its outer loop (and a point loop in slices of its points) that hold about
+chain would; a ``Contract`` reads the blocks' rows as one array and runs
+one stacked product per term count.  Each entry of A still sums its
+contributions in trip-then-statement order, so results equal the
+trip-by-trip walk bit for bit.  A nest is evaluated in slices of its outer
+loop (and a point loop in slices of its points) that hold about
 ``_BLOCK_BYTES`` of values at a time.  The interpreter counts no
 operations: the tests check ``count_flops`` against a one-cell walk that
 counts each operation it performs and never calls ``_stmt_ops``.
+
+A kernel's first call plans what does not depend on the cells and keeps it
+on the kernel (``KernelIR._plan``): how each loop runs, each ``Contract``'s
+entries grouped by term count, and per slice bounds the scatter plan of a
+nest whose indices read only its own variables.  A kernel keeps at most
+``_PLAN_BYTES`` (16 MiB); a plan over it is built and dropped on every call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import pairwise
@@ -236,6 +244,10 @@ class KernelIR:
         """Static '+'/'*' count, walked once per kernel: see ``count_flops``."""
         return sum(_stmt_ops(s) for s in self.statements)
 
+    @cached_property
+    def _plan(self) -> _Plan:  # built by the first interpret_batch call
+        return _Plan(self.statements)
+
 
 # ---------------------------------------------------------------------------
 # Affine cell geometry
@@ -344,13 +356,48 @@ def count_flops(kernel: KernelIR) -> int:
 # Bytes of float64 values a vectorised loop holds at once, per slice of its
 # trips; a single trip may exceed it.
 _BLOCK_BYTES = 1 << 20
+_PLAN_BYTES = 1 << 24  # of the plans one kernel keeps: see the module docstring
+_PLAN_LOCK = threading.Lock()  # guards the kept-bytes count of every kernel
+
+
+class _Plan:
+    """One (runner, argument) step per statement but comments, each loop analysed
+    once, and the bytes ``kept`` by the scatter plans and groupings it holds."""
+
+    def __init__(self, statements):
+        self.kept = 0
+        self.steps = self.program(statements)
+
+    def program(self, stmts) -> tuple:
+        steps = []
+        for s in stmts:
+            if isinstance(s, Loop) and (nest := _perfect_nest(s)):
+                static = all(_ix_vars(t.index) <= set(nest[0]) for t in nest[2])
+                steps.append((_exec_nest, (*nest, {} if static else None)))
+            elif isinstance(s, Loop):
+                n = _scalar_prefix(s.body)
+                names = {t.name for t in s.body[:n] if isinstance(t, AssignScalar)}
+                steps.append((_exec_points, (s, s.body[:n], names, self.program(s.body[n:]))))
+            elif isinstance(s, Contract):
+                steps.append((_contract, (s, {})))
+            elif not isinstance(s, Comment):
+                steps.append((_geometry if isinstance(s, GeometryTensor) else _assign, s))
+        return tuple(steps)
+
+    def keep(self, store: dict, key, value, nbytes: int) -> None:
+        """store[key] = value, unless the kernel's plans would pass ``_PLAN_BYTES``."""
+        with _PLAN_LOCK:
+            if key not in store and self.kept + nbytes <= _PLAN_BYTES:
+                store[key] = value
+                self.kept += nbytes
 
 
 class _Run:
-    __slots__ = ("kernel", "env", "blocks", "A", "w", "jinv", "det", "cells")
+    __slots__ = ("kernel", "plan", "env", "blocks", "A", "w", "jinv", "det", "cells")
 
     def __init__(self, kernel, jinv, det, w):
         self.kernel = kernel
+        self.plan = kernel._plan  # the one plan this call reads and adds to
         self.env = dict(kernel.const_scalars)
         self.blocks = []  # (n_rows, B) values of each GeometryTensor, in statement order
         self.A = np.zeros((kernel.n_entries, det.shape[0]))  # entries x cells
@@ -358,6 +405,14 @@ class _Run:
         self.jinv = jinv
         self.det = det
         self.cells = np.arange(det.shape[0])
+
+
+def _ix_vars(ix) -> set:
+    if isinstance(ix, IxLin):
+        return set().union(*(_ix_vars(sub) for _, sub in ix.terms))
+    if isinstance(ix, IxMap):
+        return _ix_vars(ix.inner)
+    return {ix.name} if isinstance(ix, IxVar) else set()
 
 
 def _eval_ix(ix, run: _Run):
@@ -406,6 +461,16 @@ def _eval(expr, run: _Run):
     raise TypeError(f"cannot evaluate {type(expr).__name__}")
 
 
+def _assign(stmt, run: _Run) -> None:
+    val = _eval(stmt.expr, run)
+    if isinstance(stmt, AssignScalar):
+        run.env[stmt.name] = val
+    elif isinstance(stmt, AccumScalar):
+        run.env[stmt.name] = run.env[stmt.name] + val
+    else:  # AccumA
+        run.A[_eval_ix(stmt.index, run)] += val
+
+
 def _geometry(stmt: GeometryTensor, run: _Run) -> None:
     """All rows at once, each multiplied left to right as its scalar chain would be."""
     shape = (len(stmt.reads), len(stmt.factors), run.A.shape[1])  # (R, T, B)
@@ -421,49 +486,29 @@ def _geometry(stmt: GeometryTensor, run: _Run) -> None:
     run.blocks.append(np.broadcast_to(values, shape).reshape(stmt.n_rows, shape[2]))
 
 
-def _contract(stmt: Contract, run: _Run) -> None:
+def _contract(planned, run: _Run) -> None:
+    """Each entry's coeffs[s0:s1] @ G[slots[s0:s1]] by a stacked ``matmul`` per term count
+    n > 0 and chunk: the same BLAS gemv per entry, so the same bits.  Chunks of half a
+    block ran faster than whole ones on every tensor kernel of forms/."""
+    stmt, kept = planned
+    if (groups := kept.get(0)) is None:
+        lengths, groups = np.diff(stmt.indptr), []
+        for n in sorted(set(lengths.tolist()) - {0}):  # np.unique would import numpy.ma
+            entries = np.flatnonzero(lengths == n)
+            terms = stmt.indptr[entries][:, None] + np.arange(n)
+            groups.append((entries, stmt.coeffs[terms][:, None], stmt.slots[terms]))
+        run.plan.keep(kept, 0, groups, sum(a.nbytes for g in groups for a in g))
     n_cells = run.A.shape[1]
     rows = run.blocks or [
         np.broadcast_to(run.env[f"G{k}"], (1, n_cells)) for k in range(stmt.n_slots)
     ]
     # (n_slots, B): one block is read in place, not copied
     gmat = rows[0] if len(rows) == 1 else np.concatenate([np.empty((0, n_cells)), *rows])
-    coeffs, slots = stmt.coeffs, stmt.slots
-    for e, (s0, s1) in enumerate(pairwise(stmt.indptr.tolist())):
-        if s1 > s0:
-            run.A[e] = coeffs[s0:s1] @ gmat[slots[s0:s1]]
-
-
-def _exec(stmts, run: _Run) -> None:
-    env = run.env
-    for stmt in stmts:
-        if isinstance(stmt, Loop):
-            # a perfect nest at once, a point loop's scalars at once, or trip by trip
-            nest = _perfect_nest(stmt)
-            if nest is not None:
-                _exec_nest(*nest, run)
-            elif n_scalar := _scalar_prefix(stmt.body):
-                _exec_points(stmt, n_scalar, run)
-            else:
-                for trip in range(stmt.extent):
-                    env[stmt.var] = trip
-                    _exec(stmt.body, run)
-            continue
-        if isinstance(stmt, Comment):
-            continue
-        if isinstance(stmt, Contract):
-            _contract(stmt, run)
-            continue
-        if isinstance(stmt, GeometryTensor):
-            _geometry(stmt, run)
-            continue
-        val = _eval(stmt.expr, run)
-        if isinstance(stmt, AssignScalar):
-            env[stmt.name] = val
-        elif isinstance(stmt, AccumScalar):
-            env[stmt.name] = env[stmt.name] + val
-        else:  # AccumA
-            run.A[_eval_ix(stmt.index, run)] += val
+    for entries, coeffs, slots in groups:
+        step = max(1, _BLOCK_BYTES // (16 * slots.shape[1] * max(n_cells, 1)))
+        for lo in range(0, len(entries), step):
+            hi = lo + step
+            run.A[entries[lo:hi]] = np.matmul(coeffs[lo:hi], gmat[slots[lo:hi]])[:, 0]
 
 
 def _perfect_nest(loop: Loop):
@@ -481,11 +526,13 @@ def _perfect_nest(loop: Loop):
             return None
 
 
-def _exec_nest(names, extents, body, run: _Run) -> None:
+def _exec_nest(planned, run: _Run) -> None:
     """Each statement once per slice of the outer loop, every loop variable an arange.
 
-    Variable k spans axis k; the batch axis comes last.
+    Variable k spans axis k; the batch axis comes last.  ``kept`` maps slice
+    bounds to scatter plans, or is None if an index reads an outer variable.
     """
+    names, extents, body, kept = planned
     env = run.env
     n_cells = run.A.shape[1]
     depth = len(extents)
@@ -496,33 +543,34 @@ def _exec_nest(names, extents, body, run: _Run) -> None:
     for start in range(0, extents[0], step):
         stop = min(start + step, extents[0])
         env[names[0]] = np.arange(start, stop).reshape((-1,) + (1,) * depth)
-        shape = (stop - start, *extents[1:])
-        index = np.empty(shape + (len(body),), np.intp)
-        value = np.empty(shape + (len(body), n_cells))
+        shape = (stop - start, *extents[1:], len(body))
+        value = np.empty(shape + (n_cells,))
         for k, s in enumerate(body):
-            index[..., k : k + 1] = _eval_ix(s.index, run)
             value[..., k, :] = _eval(s.expr, run)
-        _scatter(run.A, index.ravel(), value.reshape(index.size, n_cells))
+        plan = None if kept is None else kept.get((start, stop))
+        if plan is None:
+            index = np.empty(shape, np.intp)
+            for k, s in enumerate(body):
+                index[..., k : k + 1] = _eval_ix(s.index, run)
+            plan = _scatter_plan(index.ravel())
+            if kept is not None:  # counted as two indices per contribution
+                run.plan.keep(kept, (start, stop), plan, 16 * index.size)
+        value = value.reshape(math.prod(shape), n_cells)
+        for targets, picks in plan:
+            run.A[targets] += value[picks]
 
 
-def _scatter(A: np.ndarray, index: np.ndarray, value: np.ndarray) -> None:
-    """A[index[k]] += value[k] for k in order, one fancy-index add per rank.
-
-    A contribution's rank is the number of earlier ones to the same entry,
-    so the entries of one rank are distinct and every entry adds its
-    contributions in list order.
-    """
+def _scatter_plan(index: np.ndarray) -> list:
+    """(targets, picks) pairs: ``A[targets] += value[picks]`` pair by pair adds each
+    value[k] to A[index[k]] in order of k.  A pair holds one rank (the number of
+    earlier contributions to the same entry), so its targets are distinct."""
     order = np.argsort(index, kind="stable")
     first = np.flatnonzero(np.diff(index[order], prepend=-1))
     if len(first) == len(index):
-        A[index] += value
-        return
+        return [(index, slice(None))]
     rank = np.arange(len(index)) - np.repeat(first, np.diff(first, append=len(index)))
     by_rank = order[np.argsort(rank, kind="stable")]
-    bounds = np.cumsum(np.bincount(rank)).tolist()
-    for lo, hi in pairwise([0, *bounds]):
-        pick = by_rank[lo:hi]
-        A[index[pick]] += value[pick]
+    return [(index[p], p) for p in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])]
 
 
 def _writes_scalars(stmts) -> bool:
@@ -565,15 +613,14 @@ def _scalar_prefix(body) -> int:
     return 0 if _writes_scalars(body[n:]) else n
 
 
-def _exec_points(loop: Loop, n_scalar: int, run: _Run) -> None:
-    """The scalar prefix for a slice of trips at once, then the rest trip by trip.
+def _exec_points(planned, run: _Run) -> None:
+    """The scalar prefix (maybe none) for a slice of trips at once, then the rest trip by trip.
 
     Reductions still add term by term over their own loop; the rest of the
     body reads each scalar at its own trip.
     """
+    loop, prefix, names, rest = planned
     env = run.env
-    prefix, rest = loop.body[:n_scalar], loop.body[n_scalar:]
-    names = {s.name for s in prefix if isinstance(s, AssignScalar)}
     n_cells = run.A.shape[1]
     step = max(1, _BLOCK_BYTES // (8 * max(n_cells * len(names), 1)))
     for start in range(0, loop.extent, step):
@@ -591,7 +638,8 @@ def _exec_points(loop: Loop, n_scalar: int, run: _Run) -> None:
         for trip in range(start, stop):
             env[loop.var] = trip
             env.update((name, v[trip - start]) for name, v in full.items())
-            _exec(rest, run)
+            for runner, arg in rest:
+                runner(arg, run)
 
 
 def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w) -> np.ndarray:
@@ -601,14 +649,15 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w) -> np.ndarray:
     and ``w`` one (B, n_dofs) array per coefficient.  Each entry of A sums
     its contributions in trip-then-statement order, as a walk of the loops
     one trip and one statement at a time would, so results are bit-identical
-    to that walk and bit-reproducible across runs; the summation order of
-    each ``Contract`` entry is that of its one matrix product.  Which loops
-    run at once, and the memory a vectorised nest holds, are set out in the
-    module docstring.  Kernels are immutable and hold no run state;
-    interpreting one kernel concurrently over disjoint batches is safe.  The
-    result is a transposed view of the (n_entries, B) tensor the interpreter
-    fills; the operations a run performs are ``count_flops`` per cell, which
-    the interpreter does not count again.
+    to that walk and bit-reproducible across runs; each ``Contract`` entry
+    sums in the order of its one BLAS gemv.  The first call plans the kernel
+    and later calls reuse the plan: the module docstring sets out what is
+    planned, which loops run at once, and the memory both hold.  A plan
+    depends on the statements alone and a lock guards its byte count, while
+    the values of a call stay in the call, so concurrent calls on one kernel
+    are safe.  The result is a transposed view of the (n_entries, B) tensor
+    the interpreter fills; the operations a run performs are ``count_flops``
+    per cell, which the interpreter does not count again.
     """
     d = kernel.dim
     if geo.det.ndim != 1 or geo.jinv.shape != (len(geo.det), d, d):
@@ -625,7 +674,8 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w) -> np.ndarray:
                 f"coefficient {c} expects shape {(n_cells, size)}, got {w[c].shape}"
             )
     run = _Run(kernel, geo.jinv, geo.det, w)
-    _exec(kernel.statements, run)
+    for runner, planned in run.plan.steps:
+        runner(planned, run)
     return run.A.T
 
 

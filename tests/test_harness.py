@@ -38,6 +38,35 @@ def test_random_cells_deterministic():
         assert 0.1 <= geo.det[0] <= 10.0
 
 
+def _random_cells_one_by_one(cell, count, rng):
+    """The draw-by-draw loop that ``random_cells`` vectorises: the oracle."""
+    d = cell.dim
+    out = np.empty((count, d + 1, d))
+    for k in range(count):
+        while True:
+            J = rng.uniform(-1.6, 1.6, size=(d, d))
+            det = np.linalg.det(J)
+            if 0.1 <= det <= 10.0:
+                break
+        v0 = rng.uniform(-1.0, 1.0, size=d)
+        out[k] = v0 + cell.vertices @ J.T
+    return out
+
+
+@pytest.mark.parametrize("cell", [TRIANGLE, TETRAHEDRON], ids=["2d", "3d"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_random_cells_match_one_by_one_draws(cell, seed):
+    assert harness.random_cells(cell, 5, seed).tobytes() == (
+        _random_cells_one_by_one(cell, 5, np.random.default_rng(seed)).tobytes()
+    )
+    # one shared generator, as _cell_batches draws its batches: same cells, same state
+    shared, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for count in (1, 2, 3, 256, 1000, 1):
+        cells = harness.random_cells(cell, count, shared)
+        assert cells.tobytes() == _random_cells_one_by_one(cell, count, oracle).tobytes()
+        assert shared.bit_generator.state == oracle.bit_generator.state
+
+
 def test_dofmap_counts():
     mesh = harness.unit_square_mesh(1)
     assert harness.build_dofmap(mesh, FiniteElement("Lagrange", TRIANGLE, 1)).n_global == 4

@@ -12,6 +12,12 @@ interpreted kernel is also run on its first cell by the reference walk
 (``reference_walk.py``): the walk's element tensor must equal the
 interpreter's, bit for bit for quadrature kernels and to 1e-12 relative for
 tensor ones, and the operations it counts must equal the static count.
+The tensor interpreter's bits follow the BLAS gemv that numpy's ``matmul``
+runs for each entry: with OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernels) a
+left-to-right sum of n terms differs from ``c @ M`` in nearly every random
+draw for each n from 2 to 7 tried.  That is why the walk is held to 1e-12
+there, and why the interpreter's contraction, grouped by term count, still
+runs one gemv per entry.
 Un-hoisted kernels evaluate their inline products once per innermost
 trip; the cap leaves out the three that would take the interpreter longest
 (``pressure_equation_2d`` in both zero settings,
