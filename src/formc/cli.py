@@ -168,7 +168,7 @@ def cmd_assemble(args) -> int:
         f" sum={matrix.total():.12g}"
     )
     print(
-        f"timings[s]: structure={timings['structure']:.4g}"
+        f"timings[s]: structure={timings['structure']:.4g} (dofmap={timings['dofmap']:.4g})"
         f" compute={timings['compute']:.4g} insertion={timings['insertion']:.4g}"
         f" (insertion {timings['insertion_mode']})"
     )

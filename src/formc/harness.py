@@ -4,8 +4,9 @@ Element kernels are interpreted (vectorised over cell batches) rather than
 compiled natively, so absolute runtimes are not comparable to compiled code;
 flop counts are exact and representation-relative comparisons remain
 meaningful.  Benchmarking and assembly run single-threaded.  The CSR
-pattern comes from one sort of the (row, column) keys of all cells; insertion
-stays serial, adding each cell's entries in cell order.
+pattern comes from one sort of the (row, column) keys of the scalar spaces,
+expanded by component blocks; insertion stays serial, adding each cell's
+entries in cell order.
 """
 
 from __future__ import annotations
@@ -317,13 +318,43 @@ class SparseMatrix:
 
 
 def _build_structure(rows_map: DofMap, cols_map: DofMap) -> tuple[SparseMatrix, np.ndarray]:
-    """CSR pattern from one sort of the keys row*n_cols + col; also each local entry's slot."""
-    n_cols = cols_map.n_global
-    coo = rows_map.cell_dofs[:, :, None] * n_cols + cols_map.cell_dofs[:, None, :]
-    keys, slots = np.unique(coo.ravel(), return_inverse=True)
-    indptr = np.searchsorted(keys, np.arange(rows_map.n_global + 1) * n_cols)
-    matrix = SparseMatrix(rows_map.n_global, n_cols, indptr, keys % n_cols, np.zeros(len(keys)))
-    return matrix, slots.reshape(rows_map.cell_dofs.shape[0], -1)
+    """CSR pattern and each local entry's slot, from the pattern of the scalar spaces.
+
+    A dofmap of d components is a component-major block of its scalar map,
+    its first n_local/d columns, so one sort of the scalar keys
+    row*n_cols + col gives the scalar pattern, and the pattern of the
+    d_r x d_c component blocks is written from it: row (ca, r) holds, for
+    each cb, the columns of scalar row r shifted by cb * n_scalar_cols.  A
+    scalar space is the 1 x 1 case.
+    """
+    dr, dc = rows_map.element.value_dim, cols_map.element.value_dim
+    n_rows, n_cols = rows_map.n_global // dr, cols_map.n_global // dc  # scalar spaces
+    n_cells, n_local = rows_map.cell_dofs.shape
+    rows = rows_map.cell_dofs[:, : n_local // dr]
+    cols = cols_map.cell_dofs[:, : cols_map.cell_dofs.shape[1] // dc]
+    coo = rows[:, :, None] * n_cols + cols[:, None, :]
+    keys, scalar_slots = np.unique(coo.ravel(), return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+    nnz, length = len(keys), np.diff(indptr)
+    # the rows of component ca start at starts[ca]; in them, scalar entry s of row r,
+    # shifted into column block cb, sits at s + offset[cb, r]
+    starts = np.arange(dr) * dc * nnz
+    comps = np.arange(dc)[:, None]
+    offset = (dc - 1) * indptr[:-1] + comps * length
+    block_indices = np.empty(dc * nnz, dtype=keys.dtype)
+    at = np.arange(nnz) + np.repeat(offset, length, axis=1)
+    block_indices[at] = keys % n_cols + comps * n_cols
+    matrix = SparseMatrix(
+        dr * n_rows,
+        dc * n_cols,
+        np.append(starts[:, None] + dc * indptr[:-1], dr * dc * nnz),
+        np.tile(block_indices, dr),
+        np.zeros(dr * dc * nnz),
+    )
+    # local entry (ca, a, cb, b) of a cell, in the order of its flattened element tensor
+    cell_offset = offset.T[rows][:, None, :, :, None] + starts[:, None, None, None]
+    slots = scalar_slots.reshape(n_cells, 1, rows.shape[1], 1, cols.shape[1]) + cell_offset
+    return matrix, slots.reshape(n_cells, -1)
 
 
 def check_assembly(cf: CompiledForm, cell: ReferenceCell, n_cells: int) -> None:
@@ -351,11 +382,13 @@ def assemble(
 ):
     """Assemble the global sparse matrix; returns (matrix, timings).
 
-    Two phases: structure initialisation from dof adjacency, then batched
-    kernel evaluation (timed as "compute") and serial insertion, in cell
-    order, into the fixed structure (timed as "insertion").  A kernel of
-    more than ``INTERPRET_FLOP_BUDGET`` flops per cell raises MemoryError
-    before anything is built.
+    Two phases: structure initialisation from dof adjacency (timed as
+    "structure", of which the dofmaps are "dofmap"), then batched kernel
+    evaluation (timed as "compute") and serial insertion, in cell order,
+    into the fixed structure (timed as "insertion").  A kernel of more than
+    ``INTERPRET_FLOP_BUDGET`` flops per cell raises MemoryError, and a
+    ``cell_order`` that is not a permutation of the cells ValueError, before
+    anything is built.
     """
     check_assembly(cf, mesh.cell, mesh.n_cells)
     flops = count_flops(kernel)
@@ -363,6 +396,12 @@ def assemble(
         raise MemoryError(
             f"kernel needs {flops} flops per cell (budget {INTERPRET_FLOP_BUDGET})"
         )
+    order = np.arange(mesh.n_cells)
+    if cell_order is not None:
+        cell_order = np.asarray(cell_order)
+        if cell_order.dtype.kind not in "iu" or not np.array_equal(np.sort(cell_order), order):
+            raise ValueError(f"cell_order is not a permutation of the {mesh.n_cells} cells")
+        order = cell_order
     typed = cf.typed
     t0 = time.perf_counter()
     rows_map = build_dofmap(mesh, typed.test_element)
@@ -372,12 +411,12 @@ def assemble(
         else build_dofmap(mesh, typed.trial_element)
     )
     coef_maps = [build_dofmap(mesh, elem) for _, elem in typed.coefficients]
+    t_dofmap = time.perf_counter() - t0
     rng = np.random.default_rng(seed)
     coefficient_values = [rng.uniform(COEF_LOW, COEF_HIGH, size=m.n_global) for m in coef_maps]
     matrix, slots = _build_structure(rows_map, cols_map)
     t_structure = time.perf_counter() - t0
 
-    order = np.arange(mesh.n_cells) if cell_order is None else np.asarray(cell_order)
     verts = mesh.cell_vertices()[order]
     t_compute = 0.0
     t_insert = 0.0
@@ -397,6 +436,7 @@ def assemble(
         t_insert += time.perf_counter() - t0
     timings = {
         "structure": t_structure,
+        "dofmap": t_dofmap,
         "compute": t_compute,
         "insertion": t_insert,
         "insertion_mode": "serial",

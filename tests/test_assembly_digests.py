@@ -26,10 +26,18 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "assembly_digests.json"
 MESH_N = 8
 
 MATRIX_CASES = {
-    f"{family}_p{q}": (family, q)
+    f"{family}_p{q}": getattr(forms, family)(2, q)
     for family in ("mass", "weighted_laplacian", "elasticity", "poisson")
     for q in (1, 2, 3)
 }
+# test and trial in different spaces: a vector P2 row space, a scalar P1 column space
+MATRIX_CASES["div_vector_p2_p1"] = (
+    'element = VectorElement("Lagrange", "triangle", 2)\n'
+    'element_p = FiniteElement("Lagrange", "triangle", 1)\n'
+    "v = TestFunction(element)\n"
+    "u = TrialFunction(element_p)\n"
+    "a = div(v)*u*dx\n"
+)
 DOFMAP_CASES = {
     "dg0": FiniteElement("Discontinuous Lagrange", TRIANGLE, 0),
     "dg2": FiniteElement("Discontinuous Lagrange", TRIANGLE, 2),
@@ -49,8 +57,7 @@ def _cell_order(mesh, order: str):
 
 
 def matrix_digest(name: str, order: str) -> dict:
-    family, q = MATRIX_CASES[name]
-    cf = harness.compile_source(getattr(forms, family)(2, q), name)
+    cf = harness.compile_source(MATRIX_CASES[name], name)
     mesh = harness.unit_square_mesh(MESH_N)
     matrix, _ = harness.assemble(
         cf, harness.quadrature_kernel(cf), mesh, cell_order=_cell_order(mesh, order)

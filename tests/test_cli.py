@@ -111,7 +111,7 @@ def test_assemble_cli(form_files, capsys):
     rc = main(["assemble", form_files["mass_small"], "--mesh-n", "3"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "16x16 matrix" in out and "insertion serial" in out
+    assert "16x16 matrix" in out and "insertion serial" in out and "(dofmap=" in out
 
 
 def test_repo_form_files_compile():

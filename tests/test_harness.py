@@ -180,6 +180,78 @@ def test_assembly_order_independent(compile_cached, kernel_cached):
     assert np.abs(M1.data - M2.data).max() < 1e-12
 
 
+def test_assemble_timings(compile_cached, kernel_cached):
+    cf = compile_cached(forms.weighted_laplacian(2, 1), "wl21")
+    _, timings = harness.assemble(cf, kernel_cached(cf, "quadrature"), harness.unit_square_mesh(3))
+    assert set(timings) == {"structure", "dofmap", "compute", "insertion", "insertion_mode"}
+    assert 0 < timings["dofmap"] <= timings["structure"]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        np.arange(3),  # too short: a mass matrix summing to 0.375
+        np.zeros(8, dtype=np.int64),  # cell 0 eight times
+        np.arange(1, 9),  # cell 8 of 8 cells: an IndexError
+        np.arange(8.0),  # not integers
+    ],
+    ids=["short", "repeated", "out-of-range", "float"],
+)
+def test_assemble_rejects_a_cell_order_that_is_no_permutation(compile_cached, order):
+    cf = compile_cached(forms.mass(2, 1), "mass21")
+    kernel = harness.quadrature_kernel(cf)
+    mesh = harness.unit_square_mesh(2)
+    with pytest.raises(ValueError, match="permutation"):
+        harness.assemble(cf, kernel, mesh, cell_order=order)
+    M, _ = harness.assemble(cf, kernel, mesh, cell_order=np.arange(8)[::-1])
+    assert abs(M.total() - 1.0) < 1e-12
+
+
+def _build_structure_one_sort(rows_map, cols_map):
+    """The pattern from one sort of the keys row*n_cols + col of all components: the oracle."""
+    n_cols = cols_map.n_global
+    coo = rows_map.cell_dofs[:, :, None] * n_cols + cols_map.cell_dofs[:, None, :]
+    keys, slots = np.unique(coo.ravel(), return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(rows_map.n_global + 1) * n_cols)
+    matrix = harness.SparseMatrix(
+        rows_map.n_global, n_cols, indptr, keys % n_cols, np.zeros(len(keys))
+    )
+    return matrix, slots.reshape(rows_map.cell_dofs.shape[0], -1)
+
+
+_P = {q: FiniteElement("Lagrange", TRIANGLE, q) for q in (1, 2, 3)}
+_VP = {q: FiniteElement("Lagrange", TRIANGLE, q, 2) for q in (1, 2, 3)}
+_DG0 = FiniteElement("Discontinuous Lagrange", TRIANGLE, 0)
+_VDG1 = FiniteElement("Discontinuous Lagrange", TRIANGLE, 1, 2)
+STRUCTURE_CASES = {
+    **{f"p{q}": (_P[q], _P[q]) for q in _P},
+    **{f"vp{q}": (_VP[q], _VP[q]) for q in _VP},
+    "dg0": (_DG0, _DG0),
+    "vdg1": (_VDG1, _VDG1),
+    "vp2-p1": (_VP[2], _P[1]),
+    "p1-vp2": (_P[1], _VP[2]),
+    "p3-p1": (_P[3], _P[1]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("case", sorted(STRUCTURE_CASES))
+def test_structure_matches_one_sort_of_all_keys(case, n):
+    mesh = harness.unit_square_mesh(n)
+    rows_map, cols_map = (harness.build_dofmap(mesh, e) for e in STRUCTURE_CASES[case])
+    got, got_slots = harness._build_structure(rows_map, cols_map)
+    want, want_slots = _build_structure_one_sort(rows_map, cols_map)
+    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+    for a, b in [
+        (got.indptr, want.indptr),
+        (got.indices, want.indices),
+        (got.data, want.data),
+        (got_slots, want_slots),
+    ]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
 def test_cross_check_modes(compile_cached):
     cf = compile_cached(forms.mass(2, 2), "mass22")
     chk = harness.cross_check(cf, n_cells=10, seed=0)
