@@ -1,13 +1,14 @@
 """Command-line interface: compile, check, bench, assemble, trends.
 
-Exit codes: 0 on success, 2 when the arguments or the front end reject a
-form or its file cannot be read as UTF-8 text, or the requested
-representation or the assembly cannot build it (division or a
-quadrature-only flag under tensor, a term, entry or quadrature-point budget
-exceeded, a linear form or a non-triangle form under assemble), when
-``check --cells`` exceeds ``harness.MAX_CHECK_CELLS``, or when
-``compile --emit`` cannot write its directory or file, 3 when a cross-check
-exceeds its tolerance.
+Exit codes: 0 on success, 2 when the input is refused, 3 when a cross-check
+exceeds its tolerance.  The commands raise every refusal as a
+``dsl.Rejected``, and ``main`` alone reports it: ``error: <message>`` when
+the form cannot be read or compiled (``dsl.FormError``, ``UnreadableForm``),
+``rejected: <message>`` for any other refusal (division or a quadrature-only
+flag under tensor, a linear or non-triangle form under assemble, or a size
+bound of ``dsl.check_budget``) and for an allocation that failed.  Bad
+arguments, and a ``compile --emit`` that cannot write its directory or file,
+also exit 2.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import dsl, harness, lowering, tensorrep
+from . import dsl, harness, lowering
 from .elements import reference_cell
 from .kernel import count_flops, emit_source, kernel_to_json
 
@@ -44,7 +45,7 @@ _positive_int = _int_at_least(1, "positive")
 _non_negative_int = _int_at_least(0, "non-negative")
 
 
-class UnreadableForm(Exception):
+class UnreadableForm(dsl.Rejected):
     """The form file is missing, is a directory or is not UTF-8 text."""
 
 
@@ -61,7 +62,7 @@ def _load(path: str) -> harness.CompiledForm:
     return harness.compile_source(_read(path), name=Path(path).stem)
 
 
-class QuadratureOnlyFlag(Exception):
+class QuadratureOnlyFlag(dsl.Rejected):
     """A flag of the quadrature representation was given with ``-r tensor``."""
 
 
@@ -84,11 +85,7 @@ def cmd_compile(args) -> int:
     cf = _load(args.form)
     if args.dump_monomials:
         sys.stdout.write(lowering.format_monomial_sum(cf.monomials))
-    try:
-        kernel = _build(cf, args)
-    except (tensorrep.UnsupportedDivision, MemoryError, QuadratureOnlyFlag) as exc:
-        print(f"rejected ({args.representation}): {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    kernel = _build(cf, args)
     if args.dump_ir:
         print(kernel_to_json(kernel))
     if args.emit:
@@ -109,13 +106,7 @@ def cmd_compile(args) -> int:
 
 def cmd_check(args) -> int:
     cf = _load(args.form)
-    try:
-        check = harness.cross_check(
-            cf, n_cells=args.cells, seed=args.seed, points_override=args.points
-        )
-    except MemoryError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    check = harness.cross_check(cf, n_cells=args.cells, seed=args.seed, points_override=args.points)
     tol = (
         CHECK_TOLERANCE_DIVISION
         if check.mode == "quadrature-two-degrees"
@@ -130,11 +121,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        report = harness.compare(_read(args.form), name=Path(args.form).stem, bench_n=args.count)
-    except MemoryError as exc:  # compare keeps tensor failures in the report
-        print(f"rejected (quadrature): {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    report = harness.compare(_read(args.form), name=Path(args.form).stem, bench_n=args.count)
     print(harness.CSV_HEADER)
     print(report.csv_row())
     for note in report.notes:
@@ -146,22 +133,10 @@ def cmd_bench(args) -> int:
 
 def cmd_assemble(args) -> int:
     cf = _load(args.form)
-    try:
-        harness.check_assembly(cf, reference_cell("triangle"), 2 * args.mesh_n**2)
-    except (ValueError, MemoryError) as exc:
-        print(f"rejected (assemble): {exc}", file=sys.stderr)
-        return EXIT_REJECTED
-    try:
-        kernel = _build(cf, args)
-    except (tensorrep.UnsupportedDivision, MemoryError, QuadratureOnlyFlag) as exc:
-        print(f"rejected ({args.representation}): {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    harness.check_assembly(cf, reference_cell("triangle"), 2 * args.mesh_n**2)
+    kernel = _build(cf, args)
     mesh = harness.unit_square_mesh(args.mesh_n)
-    try:
-        matrix, timings = harness.assemble(cf, kernel, mesh, seed=args.seed)
-    except MemoryError as exc:
-        print(f"rejected (assemble): {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    matrix, timings = harness.assemble(cf, kernel, mesh, seed=args.seed)
     nnz = len(matrix.indices)
     print(
         f"{cf.name}: {matrix.n_rows}x{matrix.n_cols} matrix, nnz={nnz},"
@@ -245,7 +220,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (dsl.FormError, UnreadableForm) as exc:  # no form to compile
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
+    except (dsl.Rejected, MemoryError) as exc:
+        print(f"rejected: {exc}", file=sys.stderr)
+    return EXIT_REJECTED
 
 
 if __name__ == "__main__":

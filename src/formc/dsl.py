@@ -4,12 +4,15 @@ The grammar is a frozen statement-per-line language: element and function
 declarations, optional named sub-expressions, and exactly one integral
 statement ``a = <expr>*dx``.  Operators are ``grad``, ``div``, ``dot``,
 ``transp``, ``mult`` and the arithmetic ``+ - * /`` with conventional
-precedence.  Sub-expressions are inlined at the point of reference, so the
-parsed program carries a single integrand tree.
+precedence.  Unary minus ``-x`` parses as ``-1*x``, and minus a number as
+a negative literal.  Sub-expressions are inlined at the point of reference,
+so the parsed program carries a single integrand tree.
 
 ``tokenize`` lexes with one regular expression: names, decimal numbers,
 double-quoted strings, ``#`` comments and ``\\`` line continuations; any
-other character is an ``IllegalCharacter``.
+other character is an ``IllegalCharacter``.  ``Rejected``, defined here, is
+the base of every refusal in formc, ``FormError`` among them; every size
+bound raises ``BudgetExceeded`` through ``check_budget``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,26 @@ from .elements import (
 # Errors
 
 
-class FormError(Exception):
+class Rejected(Exception):
+    """Base of every refusal: an input formc declines, never a fault of formc."""
+
+
+class BudgetExceeded(Rejected, MemoryError):
+    """A size bound refused its input before anything of that size was allocated."""
+
+    def __init__(self, message: str, value: int, limit: int):
+        super().__init__(message)
+        self.value = value
+        self.limit = limit
+
+
+def check_budget(value: int, limit: int, message: str) -> None:
+    """Raise BudgetExceeded if value > limit; ``message`` formats (value, limit)."""
+    if value > limit:
+        raise BudgetExceeded(message.format(value, limit), value, limit)
+
+
+class FormError(Rejected):
     """Base class for all form-language errors."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
@@ -452,7 +474,10 @@ class _Parser:
     def primary(self, tok: Token) -> FormExpr:
         if tok.kind == "punct" and tok.text == "-":
             self.advance()
-            return Sub(ScalarLiteral(0.0), self.factor())
+            operand = self.factor()
+            if isinstance(operand, ScalarLiteral):
+                return ScalarLiteral(-operand.value)
+            return Mult(ScalarLiteral(-1.0), operand)
         if tok.kind == "punct" and tok.text == "(":
             self.advance()
             node = self.expr()

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsl, forms, lowering, quadrep, tensorrep
+from .dsl import Rejected, check_budget
 from .elements import FiniteElement, ReferenceCell, lattice_sites, reference_cell
 from .kernel import (
     BatchGeometry,
@@ -39,8 +40,12 @@ MAX_CHECK_CELLS = 100_000  # cells one cross_check may interpret
 COEF_LOW, COEF_HIGH = 0.5, 1.5  # bounded away from zero for division forms
 
 
-class UnsupportedCell(ValueError):
+class UnsupportedCell(Rejected, ValueError):
     """Assembly meshes are two-dimensional only."""
+
+
+class NotBilinear(Rejected, ValueError):
+    """Global assembly needs a bilinear form."""
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +183,10 @@ def cross_check(
     safety shift large enough for Gauss convergence to the check tolerance).
     An explicit ``points_override`` permits deliberately inexact quadrature.
     More than ``MAX_CHECK_CELLS`` cells, or a tensor kernel beyond the
-    default term budget, raises MemoryError before any cell is generated.
+    default term budget, raises BudgetExceeded before any cell is generated.
     """
-    if n_cells > MAX_CHECK_CELLS:
-        raise MemoryError(f"{n_cells} cells exceed the cross-check maximum of {MAX_CHECK_CELLS}")
-    try:
-        kt = tensor_kernel(cf)
-    except tensorrep.UnsupportedDivision:
-        kt = None
+    check_budget(n_cells, MAX_CHECK_CELLS, "{} cells exceed the cross-check maximum of {}")
+    kt = None if any(m.denominators for m in cf.monomials.monomials) else tensor_kernel(cf)
     return _check_kernels(cf, n_cells, seed, None, kt, points_override)
 
 
@@ -360,17 +361,16 @@ def _build_structure(rows_map: DofMap, cols_map: DofMap) -> tuple[SparseMatrix, 
 def check_assembly(cf: CompiledForm, cell: ReferenceCell, n_cells: int) -> None:
     """Raise, before anything is allocated, if ``cf`` cannot be assembled.
 
-    ValueError for a linear form, UnsupportedCell for a form on another cell,
-    MemoryError beyond ``ASSEMBLY_ENTRY_BUDGET`` local entries on ``n_cells``.
+    NotBilinear for a linear form, UnsupportedCell for a form on another
+    cell, BudgetExceeded beyond ``ASSEMBLY_ENTRY_BUDGET`` local entries.
     """
     typed = cf.typed
     if typed.arity != 2:
-        raise ValueError("global assembly expects a bilinear form")
+        raise NotBilinear("global assembly expects a bilinear form")
     if cf.cell != cell:
         raise UnsupportedCell(f"a {cf.cell.name} form cannot be assembled on {cell.name} cells")
     entries = n_cells * typed.test_element.space_dim * typed.trial_element.space_dim
-    if entries > ASSEMBLY_ENTRY_BUDGET:
-        raise MemoryError(f"{entries} local entries exceed the budget of {ASSEMBLY_ENTRY_BUDGET}")
+    check_budget(entries, ASSEMBLY_ENTRY_BUDGET, "{} local entries exceed the budget of {}")
 
 
 def assemble(
@@ -386,16 +386,14 @@ def assemble(
     "structure", of which the dofmaps are "dofmap"), then batched kernel
     evaluation (timed as "compute") and serial insertion, in cell order,
     into the fixed structure (timed as "insertion").  A kernel of more than
-    ``INTERPRET_FLOP_BUDGET`` flops per cell raises MemoryError, and a
+    ``INTERPRET_FLOP_BUDGET`` flops per cell raises BudgetExceeded, and a
     ``cell_order`` that is not a permutation of the cells ValueError, before
-    anything is built.
+    anything is built.  Each distinct element gets one dofmap.
     """
     check_assembly(cf, mesh.cell, mesh.n_cells)
-    flops = count_flops(kernel)
-    if flops > INTERPRET_FLOP_BUDGET:
-        raise MemoryError(
-            f"kernel needs {flops} flops per cell (budget {INTERPRET_FLOP_BUDGET})"
-        )
+    check_budget(
+        count_flops(kernel), INTERPRET_FLOP_BUDGET, "kernel needs {} flops per cell (budget {})"
+    )
     order = np.arange(mesh.n_cells)
     if cell_order is not None:
         cell_order = np.asarray(cell_order)
@@ -404,13 +402,10 @@ def assemble(
         order = cell_order
     typed = cf.typed
     t0 = time.perf_counter()
-    rows_map = build_dofmap(mesh, typed.test_element)
-    cols_map = (
-        rows_map
-        if typed.trial_element == typed.test_element
-        else build_dofmap(mesh, typed.trial_element)
-    )
-    coef_maps = [build_dofmap(mesh, elem) for _, elem in typed.coefficients]
+    elements = [typed.test_element, typed.trial_element] + [e for _, e in typed.coefficients]
+    maps = {elem: build_dofmap(mesh, elem) for elem in dict.fromkeys(elements)}
+    rows_map, cols_map = maps[typed.test_element], maps[typed.trial_element]
+    coef_maps = [maps[elem] for _, elem in typed.coefficients]
     t_dofmap = time.perf_counter() - t0
     rng = np.random.default_rng(seed)
     coefficient_values = [rng.uniform(COEF_LOW, COEF_HIGH, size=m.n_global) for m in coef_maps]
@@ -542,10 +537,8 @@ def compare(
         gen_t = time.perf_counter() - t0
         bytes_t = source_bytes(kt)
         flops_t = count_flops(kt)
-    except tensorrep.UnsupportedDivision as exc:
-        tensor_error = f"UnsupportedDivision: {exc}"
-    except MemoryError as exc:
-        tensor_error = f"MemoryError: {exc}"
+    except Rejected as exc:
+        tensor_error = f"{type(exc).__name__}: {exc}"
 
     check = _check_kernels(cf, n_cells, seed, kq, kt)
 
@@ -641,11 +634,12 @@ def trend_suite(
     bench_n: int = 0,
     n_cells: int = 20,
 ) -> list[tuple[TrendCell, ComparisonReport | None, str | None]]:
-    """Sweep the benchmark families; failures are recorded, not fatal.
+    """Sweep the benchmark families; refusals are recorded, not fatal.
 
     Returns (cell, report, error) triples; ``error`` is set when even the
-    quadrature path failed (which does not happen for in-range cells) and
-    tensor-specific failures are carried inside the report.
+    quadrature path refused the cell (which does not happen for in-range
+    cells) and tensor refusals are carried inside the report.  Any other
+    exception is a fault and propagates.
     """
     cells = quick_trend_cells() if quick else full_trend_cells(include_3d)
     rows = []
@@ -653,7 +647,7 @@ def trend_suite(
         try:
             report = compare(cell.source(), cell.label(), n_cells=n_cells, bench_n=bench_n)
             rows.append((cell, report, None))
-        except Exception as exc:  # record per-cell failures, keep sweeping
+        except Rejected as exc:
             rows.append((cell, None, f"{type(exc).__name__}: {exc}"))
     return rows
 

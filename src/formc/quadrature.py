@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsl import check_budget
 from .elements import ReferenceCell
 
 # Checking a P1 form takes about 3 s at 32^3 points on a tetrahedron and 30 s
@@ -71,16 +72,14 @@ def gauss_jacobi_1d(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
 def simplex_rule_by_points(cell: ReferenceCell, m: int) -> QuadratureRule:
     """Collapsed product rule with m points per direction (m^dim total).
 
-    Raises MemoryError, before anything is allocated, beyond
+    Raises BudgetExceeded, before anything is allocated, beyond
     ``MAX_POINTS_PER_DIRECTION``.
     """
     if m < 1:
         raise ValueError("need at least one point per direction")
-    if m > MAX_POINTS_PER_DIRECTION:
-        raise MemoryError(
-            f"quadrature rule needs {m} points per direction,"
-            f" more than {MAX_POINTS_PER_DIRECTION}"
-        )
+    check_budget(
+        m, MAX_POINTS_PER_DIRECTION, "quadrature rule needs {} points per direction, more than {}"
+    )
     d = cell.dim
     rules = [gauss_jacobi_1d(m, d - 1 - k) for k in range(d)]
     xs = np.meshgrid(*(x for x, _ in rules), indexing="ij")

@@ -27,6 +27,7 @@ from itertools import product
 
 import numpy as np
 
+from .dsl import check_budget
 from .elements import tabulate
 from .kernel import (
     AccumA,
@@ -53,7 +54,7 @@ from .quadrature import QuadratureRule
 ZERO_TOLERANCE = 1e-14
 
 # Concrete terms sum_m dim**n_bound(m) that _flatten may enumerate; beyond
-# it build_quadrature_kernel raises MemoryError before it enumerates any.
+# it build_quadrature_kernel raises BudgetExceeded before it enumerates any.
 MAX_CONCRETE_TERMS = 10**6
 
 
@@ -260,10 +261,9 @@ def build_quadrature_kernel(
     single_point = rule.n_points == 1
 
     n_terms = sum(form.cell.dim**m.n_bound for m in ms.monomials)
-    if n_terms > MAX_CONCRETE_TERMS:
-        raise MemoryError(
-            f"quadrature kernel needs {n_terms} concrete terms, more than {MAX_CONCRETE_TERMS}"
-        )
+    check_budget(
+        n_terms, MAX_CONCRETE_TERMS, "quadrature kernel needs {} concrete terms, more than {}"
+    )
     groups = _flatten(ms)
     # Each distinct key reads its signatures once.
     arg_sigs = {key1: _argument_signatures(key1) for key1 in groups}

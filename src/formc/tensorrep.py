@@ -19,6 +19,7 @@ from itertools import product
 
 import numpy as np
 
+from .dsl import Rejected, check_budget
 from .elements import tabulate
 from .kernel import (
     AssignScalar,
@@ -39,7 +40,7 @@ DEGREE_MARGIN = 2
 DEFAULT_TERM_BUDGET = 8_000_000
 
 
-class UnsupportedDivision(Exception):
+class UnsupportedDivision(Rejected):
     """Forms with coefficient division have no tensor-contraction kernel."""
 
 
@@ -172,7 +173,7 @@ def build_tensor_kernel(
 
     Terms whose reference-tensor entry is exactly zero are omitted;
     coefficients of magnitude one skip their multiply.  ``term_budget``
-    bounds the unrolled size (MemoryError beyond it), mirroring the failure
+    bounds the unrolled size (BudgetExceeded beyond it), mirroring the failure
     mode of tensor code generation for very complicated forms.
     """
     form = ms.form
@@ -198,10 +199,7 @@ def build_tensor_kernel(
         for f in lead.factors:
             size *= len(_factor_block(form, f)[1])
         upper += size
-    if upper > term_budget:
-        raise MemoryError(
-            f"unrolled contraction needs up to {upper} terms (budget {term_budget})"
-        )
+    check_budget(upper, term_budget, "unrolled contraction needs up to {} terms (budget {})")
 
     k_names: dict = {}
     k_stmts: list = []

@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import time
 from pathlib import Path
 
@@ -6,10 +8,14 @@ import pytest
 
 from formc import forms, harness
 from formc.cli import main
-from formc.elements import MAX_DEGREE
-from formc.quadrature import MAX_POINTS_PER_DIRECTION
+from formc.dsl import BudgetExceeded
+from formc.elements import MAX_DEGREE, TRIANGLE
+from formc.quadrature import MAX_POINTS_PER_DIRECTION, simplex_rule_by_points
+from formc.quadrep import MAX_CONCRETE_TERMS
+from formc.tensorrep import DEFAULT_TERM_BUDGET
 
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
+SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "formc"
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +162,7 @@ def test_tensor_rejects_quadrature_flags(command, flags, form_files, capsys):
     assert main([command, form_files["mass_2d_q2"], "-r", "tensor"] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("rejected (tensor): " + flags[0])
+    assert captured.err.startswith("rejected: " + flags[0])
     assert len(captured.err.strip().splitlines()) == 1
 
 
@@ -410,3 +416,106 @@ def test_quadrature_term_budget_rejects(argv, cell, k, n_terms, tmp_path, capsys
     assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err
     assert f"{n_terms} concrete terms" in err and len(err.strip().splitlines()) == 1
+
+
+_P6_POWER = forms.mass(2, 6, 6, 6)  # six P6 coefficients times v*u, all P6
+# Each bound, through every command that reaches it.  Under check, the tensor
+# term budget comes before the quadrature kernel of any form that has a
+# tensor kernel, so the concrete-term bound needs a division form there.
+_BOUND_CASES = {
+    "compile-points": (["compile", "MASS", "--points", _TOO_MANY], MAX_POINTS_PER_DIRECTION),
+    "check-points": (["check", "MASS", "--points", _TOO_MANY], MAX_POINTS_PER_DIRECTION),
+    "assemble-points": (["assemble", "MASS", "--points", _TOO_MANY], MAX_POINTS_PER_DIRECTION),
+    "bench-points": (["bench", "HIGH", "-N", "0"], MAX_POINTS_PER_DIRECTION),
+    "check-cells": (["check", "MASS", "--cells", "100001"], harness.MAX_CHECK_CELLS),
+    "assemble-entries": (["assemble", "MASS", "--mesh-n", "100000"], harness.ASSEMBLY_ENTRY_BUDGET),
+    "assemble-flops": (["assemble", "P6", "--no-hoist"], harness.INTERPRET_FLOP_BUDGET),
+    "compile-tensor-terms": (["compile", "P6", "-r", "tensor"], DEFAULT_TERM_BUDGET),
+    "check-tensor-terms": (["check", "P6"], DEFAULT_TERM_BUDGET),
+    "assemble-tensor-terms": (["assemble", "P6", "-r", "tensor"], DEFAULT_TERM_BUDGET),
+    "compile-concrete-terms": (["compile", "GRAD_TET"], MAX_CONCRETE_TERMS),
+    "check-concrete-terms": (["check", "GRAD_DIV"], MAX_CONCRETE_TERMS),
+    "bench-concrete-terms": (["bench", "GRAD_TET", "-N", "0"], MAX_CONCRETE_TERMS),
+    "assemble-concrete-terms": (["assemble", "GRAD_TRI"], MAX_CONCRETE_TERMS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BOUND_CASES))
+def test_every_bound_rejects_with_its_value_and_limit(case, form_files, tmp_path, capsys):
+    sources = {
+        "HIGH": _HIGH_DEGREE,
+        "P6": _P6_POWER,
+        "GRAD_TET": _gradient_power("tetrahedron", 7),
+        "GRAD_TRI": _gradient_power("triangle", 9),
+        "GRAD_DIV": _gradient_power("triangle", 9).replace("*dx", "/f*dx"),
+    }
+    paths = {"MASS": form_files["mass_small"]}
+    for name, source in sources.items():
+        paths[name] = str(tmp_path / f"{name}.form")
+        Path(paths[name]).write_text(source)
+    argv, limit = _BOUND_CASES[case]
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("rejected: ")
+    value, bound = map(int, re.findall(r"\d+", err[0]))
+    assert bound == limit < value
+
+
+# One call per size bound, each over its limit.
+_BOUND_CALLS = {
+    "points": lambda c: simplex_rule_by_points(TRIANGLE, 33),
+    "check_cells": lambda c: harness.cross_check(c(forms.mass(2, 1)), n_cells=100_001),
+    "entries": lambda c: harness.check_assembly(c(forms.mass(2, 2)), TRIANGLE, 10**6),
+    "flops": lambda c: harness.assemble(
+        c(_P6_POWER),
+        harness.quadrature_kernel(c(_P6_POWER), hoisting=False),
+        harness.unit_square_mesh(1),
+    ),
+    "tensor_terms": lambda c: harness.tensor_kernel(c(forms.elasticity(2, 2)), term_budget=10),
+    "concrete_terms": lambda c: harness.quadrature_kernel(c(_gradient_power("tetrahedron", 7))),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(_BOUND_CALLS))
+def test_budget_exceeded_carries_its_value_and_limit(bound, compile_cached):
+    with pytest.raises(BudgetExceeded) as info:
+        _BOUND_CALLS[bound](compile_cached)
+    exc = info.value
+    assert isinstance(exc, MemoryError) and exc.value > exc.limit
+    assert re.findall(r"\d+", str(exc)) == [str(exc.value), str(exc.limit)]
+
+
+def _broad_handlers_and_memory_errors(tree: ast.Module, allowed: set) -> list[int]:
+    """Lines that raise MemoryError, or catch Exception, BaseException or
+    MemoryError outside the nodes in ``allowed``."""
+    broad = {"Exception", "BaseException", "MemoryError"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "MemoryError":
+                lines.append(node.lineno)
+        if isinstance(node, ast.ExceptHandler) and id(node) not in allowed:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {getattr(t, "id", getattr(t, "attr", "BaseException")) for t in types}
+            if names & broad:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_refusals_take_one_path():
+    # every bound raises BudgetExceeded through check_budget, and cli.main
+    # alone turns refusals and failed allocations into exit 2
+    found = {}
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "cli.py":
+            (main_def,) = [n for n in tree.body if getattr(n, "name", None) == "main"]
+            allowed = {id(n) for n in ast.walk(main_def)}
+        if lines := _broad_handlers_and_memory_errors(tree, allowed):
+            found[path.name] = lines
+    assert found == {}

@@ -126,12 +126,14 @@ def test_parse_duplicate_and_unknown_names():
         parse_source(base + "v = TestFunction(element)\na = v*missing*dx\n")
 
 
-def test_unary_minus_is_zero_minus():
+def test_unary_minus_is_times_minus_one():
     prog = parse_source(
         'element = FiniteElement("Lagrange", "triangle", 1)\n'
-        "v = TestFunction(element)\na = -v*dx\n"
+        "v = TestFunction(element)\na = -v*-2*dx\n"
     )
-    assert prog.integrand == dsl.Sub(ScalarLiteral(0.0), Argument("test", prog.element_decls[0][1]))
+    v = Argument("test", prog.element_decls[0][1])
+    assert prog.integrand == Mult(Mult(ScalarLiteral(-1.0), v), ScalarLiteral(-2.0))
+    assert parse_source(to_source(prog)).integrand == prog.integrand
 
 
 @pytest.mark.parametrize("name,source", sorted(FORM_FILES.items()))

@@ -1,12 +1,14 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from formc import forms, harness
+from formc.dsl import BudgetExceeded
 from formc.elements import TETRAHEDRON, TRIANGLE, FiniteElement, lattice_sites
-from formc.kernel import affine_map, affine_map_batch, emit_source, source_bytes
+from formc.kernel import affine_map, affine_map_batch, emit_source, interpret_batch, source_bytes
 
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 PRESSURE_EQUATION = (FORMS_DIR / "pressure_equation_2d.form").read_text()
@@ -180,6 +182,16 @@ def test_assembly_order_independent(compile_cached, kernel_cached):
     assert np.abs(M1.data - M2.data).max() < 1e-12
 
 
+def test_assemble_builds_one_dofmap_per_element(compile_cached, kernel_cached, monkeypatch):
+    # test, trial and w share one P2 space
+    cf = compile_cached(forms.weighted_laplacian(2, 2), "wl22")
+    built = []
+    build = harness.build_dofmap
+    monkeypatch.setattr(harness, "build_dofmap", lambda mesh, e: built.append(e) or build(mesh, e))
+    harness.assemble(cf, kernel_cached(cf, "quadrature"), harness.unit_square_mesh(2))
+    assert built == [cf.typed.test_element]
+
+
 def test_assemble_timings(compile_cached, kernel_cached):
     cf = compile_cached(forms.weighted_laplacian(2, 1), "wl21")
     _, timings = harness.assemble(cf, kernel_cached(cf, "quadrature"), harness.unit_square_mesh(3))
@@ -317,7 +329,7 @@ def test_compare_over_budget_polynomial_uses_exact_rule():
     # the tensor kernel is over budget, not impossible: quadrature is checked
     # against its kernel without zero elimination, one point per direction more
     report = harness.compare(forms.elasticity(2, 2), "el22", n_cells=5, term_budget=10)
-    assert report.tensor_error.startswith("MemoryError")
+    assert report.tensor_error.startswith("BudgetExceeded")
     assert report.check_mode == "quadrature-vs-full-tables"
     assert report.max_difference < 1e-12
 
@@ -339,6 +351,23 @@ def test_runtime_rank_order_stable(compile_cached):
         r = harness.compare(forms.mass(2, 3), "m23", n_cells=5, bench_n=400)
         winners.append(r.runtime_q > r.runtime_t)
     assert all(winners)
+
+
+def test_trend_suite_records_refusals_and_raises_faults(monkeypatch):
+    def refuse(source, name, **kwargs):
+        raise BudgetExceeded("over budget", 2, 1)
+
+    monkeypatch.setattr(harness, "compare", refuse)
+    rows = harness.trend_suite(quick=True)
+    assert len(rows) == len(harness.quick_trend_cells())
+    assert all(r is None and e == "BudgetExceeded: over budget" for _, r, e in rows)
+
+    def fault(source, name, **kwargs):
+        raise TypeError("a bug, not a refusal")
+
+    monkeypatch.setattr(harness, "compare", fault)
+    with pytest.raises(TypeError):
+        harness.trend_suite(quick=True)
 
 
 def test_trend_renderer_marks_failures():
@@ -384,3 +413,27 @@ def test_source_bytes_of_quick_trend_kernels(cell):
     cf = harness.compile_source(cell.source(), cell.label())
     for k in (harness.quadrature_kernel(cf), harness.tensor_kernel(cf)):
         assert source_bytes(k) == len(emit_source(k).encode())
+
+
+_P1 = (
+    'element = FiniteElement("Lagrange", "triangle", 1)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\n"
+)
+# The forms/*.form inputs, and three forms that unary minus once made exit 2.
+NEGATABLE = {p.stem: p.read_text() for p in FORMS_DIR.glob("*.form")} | {
+    "minus_test": _P1 + "a = -v*u*dx\n",
+    "minus_gradient": _P1 + "a = dot(grad(v), -grad(u))*dx\n",
+    "minus_dot": _P1 + "a = -dot(grad(v), grad(u))*dx\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATABLE))
+def test_negated_integrand_negates_the_element_tensor(name, compile_cached, kernel_cached):
+    source = NEGATABLE[name]
+    cf = compile_cached(source, name)
+    neg = compile_cached(re.sub(r"^a = (.*)\*dx$", r"a = -(\1)*dx", source, flags=re.M), name)
+    geo, w = next(harness._cell_batches(cf, 3, 0))
+    divides = any(m.denominators for m in cf.monomials.monomials)
+    for rep in ["quadrature"] + ([] if divides else ["tensor"]):
+        A = interpret_batch(kernel_cached(cf, rep), geo, w)
+        assert np.array_equal(interpret_batch(kernel_cached(neg, rep), geo, w), -A)
