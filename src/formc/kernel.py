@@ -237,7 +237,7 @@ class KernelIR:
 
     @property
     def n_entries(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @cached_property
     def flops(self) -> int:

@@ -3,13 +3,16 @@ geometry tensor, fully unrolled contraction with exact-zero dropping.
 
 Monomials that share their basis-factor structure share one reference
 tensor; their geometry products are summed inside the geometry-tensor
-entries.  Each group's geometry tensor is one ``GeometryTensor`` statement:
-its coefficient-dof reads, one row per combination of the coefficient
-factors' dofs, times one closing factor per chain-rule assignment, which is
-the row order of ``geometry_tensor_spec``.  The groups' rows take
-consecutive geometry slots, and the closing factors' Jinv sums are hoisted
-into ``K`` scalars, shared across groups.  Division cannot be expressed in
-this representation and is a hard error.
+entries.  A reference tensor whose test and trial factors tabulate the same
+array is integrated once per unordered test/trial pair and mirrored: each
+point's product starts with the two table entries, and IEEE multiplication
+commutes, so the mirror is the same bits.  Each group's geometry tensor is
+one ``GeometryTensor`` statement: its coefficient-dof reads, one row per
+combination of the coefficient factors' dofs, times one closing factor per
+chain-rule assignment, which is the row order of ``geometry_tensor_spec``.
+The groups' rows take consecutive geometry slots, and the closing factors'
+Jinv sums are hoisted into ``K`` scalars, shared across groups.  Division
+cannot be expressed in this representation and is a hard error.
 """
 
 from __future__ import annotations
@@ -83,10 +86,21 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
     """Integrate the group's basis-factor product over the reference cell.
 
     The quadrature degree is the exact degree of the (polynomial) reference
-    integrand plus a safety margin that guards the snap to zero.  At each
-    point the factors' tables, broadcast onto the output axes, are multiplied
-    in factor order, left to right; the weighted products are summed in
-    point order, so the values are the same bits on every run.
+    integrand plus a safety margin that guards the snap to zero.  One point
+    loop runs over a pair axis, which joins the test extended index (dof,
+    then its derivative directions) with the trial one.  At each point the
+    pair's table entries, then the coefficient factors' tables, are
+    multiplied in factor order, left to right; the weighted products are
+    summed in point order, so the values are the same bits on every run.
+
+    When the test and trial factors tabulate the same array (one scalar
+    table and one derivative count, as two components of one vector element
+    have), the pair axis holds only the pairs E1 <= E2, and each value goes
+    to ``(i, k_test, j, k_trial)`` and to its mirror ``(j, k_trial, i,
+    k_test)``.  Both are the same bits: ``t[E1]*t[E2] == t[E2]*t[E1]`` in
+    IEEE arithmetic, and every later factor and the point-order sum are the
+    same for both.  Every other group, linear forms included, runs over all
+    pairs.
     """
     group = _as_group(monomials)
     lead = group[0]
@@ -96,19 +110,25 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
     rule = simplex_rule(cell, degree)
 
     # Output axes: test dofs, [trial dofs,] coefficient dofs, bound indices.
-    n_out = len(lead.factors) + lead.n_bound
+    n_f = len(lead.factors)
+    shape = [0] * (n_f + lead.n_bound)
     next_coef_axis = 2 if any(f.role == "trial" for f in lead.factors) else 1
-    operands = []
+    # The scalar table on one cell depends on the degree alone, so factors of
+    # one degree and derivative count share one array.
+    by_key: dict = {}
+    tables, axes = [], []
     test_dofs = trial_dofs = None
     for f in lead.factors:
         element, dofs = _factor_block(form, f)
         k = len(f.derivs)
-        tab = tabulate(element, rule.points, nderiv=k)
-        # (points, scalar dofs, d, ..., d): one axis per derivative direction
-        arr = np.stack(
-            [tab.scalar_tables[tuple(sorted(a))] for a in product(range(d), repeat=k)], axis=-1
-        )
-        arr = arr.reshape(arr.shape[:2] + (d,) * k)
+        if (element.degree, k) not in by_key:
+            tab = tabulate(element, rule.points, nderiv=k)
+            # (points, scalar dofs, d, ..., d): one axis per derivative direction
+            arr = np.stack(
+                [tab.scalar_tables[tuple(sorted(a))] for a in product(range(d), repeat=k)], axis=-1
+            )
+            by_key[element.degree, k] = arr.reshape(arr.shape[:2] + (d,) * k)
+        tables.append(by_key[element.degree, k])
         if f.role == "test":
             test_dofs, dof_axis = dofs, 0
         elif f.role == "trial":
@@ -116,23 +136,52 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
         else:
             dof_axis = next_coef_axis
             next_coef_axis += 1
-        # Each operand's axes go to their output positions, length one
-        # elsewhere.  They are already in output order: the dof axis precedes
-        # every bound index, and lowering numbers a factor's bound indices
+        # A factor's axes are in output order: the dof axis precedes every
+        # bound index, and lowering numbers a factor's bound indices
         # consecutively.
-        axes = np.array([dof_axis] + [len(lead.factors) + x.ident for x in f.derivs])
-        shape = np.ones(1 + n_out, dtype=int)
-        shape[0] = len(rule.weights)
-        shape[1 + axes] = arr.shape[1:]
-        operands.append(arr.reshape(shape))
+        axes.append([dof_axis] + [n_f + x.ident for x in f.derivs])
+        for axis, n in zip(axes[-1], tables[-1].shape[1:]):
+            shape[axis] = n
 
-    A0 = np.zeros(np.broadcast_shapes(*(op.shape[1:] for op in operands)))
-    for q, w in enumerate(rule.weights):
-        prod = operands[0][q]
-        for op in operands[1:]:
+    # The arguments (test first) lead the factors; their extended indices
+    # form the pair axis, which runs innermost, after the other output axes.
+    n_args = 1 if trial_dofs is None else 2
+    ext = [t.reshape(len(t), -1) for t in tables[:n_args]]
+    rest = [a for a in range(len(shape)) if not any(a in ax for ax in axes[:n_args])]
+    operands = []
+    for arr, ax in zip(tables[n_args:], axes[n_args:]):
+        op_shape = [len(arr)] + [1] * (len(rest) + 1)  # points, rest, pair
+        for axis, n in zip(ax, arr.shape[1:]):
+            op_shape[1 + rest.index(axis)] = n
+        operands.append(arr.reshape(op_shape))
+    mirrored = n_args == 2 and tables[0] is tables[1]
+    if mirrored:
+        pairs = np.triu_indices(ext[0].shape[1])
+    else:
+        sizes = [e.shape[1] for e in ext]
+        pairs = np.unravel_index(np.arange(np.prod(sizes)), sizes)
+
+    A0 = np.zeros(shape)
+    acc = np.zeros(tuple(shape[a] for a in rest) + (len(pairs[0]),))
+    for q, w in enumerate(rule.weights.tolist()):
+        prod = ext[0][q][pairs[0]]
+        for e, ids in zip(ext[1:], pairs[1:]):
+            prod *= e[q][ids]
+        for op in operands:
             prod = prod * op[q]
-        A0 += w * prod
-    A0[np.abs(A0) < SNAP_TOLERANCE] = 0.0
+        prod *= w
+        acc += prod
+    acc[np.abs(acc) < SNAP_TOLERANCE] = 0.0
+
+    # Scatter the pair axis onto the argument axes.  The advanced indices
+    # include axis 0, so the indexed result has the pair axis first.
+    acc = np.moveaxis(acc, -1, 0)
+    for ids_of in [pairs, pairs[::-1]] if mirrored else [pairs]:
+        index = [slice(None)] * len(shape)
+        for ids, ax, t in zip(ids_of, axes, tables):
+            for axis, i in zip(ax, np.unravel_index(ids, t.shape[1:])):
+                index[axis] = i
+        A0[tuple(index)] = acc
     return ReferenceTensor(values=A0, test_dofs=test_dofs, trial_dofs=trial_dofs)
 
 
@@ -210,15 +259,13 @@ def build_tensor_kernel(
     entry_ids, coeffs, slots = [np.empty(0, np.intp)], [np.empty(0)], [np.empty(0, np.intp)]
 
     for group in groups:
-        rt = reference_tensor(group, form)
         g_stmts.append(_geometry_tensor(group, form, n_slots, k_names, k_stmts))
-        # Axes (test, [trial,] flattened alpha), alpha row-major as in the spec.
-        values = rt.values.reshape(rt.values.shape[: 2 if bilinear else 1] + (-1,))
-        nz = np.nonzero(values)
-        coeffs.append(values[nz])
-        test_ids = rt.test_dofs[nz[0]]
-        entry_ids.append(test_ids * n2 + rt.trial_dofs[nz[1]] if bilinear else test_ids)
-        slots.append(n_slots + nz[-1])
+        # No reference tensor or index array outlives its group into the
+        # sort below, which copies every kept term twice.
+        entry, coef, slot = _kept_terms(group, form, n2, n_slots)
+        entry_ids.append(entry)
+        coeffs.append(coef)
+        slots.append(slot)
         n_slots += g_stmts[-1].n_rows
 
     # A stable sort keeps each entry's terms in group order, then in
@@ -247,6 +294,18 @@ def build_tensor_kernel(
         statements=tuple(stmts),
         meta={"n_terms": len(coeffs)},
     )
+
+
+def _kept_terms(group, form, n2: int, first: int) -> tuple:
+    """(entry, coefficient, geometry slot) of each nonzero reference-tensor entry."""
+    rt = reference_tensor(group, form)
+    bilinear = rt.trial_dofs is not None
+    # Axes (test, [trial,] flattened alpha), alpha row-major as in the spec.
+    values = rt.values.reshape(rt.values.shape[: 2 if bilinear else 1] + (-1,))
+    nz = np.nonzero(values)
+    test_ids = rt.test_dofs[nz[0]]
+    entry = test_ids * n2 + rt.trial_dofs[nz[1]] if bilinear else test_ids
+    return entry, values[nz], first + nz[-1]
 
 
 def _geometry_tensor(group, form, first: int, k_names, k_stmts) -> GeometryTensor:

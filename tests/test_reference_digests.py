@@ -1,13 +1,14 @@
 """Bit-identity of reference tensors.
 
 Each monomial group (the monomials sharing one basis structure) of the
-repository forms and of the quick trend cells that the sweep benchmark runs
-is reduced to the SHA-256 of its ``reference_tensor`` values, shape and
-dtype.  The recorded values in ``golden/reference_digests.json`` pin the
-order in which the reference integrals are summed, including the P2/P3
-four-coefficient shapes of the sweep.  Groups that divide by a coefficient
-have no reference tensor and are left out.  After an intended change of the
-reference tensors, rewrite the file with::
+repository forms, of the quick trend cells, and of forms whose test/trial
+pairs carry derivatives, vector components or two spaces is reduced to the
+SHA-256 of its ``reference_tensor`` values, shape and dtype.  The recorded
+values in ``golden/reference_digests.json`` pin the order in which the
+reference integrals are summed, including the P2/P3 four-coefficient shapes
+of the sweep, and the mirroring of test/trial pairs.  Groups that divide by
+a coefficient have no reference tensor and are left out.  After an intended
+change of the reference tensors, rewrite the file with::
 
     PYTHONPATH=src python tests/test_reference_digests.py --write
 """
@@ -19,15 +20,32 @@ from pathlib import Path
 
 import pytest
 
-from formc import harness
+from formc import forms, harness
 from formc.tensorrep import reference_tensor
 
 ROOT = Path(__file__).resolve().parent
 DIGESTS = ROOT / "golden" / "reference_digests.json"
 FORMS_DIR = ROOT.parent / "forms"
 
-# The quick cells whose single compare call takes over a second.
-SLOW_CELLS = {"mass-2d-p2-q4-nf4", "mass-2d-p3-q2-nf4", "mass-2d-p3-q3-nf4", "mass-2d-p3-q4-nf4"}
+# The quick cell whose single compare call takes over a second.
+SLOW_CELLS = {"mass-2d-p3-q4-nf4"}
+
+# Test/trial pairs with derivatives, vector components and mixed spaces.
+_P3_TRIANGLE = 'element = FiniteElement("Lagrange", "triangle", 3)\n'
+_PAIRS = {
+    "elasticity_2d_q2_p1_nf1": forms.elasticity(2, 2, 1, 1),
+    "elasticity_3d_q2_p2_nf1": forms.elasticity(3, 2, 1, 2),
+    "vector_poisson_div_2d_q2_p2_nf1": forms.vector_poisson_div(2, 1, 2, 2),
+    "weighted_biharmonic_2d_q3": _P3_TRIANGLE
+    + "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
+    "a = f*div(grad(v))*div(grad(u))*dx\n",
+    "advection_2d_q3": _P3_TRIANGLE
+    + "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
+    "a = dot(grad(f), grad(v))*u*dx\n",
+    "mixed_div_2d_p2_p1": 'V = VectorElement("Lagrange", "triangle", 2)\n'
+    'Q = FiniteElement("Lagrange", "triangle", 1)\n'
+    "v = TestFunction(V)\nu = TrialFunction(Q)\na = div(v)*u*dx\n",
+}
 
 
 def sources() -> dict:
@@ -35,6 +53,7 @@ def sources() -> dict:
     out.update(
         {c.label(): c.source() for c in harness.quick_trend_cells() if c.label() not in SLOW_CELLS}
     )
+    out.update(_PAIRS)
     return out
 
 

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formc import forms, harness
+from formc.elements import tabulate
 from formc.kernel import (
     AssignScalar,
     CoefRef,
@@ -28,14 +32,22 @@ from formc.kernel import (
     kernel_to_json,
     source_bytes,
 )
+from formc.lowering import factor_degree
+from formc.quadrature import simplex_rule
 from formc.tensorrep import (
+    DEGREE_MARGIN,
+    SNAP_TOLERANCE,
     UnsupportedDivision,
+    _as_group,
+    _factor_block,
     build_tensor_kernel,
     geometry_tensor_spec,
     reference_tensor,
 )
 from reference_walk import walk
 from test_cli import _HEAVY_P3
+from test_quadrep import _BUILT_FORMS, _composed_forms
+from test_reference_digests import _PAIRS
 
 REF_TRI = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
@@ -405,3 +417,99 @@ def test_hand_built_geometry_blocks():
     w = [rng.uniform(0.5, 1.5, (4, 3)) for _ in range(2)]
     assert interpret_batch(k, geo, w).tobytes() == interpret_batch(old, geo, w).tobytes()
     assert walk(k, affine_map(cells[0]), [wc[0] for wc in w])[1] == count_flops(k)
+
+
+# Oracle for the reference tensor: every factor's table broadcast onto the
+# output axes and multiplied at each point over all test/trial pairs, without
+# the mirror.  reference_tensor must give the same bits.
+
+
+def _reference_tensor_oracle(monomials, form) -> np.ndarray:
+    group = _as_group(monomials)
+    lead = group[0]
+    d = form.cell.dim
+    degree = sum(factor_degree(form, f) for f in lead.factors) + DEGREE_MARGIN
+    rule = simplex_rule(form.cell, degree)
+    n_out = len(lead.factors) + lead.n_bound
+    next_coef_axis = 2 if any(f.role == "trial" for f in lead.factors) else 1
+    operands = []
+    for f in lead.factors:
+        element, _ = _factor_block(form, f)
+        k = len(f.derivs)
+        tab = tabulate(element, rule.points, nderiv=k)
+        arr = np.stack(
+            [tab.scalar_tables[tuple(sorted(a))] for a in product(range(d), repeat=k)], axis=-1
+        )
+        arr = arr.reshape(arr.shape[:2] + (d,) * k)
+        if f.role == "test":
+            dof_axis = 0
+        elif f.role == "trial":
+            dof_axis = 1
+        else:
+            dof_axis = next_coef_axis
+            next_coef_axis += 1
+        axes = np.array([dof_axis] + [len(lead.factors) + x.ident for x in f.derivs])
+        shape = np.ones(1 + n_out, dtype=int)
+        shape[0] = len(rule.weights)
+        shape[1 + axes] = arr.shape[1:]
+        operands.append(arr.reshape(shape))
+
+    A0 = np.zeros(np.broadcast_shapes(*(op.shape[1:] for op in operands)))
+    for q, w in enumerate(rule.weights):
+        prod = operands[0][q]
+        for op in operands[1:]:
+            prod = prod * op[q]
+        A0 += w * prod
+    A0[np.abs(A0) < SNAP_TOLERANCE] = 0.0
+    return A0
+
+
+# Groups above this many entries are left to reference_digests.json: the
+# oracle holds several full-size products at once.
+ORACLE_MAX_ENTRIES = 200_000
+
+
+def _check_against_oracle(source: str) -> int:
+    """Compare every group of the form with the oracle; the number compared."""
+    cf = harness.compile_source(source)
+    form = cf.typed
+    groups: dict = {}
+    for m in cf.monomials.monomials:
+        groups.setdefault(m.signature(), []).append(m)
+    compared = 0
+    for group in groups.values():
+        lead = group[0]
+        size = form.cell.dim**lead.n_bound
+        for f in lead.factors:
+            size *= len(_factor_block(form, f)[1])
+        if lead.denominators or size > ORACLE_MAX_ENTRIES:
+            continue
+        got = reference_tensor(group, form).values
+        want = _reference_tensor_oracle(group, form)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        compared += 1
+    return compared
+
+
+# The digest set's test/trial pairs: tables that differ (mixed_div), a
+# derivative on one side only (advection), two derivative axes on each side
+# (weighted_biharmonic), vector components sharing one scalar table
+# (elasticity, vector_poisson_div); and a linear form.
+PAIR_EDGE_CASES = {
+    **_PAIRS,
+    "linear": 'element = FiniteElement("Lagrange", "triangle", 2)\n'
+    "v = TestFunction(element)\nf = Function(element)\n"
+    "a = f*v + dot(grad(f), grad(v))*dx\n",
+}
+
+
+@pytest.mark.parametrize("name", list(PAIR_EDGE_CASES))
+def test_reference_tensor_matches_oracle(name):
+    assert _check_against_oracle(PAIR_EDGE_CASES[name]) > 0
+
+
+@settings(max_examples=40)
+@given(st.one_of(_BUILT_FORMS, _composed_forms()))
+def test_reference_tensor_matches_oracle_on_generated_forms(source):
+    _check_against_oracle(source)
