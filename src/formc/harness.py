@@ -5,14 +5,14 @@ compiled natively, so absolute runtimes are not comparable to compiled code;
 flop counts are exact and representation-relative comparisons remain
 meaningful.  Benchmarking and assembly run single-threaded.  The CSR
 pattern comes from one sort of the (row, column) keys of the scalar spaces,
-expanded by component blocks; insertion stays serial, adding each cell's
-entries in cell order.
+which the mesh holds with its dofmaps, expanded by component blocks;
+insertion stays serial, adding each cell's entries in cell order.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -229,11 +229,29 @@ def _check_kernels(cf, n_cells, seed, kq, kt, points_override=None) -> CrossChec
 # Structured meshes, dofmaps and CSR assembly (2D)
 
 
-@dataclass(eq=False)
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@dataclass(frozen=True, eq=False)
 class Mesh:
+    """A simplex mesh whose vertex and cell arrays are read-only copies.
+
+    ``_held`` keeps what depends only on the mesh and a space, built on first
+    use and read-only: each element's dofmap, keyed by the element, and each
+    pair of scalar spaces' CSR pattern, keyed by their (row, column) elements.
+    """
+
     cell: ReferenceCell
     coords: np.ndarray  # (n_vertices, dim)
     cells: np.ndarray  # (n_cells, dim + 1) vertex ids
+    _held: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("coords", "cells"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name)))[0])
 
     @property
     def n_cells(self) -> int:
@@ -255,7 +273,7 @@ def unit_square_mesh(n: int) -> Mesh:
     return Mesh(reference_cell("triangle"), coords, cells.astype(np.int64))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     element: FiniteElement
     cell_dofs: np.ndarray  # (n_cells, n_local)
@@ -291,13 +309,32 @@ def build_dofmap(mesh: Mesh, element: FiniteElement) -> DofMap:
     _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(len(first))
-    scalar = rank[inverse].reshape(n_cells, n_local)
-    n_scalar_global = len(first)
+    return _component_blocks(element, rank[inverse].reshape(n_cells, n_local), len(first))
+
+
+def _component_blocks(element: FiniteElement, scalar: np.ndarray, n_scalar: int) -> DofMap:
+    """The dofmap of ``element`` from the cell dofs of its scalar space."""
     if not element.is_vector:
-        return DofMap(element, scalar, n_scalar_global)
+        return DofMap(element, scalar, n_scalar)
     d = element.value_dim
-    blocks = [scalar + comp * n_scalar_global for comp in range(d)]
-    return DofMap(element, np.concatenate(blocks, axis=1), d * n_scalar_global)
+    blocks = [scalar + comp * n_scalar for comp in range(d)]
+    return DofMap(element, np.concatenate(blocks, axis=1), d * n_scalar)
+
+
+def _mesh_dofmap(mesh: Mesh, element: FiniteElement) -> DofMap:
+    """The dofmap of ``element`` held by ``mesh``: numbered on first use only.
+
+    A vector map is built from the held map of its scalar space.
+    """
+    if element not in mesh._held:
+        if element.is_vector:
+            scalar = _mesh_dofmap(mesh, replace(element, value_dim=1))
+            dofmap = _component_blocks(element, scalar.cell_dofs, scalar.n_global)
+        else:
+            dofmap = build_dofmap(mesh, element)
+        _read_only(dofmap.cell_dofs)
+        mesh._held[element] = dofmap
+    return mesh._held[element]
 
 
 @dataclass(eq=False)
@@ -318,33 +355,44 @@ class SparseMatrix:
         return float(self.data.sum())
 
 
-def _build_structure(rows_map: DofMap, cols_map: DofMap) -> tuple[SparseMatrix, np.ndarray]:
+def _scalar_pattern(rows_map: DofMap, cols_map: DofMap) -> tuple:
+    """(column of each entry, indptr, (n_cells, n_rows_local, n_cols_local) slots)
+    of the CSR pattern of two scalar spaces, from one sort of the keys row*n_cols + col."""
+    n_cols = cols_map.n_global
+    coo = rows_map.cell_dofs[:, :, None] * n_cols + cols_map.cell_dofs[:, None, :]
+    keys, slots = np.unique(coo.ravel(), return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(rows_map.n_global + 1) * n_cols)
+    return keys % n_cols, indptr, slots.reshape(coo.shape)
+
+
+def _build_structure(
+    mesh: Mesh, row_element: FiniteElement, col_element: FiniteElement
+) -> tuple[SparseMatrix, np.ndarray]:
     """CSR pattern and each local entry's slot, from the pattern of the scalar spaces.
 
     A dofmap of d components is a component-major block of its scalar map,
-    its first n_local/d columns, so one sort of the scalar keys
-    row*n_cols + col gives the scalar pattern, and the pattern of the
-    d_r x d_c component blocks is written from it: row (ca, r) holds, for
-    each cb, the columns of scalar row r shifted by cb * n_scalar_cols.  A
-    scalar space is the 1 x 1 case.
+    so the pattern of the scalar spaces, which ``mesh`` holds after the
+    first call, gives the pattern of the d_r x d_c component blocks: row
+    (ca, r) holds, for each cb, the columns of scalar row r shifted by
+    cb * n_scalar_cols.  A scalar space is the 1 x 1 case.  The returned
+    matrix shares no array with what the mesh holds.
     """
-    dr, dc = rows_map.element.value_dim, cols_map.element.value_dim
-    n_rows, n_cols = rows_map.n_global // dr, cols_map.n_global // dc  # scalar spaces
-    n_cells, n_local = rows_map.cell_dofs.shape
-    rows = rows_map.cell_dofs[:, : n_local // dr]
-    cols = cols_map.cell_dofs[:, : cols_map.cell_dofs.shape[1] // dc]
-    coo = rows[:, :, None] * n_cols + cols[:, None, :]
-    keys, scalar_slots = np.unique(coo.ravel(), return_inverse=True)
-    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
-    nnz, length = len(keys), np.diff(indptr)
+    dr, dc = row_element.value_dim, col_element.value_dim
+    scalars = (replace(row_element, value_dim=1), replace(col_element, value_dim=1))
+    rows_map, cols_map = (_mesh_dofmap(mesh, e) for e in scalars)
+    if scalars not in mesh._held:
+        mesh._held[scalars] = _read_only(*_scalar_pattern(rows_map, cols_map))
+    columns, indptr, scalar_slots = mesh._held[scalars]
+    n_rows, n_cols, rows = rows_map.n_global, cols_map.n_global, rows_map.cell_dofs
+    nnz, length = len(columns), np.diff(indptr)
     # the rows of component ca start at starts[ca]; in them, scalar entry s of row r,
     # shifted into column block cb, sits at s + offset[cb, r]
     starts = np.arange(dr) * dc * nnz
     comps = np.arange(dc)[:, None]
     offset = (dc - 1) * indptr[:-1] + comps * length
-    block_indices = np.empty(dc * nnz, dtype=keys.dtype)
+    block_indices = np.empty(dc * nnz, dtype=columns.dtype)
     at = np.arange(nnz) + np.repeat(offset, length, axis=1)
-    block_indices[at] = keys % n_cols + comps * n_cols
+    block_indices[at] = columns + comps * n_cols
     matrix = SparseMatrix(
         dr * n_rows,
         dc * n_cols,
@@ -354,8 +402,8 @@ def _build_structure(rows_map: DofMap, cols_map: DofMap) -> tuple[SparseMatrix, 
     )
     # local entry (ca, a, cb, b) of a cell, in the order of its flattened element tensor
     cell_offset = offset.T[rows][:, None, :, :, None] + starts[:, None, None, None]
-    slots = scalar_slots.reshape(n_cells, 1, rows.shape[1], 1, cols.shape[1]) + cell_offset
-    return matrix, slots.reshape(n_cells, -1)
+    slots = scalar_slots[:, None, :, None, :] + cell_offset
+    return matrix, slots.reshape(mesh.n_cells, -1)
 
 
 def check_assembly(cf: CompiledForm, cell: ReferenceCell, n_cells: int) -> None:
@@ -388,7 +436,10 @@ def assemble(
     into the fixed structure (timed as "insertion").  A kernel of more than
     ``INTERPRET_FLOP_BUDGET`` flops per cell raises BudgetExceeded, and a
     ``cell_order`` that is not a permutation of the cells ValueError, before
-    anything is built.  Each distinct element gets one dofmap.
+    anything is built.  The mesh holds each element's dofmap and each pair
+    of scalar spaces' CSR pattern from the first assembly that needs them,
+    so a later assembly on the same mesh, of another form on those spaces,
+    only looks them up and expands the pattern by component blocks.
     """
     check_assembly(cf, mesh.cell, mesh.n_cells)
     check_budget(
@@ -403,13 +454,12 @@ def assemble(
     typed = cf.typed
     t0 = time.perf_counter()
     elements = [typed.test_element, typed.trial_element] + [e for _, e in typed.coefficients]
-    maps = {elem: build_dofmap(mesh, elem) for elem in dict.fromkeys(elements)}
-    rows_map, cols_map = maps[typed.test_element], maps[typed.trial_element]
+    maps = {elem: _mesh_dofmap(mesh, elem) for elem in elements}
     coef_maps = [maps[elem] for _, elem in typed.coefficients]
     t_dofmap = time.perf_counter() - t0
     rng = np.random.default_rng(seed)
     coefficient_values = [rng.uniform(COEF_LOW, COEF_HIGH, size=m.n_global) for m in coef_maps]
-    matrix, slots = _build_structure(rows_map, cols_map)
+    matrix, slots = _build_structure(mesh, typed.test_element, typed.trial_element)
     t_structure = time.perf_counter() - t0
 
     verts = mesh.cell_vertices()[order]

@@ -9,6 +9,7 @@ for total degree 2m - 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ class NonConvergence(RuntimeError):
     """Eigen-solve for the quadrature nodes failed to converge."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     cell: ReferenceCell
     points: np.ndarray  # (N, dim)
@@ -69,10 +70,12 @@ def gauss_jacobi_1d(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / 2.0 ** (alpha + 1)
 
 
+@functools.cache
 def simplex_rule_by_points(cell: ReferenceCell, m: int) -> QuadratureRule:
     """Collapsed product rule with m points per direction (m^dim total).
 
-    Raises BudgetExceeded, before anything is allocated, beyond
+    Built once per (cell, m) and shared, so its points and weights are
+    read-only.  Raises BudgetExceeded, before anything is allocated, beyond
     ``MAX_POINTS_PER_DIRECTION``.
     """
     if m < 1:
@@ -86,7 +89,9 @@ def simplex_rule_by_points(cell: ReferenceCell, m: int) -> QuadratureRule:
     ws = np.meshgrid(*(w for _, w in rules), indexing="ij")
     # x_k*(1 - x_0)*...*(1 - x_{k-1}), multiplied left to right
     pts = [math.prod([x] + [1.0 - p for p in xs[:k]]).ravel() for k, x in enumerate(xs)]
-    return QuadratureRule(cell, np.stack(pts, axis=1), math.prod(ws).ravel(), 2 * m - 1, m)
+    points, weights = np.stack(pts, axis=1), math.prod(ws).ravel()
+    points.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(cell, points, weights, 2 * m - 1, m)
 
 
 def simplex_rule(cell: ReferenceCell, degree: int) -> QuadratureRule:

@@ -219,6 +219,80 @@ def test_assemble_rejects_a_cell_order_that_is_no_permutation(compile_cached, or
     assert abs(M.total() - 1.0) < 1e-12
 
 
+def test_mesh_is_frozen_and_its_arrays_read_only():
+    cells = np.array([[0, 1, 2]])
+    mesh = harness.Mesh(TRIANGLE, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), cells)
+    cells[0, 0] = 2  # the mesh holds its own copy
+    assert mesh.cells.tolist() == [[0, 1, 2]]
+    for array in (mesh.cells, mesh.coords):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.cells = cells
+
+
+def _assembly_bytes(matrix):
+    return [matrix.indptr.tobytes(), matrix.indices.tobytes(), matrix.data.tobytes()]
+
+
+def test_held_maps_and_patterns_are_read_only(compile_cached, kernel_cached):
+    cf = compile_cached(forms.elasticity(2, 2), "elasticity22")
+    mesh = harness.unit_square_mesh(3)
+    matrix, _ = harness.assemble(cf, kernel_cached(cf, "quadrature"), mesh)
+    held = mesh._held.values()
+    arrays = [h.cell_dofs for h in held if isinstance(h, harness.DofMap)]
+    arrays += [a for h in held if isinstance(h, tuple) for a in h]
+    assert len(arrays) == 2 + 3  # P2 and vector P2 maps; the (P2, P2) pattern
+    for a in arrays:
+        assert not a.flags.writeable
+        for m in (matrix.indptr, matrix.indices, matrix.data):
+            assert not np.shares_memory(a, m)
+
+
+def test_mutating_an_assembled_matrix_leaves_the_next_assembly_unchanged(compile_cached):
+    for src, name in [(forms.mass(2, 2), "mass22"), (forms.elasticity(2, 2), "elasticity22")]:
+        cf = compile_cached(src, name)
+        kernel = harness.quadrature_kernel(cf)
+        mesh = harness.unit_square_mesh(3)
+        first, _ = harness.assemble(cf, kernel, mesh)
+        want = _assembly_bytes(first)
+        first.indptr[:] = 0
+        first.indices[:] = 0
+        first.data[:] = np.nan
+        again, _ = harness.assemble(cf, kernel, mesh)
+        assert _assembly_bytes(again) == want, name
+
+
+def test_reuse_across_assemblies_is_invisible(compile_cached, kernel_cached, monkeypatch):
+    """Mass, weighted Laplacian and elasticity at P1-P3 on one mesh: each
+    matrix is that of an assembly on its own fresh mesh, each scalar space
+    is numbered once and each pair of scalar spaces is sorted once."""
+    ladder = [
+        (cf, kernel_cached(cf, "tensor"))
+        for p in (1, 2, 3)
+        for family in ("mass", "weighted_laplacian", "elasticity")
+        for cf in [compile_cached(getattr(forms, family)(2, p), f"{family}{p}")]
+    ]
+    alone = [
+        _assembly_bytes(harness.assemble(cf, k, harness.unit_square_mesh(6), seed=i)[0])
+        for i, (cf, k) in enumerate(ladder)
+    ]
+    built, sorted_pairs = [], []
+    build, pattern = harness.build_dofmap, harness._scalar_pattern
+    monkeypatch.setattr(harness, "build_dofmap", lambda mesh, e: built.append(e) or build(mesh, e))
+    monkeypatch.setattr(
+        harness,
+        "_scalar_pattern",
+        lambda r, c: sorted_pairs.append((r.element, c.element)) or pattern(r, c),
+    )
+    mesh = harness.unit_square_mesh(6)
+    for i, (cf, k) in enumerate(ladder):
+        matrix, _ = harness.assemble(cf, k, mesh, seed=i)
+        assert _assembly_bytes(matrix) == alone[i], cf.name
+    assert built == [_P[1], _P[2], _P[3]]
+    assert sorted_pairs == [(_P[q], _P[q]) for q in (1, 2, 3)]
+
+
 def _build_structure_one_sort(rows_map, cols_map):
     """The pattern from one sort of the keys row*n_cols + col of all components: the oracle."""
     n_cols = cols_map.n_global
@@ -251,17 +325,33 @@ STRUCTURE_CASES = {
 def test_structure_matches_one_sort_of_all_keys(case, n):
     mesh = harness.unit_square_mesh(n)
     rows_map, cols_map = (harness.build_dofmap(mesh, e) for e in STRUCTURE_CASES[case])
-    got, got_slots = harness._build_structure(rows_map, cols_map)
     want, want_slots = _build_structure_one_sort(rows_map, cols_map)
-    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
-    for a, b in [
-        (got.indptr, want.indptr),
-        (got.indices, want.indices),
-        (got.data, want.data),
-        (got_slots, want_slots),
-    ]:
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
+    # the first call sorts and the mesh holds the scalar pattern; the second reuses it
+    for _ in range(2):
+        got, got_slots = harness._build_structure(mesh, *STRUCTURE_CASES[case])
+        assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+        for a, b in [
+            (got.indptr, want.indptr),
+            (got.indices, want.indices),
+            (got.data, want.data),
+            (got_slots, want_slots),
+        ]:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+def test_held_patterns_are_keyed_by_both_spaces():
+    """Every STRUCTURE_CASES pair, twice, on one mesh: a pattern held for one
+    pair of spaces never answers for another, rectangular pairs included."""
+    mesh = harness.unit_square_mesh(3)
+    maps = {e: harness.build_dofmap(mesh, e) for pair in STRUCTURE_CASES.values() for e in pair}
+    for case in [*STRUCTURE_CASES, *reversed(STRUCTURE_CASES)]:
+        rows, cols = STRUCTURE_CASES[case]
+        got, got_slots = harness._build_structure(mesh, rows, cols)
+        want, want_slots = _build_structure_one_sort(maps[rows], maps[cols])
+        assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols), case
+        for a, b in [(got.indptr, want.indptr), (got.indices, want.indices), (got_slots, want_slots)]:
+            assert a.tobytes() == b.tobytes(), case
 
 
 def test_cross_check_modes(compile_cached):

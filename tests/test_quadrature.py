@@ -111,6 +111,15 @@ def test_rule_for_form_override():
     assert simplex_rule_by_points(TETRAHEDRON, 3).n_points == 27
 
 
+def test_rules_are_built_once_and_read_only():
+    for cell in (TRIANGLE, TETRAHEDRON):
+        r = simplex_rule_by_points(cell, 3)
+        assert simplex_rule(cell, 5) is r and rule_for_form(cell, 0, points_override=3) is r
+        for a in (r.points, r.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
 def rule_digests() -> dict:
     """SHA-256 of the points and weights bytes of every m = 1..15 rule on both cells."""
     out = {}
