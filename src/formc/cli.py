@@ -1,14 +1,16 @@
 """Command-line interface: compile, check, bench, assemble, trends.
 
 Exit codes: 0 on success, 2 when the input is refused, 3 when a cross-check
-exceeds its tolerance.  The commands raise every refusal as a
-``dsl.Rejected``, and ``main`` alone reports it: ``error: <message>`` when
-the form cannot be read or compiled (``dsl.FormError``, ``UnreadableForm``),
-``rejected: <message>`` for any other refusal (division or a quadrature-only
-flag under tensor, a linear or non-triangle form under assemble, or a size
-bound of ``dsl.check_budget``) and for an allocation that failed.  Bad
-arguments, and a ``compile --emit`` that cannot write its directory or file,
-also exit 2.
+exceeds its tolerance.  ``check``, ``bench`` and ``trends`` compare the two
+representations one way (``harness._check_kernels``) and exit 3 when a
+comparison exceeds its ``harness.CHECK_TOLERANCES`` entry.  The commands
+raise every refusal as a ``dsl.Rejected``, and ``main`` alone reports it:
+``error: <message>`` when the form cannot be read or compiled
+(``dsl.FormError``, ``UnreadableForm``), ``rejected: <message>`` for any
+other refusal (division or a quadrature-only flag under tensor, a linear or
+non-triangle form under assemble, or a size bound of ``dsl.check_budget``)
+and for an allocation that failed.  Bad arguments, and a ``compile --emit``
+that cannot write its directory or file, also exit 2.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from pathlib import Path
 from . import dsl, harness, lowering
 from .elements import reference_cell
 from .kernel import count_flops, emit_source, kernel_to_json
-
-CHECK_TOLERANCE = 1e-10
-CHECK_TOLERANCE_DIVISION = 1e-8
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -107,17 +106,8 @@ def cmd_compile(args) -> int:
 def cmd_check(args) -> int:
     cf = _load(args.form)
     check = harness.cross_check(cf, n_cells=args.cells, seed=args.seed, points_override=args.points)
-    tol = (
-        CHECK_TOLERANCE_DIVISION
-        if check.mode == "quadrature-two-degrees"
-        else CHECK_TOLERANCE
-    )
-    status = "ok" if check.max_relative_difference <= tol else "FAILED"
-    print(
-        f"{cf.name}: {check.mode} max relative difference"
-        f" {check.max_relative_difference:.3e} (tolerance {tol:g}) {status}"
-    )
-    return EXIT_OK if status == "ok" else EXIT_CHECK_FAILED
+    print(f"{cf.name}: {check}")
+    return EXIT_OK if check.ok else EXIT_CHECK_FAILED
 
 
 def cmd_bench(args) -> int:
@@ -128,7 +118,7 @@ def cmd_bench(args) -> int:
         print(f"# {note}")
     if report.tensor_error:
         print(f"# tensor representation unavailable: {report.tensor_error}")
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def cmd_assemble(args) -> int:
@@ -151,9 +141,7 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_trends(args) -> int:
-    rows = harness.trend_suite(
-        quick=args.quick, include_3d=args.include_3d, bench_n=args.bench_n
-    )
+    rows = harness.trend_suite(quick=args.quick, include_3d=args.include_3d, bench_n=args.bench_n)
     print(harness.render_trend_table(rows))
     print(harness.CSV_HEADER)
     for cell, report, error in rows:
@@ -161,22 +149,20 @@ def cmd_trends(args) -> int:
             print(report.csv_row())
         else:
             print(f"{cell.label()},{error}")
-    return EXIT_OK
+    failed = [report.form_name for _, report, _ in rows if report and not report.ok]
+    if failed:
+        print(f"# cross-check beyond tolerance: {' '.join(failed)}")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="formc", description="miniature variational-form compiler"
-    )
+    description = "miniature variational-form compiler"
+    parser = argparse.ArgumentParser(prog="formc", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_rep(p):
-        p.add_argument(
-            "-r",
-            "--representation",
-            choices=("quadrature", "tensor"),
-            default="quadrature",
-        )
+        reps = ("quadrature", "tensor")
+        p.add_argument("-r", "--representation", choices=reps, default="quadrature")
         p.add_argument("--points", type=_positive_int, default=None, help="points per direction")
         p.add_argument("--no-tabulate-zeros", action="store_true")
         p.add_argument("--no-hoist", action="store_true")
@@ -223,7 +209,3 @@ def main(argv=None) -> int:
     except (dsl.Rejected, MemoryError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
     return EXIT_REJECTED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -37,6 +37,7 @@ ASSEMBLY_ENTRY_BUDGET = 20_000_000  # cells x local test dofs x local trial dofs
 INTERPRET_FLOP_BUDGET = 10**9  # flops per cell of a kernel that assemble interprets
 BATCH_CELLS = 256  # cells per interpreted batch: assemble, _bench and the cross-check
 MAX_CHECK_CELLS = 100_000  # cells one cross_check may interpret
+CHECK_FLOP_BUDGET = 10**10  # cells x flops per cell of both kernels of one comparison
 COEF_LOW, COEF_HIGH = 0.5, 1.5  # bounded away from zero for division forms
 
 
@@ -163,58 +164,80 @@ def relative_max_difference(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.abs(A - B).max() / scale)
 
 
+CHECK_TOLERANCES = {  # largest relative difference per mode; division quadrature is nominal
+    "quadrature-vs-tensor": 1e-10,
+    "quadrature-vs-full-tables": 1e-10,
+    "quadrature-two-degrees": 1e-8,
+}
+
+
 @dataclass(frozen=True)
 class CrossCheck:
     max_relative_difference: float
-    mode: str  # "quadrature-vs-tensor" | "quadrature-vs-full-tables" | "quadrature-two-degrees"
+    mode: str  # a key of CHECK_TOLERANCES
+
+    @property
+    def tolerance(self) -> float:
+        return CHECK_TOLERANCES[self.mode]
+
+    @property
+    def ok(self) -> bool:  # False for a NaN difference
+        return self.max_relative_difference <= self.tolerance
+
+    def __str__(self) -> str:
+        d, tag = self.max_relative_difference, "ok" if self.ok else "FAILED"
+        return f"{self.mode} max relative difference {d:.3e} (tolerance {self.tolerance:g}) {tag}"
+
+
+def _tensor_or_refusal(cf: CompiledForm, term_budget: int = DEFAULT_TERM_BUDGET):
+    """(tensor kernel, None), or (None, "<Refusal>: <message>") when tensor_kernel refuses."""
+    try:
+        return tensor_kernel(cf, term_budget=term_budget), None
+    except Rejected as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def cross_check(
-    cf: CompiledForm,
-    n_cells: int = 100,
-    seed: int = 0,
-    points_override: int | None = None,
+    cf: CompiledForm, n_cells: int = 100, seed: int = 0, points_override: int | None = None
 ) -> CrossCheck:
     """Compare representations on seeded random cells and coefficients.
 
-    Division-bearing forms have no tensor kernel; they are checked for
-    self-consistency between two quadrature degrees instead (the rule at the
-    estimate is nominal for rational integrands, so both degrees carry a
-    safety shift large enough for Gauss convergence to the check tolerance).
-    An explicit ``points_override`` permits deliberately inexact quadrature.
-    More than ``MAX_CHECK_CELLS`` cells, or a tensor kernel beyond the
-    default term budget, raises BudgetExceeded before any cell is generated.
+    The comparison is ``compare``'s: see ``_check_kernels``.  An explicit
+    ``points_override`` permits deliberately inexact quadrature.  More than
+    ``MAX_CHECK_CELLS`` cells raises BudgetExceeded before any kernel is built.
     """
     check_budget(n_cells, MAX_CHECK_CELLS, "{} cells exceed the cross-check maximum of {}")
-    kt = None if any(m.denominators for m in cf.monomials.monomials) else tensor_kernel(cf)
-    return _check_kernels(cf, n_cells, seed, None, kt, points_override)
+    kq = quadrature_kernel(cf, points_override)
+    return _check_kernels(cf, n_cells, seed, kq, _tensor_or_refusal(cf)[0], points_override)
 
 
 def _check_kernels(cf, n_cells, seed, kq, kt, points_override=None) -> CrossCheck:
-    """The comparison of cross_check and compare; a ``kq`` of None is built here.
+    """The comparison of cross_check and compare, of ``kq`` against ``kt``.
 
-    Both kernels run on the cells of ``_cell_batches``, one batch at a time,
-    and only the running maxima of |A - B| and |B| are kept: the result is
-    ``relative_max_difference`` of the whole tensors.
+    Without a tensor kernel (``kt`` None), a division form compares two
+    quadrature degrees, both shifted far enough for Gauss convergence to the
+    tolerance (the rule at the estimate is nominal for rational integrands).
+    A polynomial form compares against its quadrature kernel without zero
+    elimination at two degrees above the estimate, one point per direction
+    more, so the check also covers the degree estimate and the rule.
+    Hoisting stays on: un-hoisted, each coefficient factor adds a loop around
+    the accumulation, so twelve P4 factors need 15**12 trips per point.
 
-    Without a tensor kernel, a division form compares two quadrature
-    degrees, and a polynomial form (over the term budget) compares against
-    its quadrature kernel without zero elimination at two degrees above the
-    estimate, one point per direction more, so that the check also covers
-    the degree estimate and the rule.  Hoisting stays on: un-hoisted, each
-    coefficient factor adds a loop around the accumulation, so twelve P4
-    factors need 15**12 trips per point.
+    More than ``CHECK_FLOP_BUDGET`` flops of both kernels over the cells
+    raises BudgetExceeded before any cell is generated.  Then both run a
+    batch of ``_cell_batches`` at a time and keep only the maxima of |A - B|
+    and |B|: the result is ``relative_max_difference`` of the whole tensors.
     """
     mode = "quadrature-vs-tensor"
-    if kt is None and any(m.denominators for m in cf.monomials.monomials):
+    if kt is None and cf.monomials.has_division:
         mode = "quadrature-two-degrees"
         kq = quadrature_kernel(cf, points_override, degree_shift=10)
         kt = quadrature_kernel(cf, degree_shift=16)
-    if kq is None:
-        kq = quadrature_kernel(cf, points_override)
     if kt is None:
         mode = "quadrature-vs-full-tables"
         kt = quadrature_kernel(cf, degree_shift=2, zero_elimination=False)
+    flops = n_cells * (count_flops(kq) + count_flops(kt))
+    check_budget(flops, CHECK_FLOP_BUDGET, "cross-check needs {} flops (budget {})")
     diff = scale = np.float64(0.0)
     for geo, w in _cell_batches(cf, n_cells, seed):
         Aq = interpret_batch(kq, geo, w)
@@ -518,30 +541,25 @@ class ComparisonReport:
     notes: tuple = ()
 
     @property
+    def ok(self) -> bool:
+        return CrossCheck(self.max_difference, self.check_mode).ok
+
+    @property
     def ratio(self) -> float | None:
         if self.flops_t:
             return self.flops_q / self.flops_t
         return None
 
     def csv_row(self) -> str:
-        def fmt(v, spec="{}"):
-            return "NA" if v is None else spec.format(v)
-
-        return ",".join(
-            [
-                self.form_name,
-                fmt(self.flops_q),
-                fmt(self.flops_t),
-                fmt(self.ratio, "{:.4g}"),
-                fmt(self.runtime_q, "{:.6g}"),
-                fmt(self.runtime_t, "{:.6g}"),
-                fmt(self.max_difference, "{:.3g}"),
-                fmt(self.gen_time_q, "{:.6g}"),
-                fmt(self.gen_time_t, "{:.6g}"),
-                fmt(self.bytes_q),
-                fmt(self.bytes_t),
-            ]
-        )
+        """The columns of CSV_HEADER, NA where a column has no value."""
+        g = "{:.6g}"
+        columns = [
+            (self.form_name, "{}"), (self.flops_q, "{}"), (self.flops_t, "{}"),
+            (self.ratio, "{:.4g}"), (self.runtime_q, g), (self.runtime_t, g),
+            (self.max_difference, "{:.3g}"), (self.gen_time_q, g), (self.gen_time_t, g),
+            (self.bytes_q, "{}"), (self.bytes_t, "{}"),
+        ]
+        return ",".join("NA" if v is None else spec.format(v) for v, spec in columns)
 
 
 CSV_HEADER = (
@@ -552,8 +570,7 @@ CSV_HEADER = (
 
 def _bench(kernel: KernelIR, cf: CompiledForm, n: int, seed: int) -> float:
     """Seconds to interpret ``n`` cells, one batch of random cells reused."""
-    geo = affine_map_batch(random_cells(cf.cell, min(n, BATCH_CELLS), seed))
-    w = random_coefficients(cf, geo.det.shape[0], seed + 1)
+    geo, w = next(_cell_batches(cf, min(n, BATCH_CELLS), seed))
     t0 = time.perf_counter()
     for start in range(0, n, BATCH_CELLS):
         k = min(BATCH_CELLS, n - start)
@@ -578,17 +595,11 @@ def compare(
     bytes_q = source_bytes(kq)
     flops_q = count_flops(kq)
 
-    kt = None
+    t0 = time.perf_counter()
+    kt, tensor_error = _tensor_or_refusal(cf, term_budget)
     gen_t = bytes_t = flops_t = None
-    tensor_error = None
-    try:
-        t0 = time.perf_counter()
-        kt = tensor_kernel(cf, term_budget=term_budget)
-        gen_t = time.perf_counter() - t0
-        bytes_t = source_bytes(kt)
-        flops_t = count_flops(kt)
-    except Rejected as exc:
-        tensor_error = f"{type(exc).__name__}: {exc}"
+    if kt is not None:
+        gen_t, bytes_t, flops_t = time.perf_counter() - t0, source_bytes(kt), count_flops(kt)
 
     check = _check_kernels(cf, n_cells, seed, kq, kt)
 
@@ -598,8 +609,8 @@ def compare(
         if kt is not None:
             runtime_t = _bench(kt, cf, bench_n, seed)
 
-    notes = []
-    if cf.monomials.monomials and any(m.denominators for m in cf.monomials.monomials):
+    notes = [] if check.ok else [f"cross-check {check}"]
+    if cf.monomials.has_division:
         notes.append("quadrature of division forms is nominal, not exact")
     notes.append("interpreted kernels: flop counts exact, absolute times not comparable")
     return ComparisonReport(
@@ -679,10 +690,7 @@ def full_trend_cells(include_3d: bool = False) -> list[TrendCell]:
 
 
 def trend_suite(
-    quick: bool = True,
-    include_3d: bool = False,
-    bench_n: int = 0,
-    n_cells: int = 20,
+    quick: bool = True, include_3d: bool = False, bench_n: int = 0, n_cells: int = 20
 ) -> list[tuple[TrendCell, ComparisonReport | None, str | None]]:
     """Sweep the benchmark families; refusals are recorded, not fatal.
 

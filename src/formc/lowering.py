@@ -121,6 +121,10 @@ class MonomialSum:
     form: TypedForm
     monomials: tuple
 
+    @property
+    def has_division(self) -> bool:
+        return any(m.denominators for m in self.monomials)
+
 
 # ---------------------------------------------------------------------------
 # Phase 1: symbolic evaluation in physical coordinates

@@ -226,7 +226,7 @@ def build_tensor_kernel(
     mode of tensor code generation for very complicated forms.
     """
     form = ms.form
-    if any(m.denominators for m in ms.monomials):
+    if ms.has_division:
         raise UnsupportedDivision("form divides by a coefficient")
     bilinear = form.arity == 2
     n1 = form.test_element.space_dim

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from formc import forms, harness
+from formc import forms, harness, lowering
 from formc.cli import main
 from formc.dsl import BudgetExceeded
 from formc.elements import MAX_DEGREE, TRIANGLE
@@ -271,7 +271,8 @@ def test_front_end_accepts_depth_below_limit(tmp_path, capsys):
 # Both forms need far more unrolled terms than the budget: without one the
 # tensor builder allocates until the process is killed.  The P2 form needs up
 # to 429,981,696 terms and has 8 bound indices per monomial; the P3 form has
-# none.
+# none.  check has no tensor kernel for them, so it compares against the
+# full-tables quadrature kernels, of 30,112 and 64,092 flops per cell.
 _HEAVY_P2 = (
     'element = FiniteElement("Lagrange", "triangle", 2)\n'
     "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
@@ -285,21 +286,35 @@ _HEAVY_P3 = (
 )
 
 
+def _check_falls_back_to_full_tables(path, capsys):
+    t0 = time.perf_counter()
+    assert main(["check", str(path)]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "quadrature-vs-full-tables" in captured.out and captured.out.endswith(" ok\n")
+
+
 @pytest.mark.parametrize(
     "argv", [["check"], ["compile", "-r", "tensor"], ["assemble", "-r", "tensor"]]
 )
 def test_tensor_term_budget_rejects(argv, tmp_path, capsys):
+    # the tensor kernel is refused: compile and assemble exit 2, check compares
+    # against the full-tables kernel instead
     path = tmp_path / "heavy_p3.form"
     path.write_text(_HEAVY_P3)
+    if argv[0] == "check":
+        _check_falls_back_to_full_tables(path, capsys)
+        return
     assert main([argv[0], str(path)] + argv[1:]) == 2
     assert "100000000 terms" in capsys.readouterr().err
 
 
 def test_check_budget_rejects_gradient_power(tmp_path, capsys):
+    # the term budget refuses the tensor kernel, not the check
     path = tmp_path / "heavy_p2.form"
     path.write_text(_HEAVY_P2)
-    assert main(["check", str(path)]) == 2
-    assert "429981696 terms" in capsys.readouterr().err
+    _check_falls_back_to_full_tables(path, capsys)
 
 
 def test_element_degree_bound(tmp_path, capsys):
@@ -351,6 +366,24 @@ def test_bench_checks_over_budget_polynomial_at_exact_rule(tmp_path, capsys):
     assert main(["bench", str(path), "-N", "0"]) == 0
     fields = capsys.readouterr().out.splitlines()[1].split(",")
     assert fields[2] == "NA" and float(fields[6]) <= 1e-10
+
+
+def test_bench_and_trends_exit_3_on_a_failed_comparison(tmp_path, capsys, monkeypatch):
+    # two degrees short of the estimate, one point misses the P2 integrand
+    # that the tensor kernel integrates exactly
+    estimate = lowering.estimate_degree
+    monkeypatch.setattr(lowering, "estimate_degree", lambda ms: estimate(ms) - 2)
+    path = tmp_path / "el22.form"
+    path.write_text(forms.elasticity(2, 2))
+    assert main(["bench", str(path), "-N", "0"]) == 3
+    out = capsys.readouterr().out
+    assert "\n# cross-check quadrature-vs-tensor max relative difference " in out
+    assert "(tolerance 1e-10) FAILED\n" in out
+    cell = harness.TrendCell("elasticity", 2, 1, 2, 0)
+    assert cell.source() == forms.elasticity(2, 2)
+    monkeypatch.setattr(harness, "quick_trend_cells", lambda: [cell])
+    assert main(["trends", "--quick"]) == 3
+    assert capsys.readouterr().out.endswith(f"\n# cross-check beyond tolerance: {cell.label()}\n")
 
 
 def test_assemble_rejects_runaway_unhoisted_kernel(tmp_path, capsys):
@@ -419,22 +452,24 @@ def test_quadrature_term_budget_rejects(argv, cell, k, n_terms, tmp_path, capsys
 
 
 _P6_POWER = forms.mass(2, 6, 6, 6)  # six P6 coefficients times v*u, all P6
-# Each bound, through every command that reaches it.  Under check, the tensor
-# term budget comes before the quadrature kernel of any form that has a
-# tensor kernel, so the concrete-term bound needs a division form there.
+# The same on a tetrahedron: no tensor kernel, and 100 cells of its
+# quadrature and full-tables kernels need 73,649,778,300 flops.
+_P6_POWER_3D = forms.mass(3, 6, 6, 6)
+# Each bound, through every command that reaches it.
 _BOUND_CASES = {
     "compile-points": (["compile", "MASS", "--points", _TOO_MANY], MAX_POINTS_PER_DIRECTION),
     "check-points": (["check", "MASS", "--points", _TOO_MANY], MAX_POINTS_PER_DIRECTION),
     "assemble-points": (["assemble", "MASS", "--points", _TOO_MANY], MAX_POINTS_PER_DIRECTION),
     "bench-points": (["bench", "HIGH", "-N", "0"], MAX_POINTS_PER_DIRECTION),
     "check-cells": (["check", "MASS", "--cells", "100001"], harness.MAX_CHECK_CELLS),
+    "check-flops": (["check", "P6_3D"], harness.CHECK_FLOP_BUDGET),
+    "bench-flops": (["bench", "P6_3D", "-N", "100"], harness.CHECK_FLOP_BUDGET),
     "assemble-entries": (["assemble", "MASS", "--mesh-n", "100000"], harness.ASSEMBLY_ENTRY_BUDGET),
     "assemble-flops": (["assemble", "P6", "--no-hoist"], harness.INTERPRET_FLOP_BUDGET),
     "compile-tensor-terms": (["compile", "P6", "-r", "tensor"], DEFAULT_TERM_BUDGET),
-    "check-tensor-terms": (["check", "P6"], DEFAULT_TERM_BUDGET),
     "assemble-tensor-terms": (["assemble", "P6", "-r", "tensor"], DEFAULT_TERM_BUDGET),
     "compile-concrete-terms": (["compile", "GRAD_TET"], MAX_CONCRETE_TERMS),
-    "check-concrete-terms": (["check", "GRAD_DIV"], MAX_CONCRETE_TERMS),
+    "check-concrete-terms": (["check", "GRAD_TET"], MAX_CONCRETE_TERMS),
     "bench-concrete-terms": (["bench", "GRAD_TET", "-N", "0"], MAX_CONCRETE_TERMS),
     "assemble-concrete-terms": (["assemble", "GRAD_TRI"], MAX_CONCRETE_TERMS),
 }
@@ -445,16 +480,18 @@ def test_every_bound_rejects_with_its_value_and_limit(case, form_files, tmp_path
     sources = {
         "HIGH": _HIGH_DEGREE,
         "P6": _P6_POWER,
+        "P6_3D": _P6_POWER_3D,
         "GRAD_TET": _gradient_power("tetrahedron", 7),
         "GRAD_TRI": _gradient_power("triangle", 9),
-        "GRAD_DIV": _gradient_power("triangle", 9).replace("*dx", "/f*dx"),
     }
     paths = {"MASS": form_files["mass_small"]}
     for name, source in sources.items():
         paths[name] = str(tmp_path / f"{name}.form")
         Path(paths[name]).write_text(source)
     argv, limit = _BOUND_CASES[case]
+    t0 = time.perf_counter()
     assert main([paths.get(a, a) for a in argv]) == 2
+    assert time.perf_counter() - t0 < 10.0
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1 and err[0].startswith("rejected: ")
@@ -466,6 +503,7 @@ def test_every_bound_rejects_with_its_value_and_limit(case, form_files, tmp_path
 _BOUND_CALLS = {
     "points": lambda c: simplex_rule_by_points(TRIANGLE, 33),
     "check_cells": lambda c: harness.cross_check(c(forms.mass(2, 1)), n_cells=100_001),
+    "check_flops": lambda c: harness.cross_check(c(_P6_POWER), n_cells=100_000),
     "entries": lambda c: harness.check_assembly(c(forms.mass(2, 2)), TRIANGLE, 10**6),
     "flops": lambda c: harness.assemble(
         c(_P6_POWER),

@@ -429,9 +429,15 @@ def test_full_tables_check_catches_an_underestimated_degree(compile_cached):
     # the comparison kernel two degrees above the (lowered) estimate does not
     cf = compile_cached(forms.elasticity(2, 2), "el22")
     low = dataclasses.replace(cf, degree=cf.degree - 2)
-    check = harness._check_kernels(low, 5, 0, None, None)
+    check = harness._check_kernels(low, 5, 0, harness.quadrature_kernel(low), None)
     assert check.mode == "quadrature-vs-full-tables"
-    assert check.max_relative_difference > 0.5
+    assert check.max_relative_difference > 0.5 and not check.ok
+
+
+def test_a_nan_difference_fails_its_check():
+    for mode, tolerance in harness.CHECK_TOLERANCES.items():
+        assert harness.CrossCheck(tolerance, mode).ok
+        assert not harness.CrossCheck(float("nan"), mode).ok
 
 
 def test_runtime_rank_order_stable(compile_cached):
@@ -523,7 +529,7 @@ def test_negated_integrand_negates_the_element_tensor(name, compile_cached, kern
     cf = compile_cached(source, name)
     neg = compile_cached(re.sub(r"^a = (.*)\*dx$", r"a = -(\1)*dx", source, flags=re.M), name)
     geo, w = next(harness._cell_batches(cf, 3, 0))
-    divides = any(m.denominators for m in cf.monomials.monomials)
+    divides = cf.monomials.has_division
     for rep in ["quadrature"] + ([] if divides else ["tensor"]):
         A = interpret_batch(kernel_cached(cf, rep), geo, w)
         assert np.array_equal(interpret_batch(kernel_cached(neg, rep), geo, w), -A)
