@@ -625,10 +625,8 @@ def _check(expr: FormExpr, d: int) -> _Sig:
         return _Sig((), 0, 0, 0)
     if isinstance(expr, Grad):
         a = _check(expr.operand, d)
-        if a.order > 0:
+        if a.order > 0:  # also refuses rank 2, which only grad makes
             raise UnsupportedSecondDerivative("grad of a differentiated expression")
-        if len(a.shape) >= 2:
-            raise RankMismatch("grad of a rank-2 expression is not supported")
         return _Sig(a.shape + (d,), 1, a.n_test, a.n_trial)
     if isinstance(expr, Div):
         a = _check(expr.operand, d)
@@ -750,8 +748,6 @@ def typecheck(program: FormProgram) -> TypedForm:
     sig = _check(program.integrand, cell.dim)
     if sig.shape != ():
         raise NonScalarIntegrand(f"integrand has shape {sig.shape}, expected a scalar")
-    if sig.n_test != 1:
-        raise ArityMismatch("every additive term must contain the test function")
     coefficients = tuple(
         (name, elem) for name, kind, elem in program.function_decls if kind == "coef"
     )

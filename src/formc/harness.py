@@ -37,7 +37,7 @@ ASSEMBLY_ENTRY_BUDGET = 20_000_000  # cells x local test dofs x local trial dofs
 INTERPRET_FLOP_BUDGET = 10**9  # flops per cell of a kernel that assemble interprets
 BATCH_CELLS = 256  # cells per interpreted batch: assemble, _bench and the cross-check
 MAX_CHECK_CELLS = 100_000  # cells one cross_check may interpret
-CHECK_FLOP_BUDGET = 10**10  # cells x flops per cell of both kernels of one comparison
+CHECK_FLOP_BUDGET = 2 * 10**10  # cells x flops per cell of both kernels: cross-check, bench -N
 COEF_LOW, COEF_HIGH = 0.5, 1.5  # bounded away from zero for division forms
 
 
@@ -205,9 +205,11 @@ def cross_check(
     The comparison is ``compare``'s: see ``_check_kernels``.  An explicit
     ``points_override`` permits deliberately inexact quadrature.  More than
     ``MAX_CHECK_CELLS`` cells raises BudgetExceeded before any kernel is built.
+    A division form has no tensor kernel and compares two shifted degrees, so
+    its kernel at the estimated degree is not built.
     """
     check_budget(n_cells, MAX_CHECK_CELLS, "{} cells exceed the cross-check maximum of {}")
-    kq = quadrature_kernel(cf, points_override)
+    kq = None if cf.monomials.has_division else quadrature_kernel(cf, points_override)
     return _check_kernels(cf, n_cells, seed, kq, _tensor_or_refusal(cf)[0], points_override)
 
 
@@ -215,8 +217,9 @@ def _check_kernels(cf, n_cells, seed, kq, kt, points_override=None) -> CrossChec
     """The comparison of cross_check and compare, of ``kq`` against ``kt``.
 
     Without a tensor kernel (``kt`` None), a division form compares two
-    quadrature degrees, both shifted far enough for Gauss convergence to the
-    tolerance (the rule at the estimate is nominal for rational integrands).
+    quadrature degrees in place of ``kq``, which may be None, both shifted
+    far enough for Gauss convergence to the tolerance (the rule at the
+    estimate is nominal for rational integrands).
     A polynomial form compares against its quadrature kernel without zero
     elimination at two degrees above the estimate, one point per direction
     more, so the check also covers the degree estimate and the rule.
@@ -552,20 +555,25 @@ class ComparisonReport:
 
     def csv_row(self) -> str:
         """The columns of CSV_HEADER, NA where a column has no value."""
-        g = "{:.6g}"
-        columns = [
-            (self.form_name, "{}"), (self.flops_q, "{}"), (self.flops_t, "{}"),
-            (self.ratio, "{:.4g}"), (self.runtime_q, g), (self.runtime_t, g),
-            (self.max_difference, "{:.3g}"), (self.gen_time_q, g), (self.gen_time_t, g),
-            (self.bytes_q, "{}"), (self.bytes_t, "{}"),
-        ]
-        return ",".join("NA" if v is None else spec.format(v) for v, spec in columns)
+        values = ((getattr(self, attr), spec) for _, attr, spec in CSV_COLUMNS)
+        return ",".join("NA" if v is None else spec.format(v) for v, spec in values)
 
 
-CSV_HEADER = (
-    "form,flops_q,flops_t,ratio,runtime_q,runtime_t,maxdiff,"
-    "gen_time_q,gen_time_t,bytes_q,bytes_t"
+_SECONDS = "{:.6g}"
+CSV_COLUMNS = (  # (column, ComparisonReport attribute, format)
+    ("form", "form_name", "{}"),
+    ("flops_q", "flops_q", "{}"),
+    ("flops_t", "flops_t", "{}"),
+    ("ratio", "ratio", "{:.4g}"),
+    ("runtime_q", "runtime_q", _SECONDS),
+    ("runtime_t", "runtime_t", _SECONDS),
+    ("maxdiff", "max_difference", "{:.3g}"),
+    ("gen_time_q", "gen_time_q", _SECONDS),
+    ("gen_time_t", "gen_time_t", _SECONDS),
+    ("bytes_q", "bytes_q", "{}"),
+    ("bytes_t", "bytes_t", "{}"),
 )
+CSV_HEADER = ",".join(column for column, _, _ in CSV_COLUMNS)
 
 
 def _bench(kernel: KernelIR, cf: CompiledForm, n: int, seed: int) -> float:
@@ -587,7 +595,11 @@ def compare(
     bench_n: int = 0,
     term_budget: int = DEFAULT_TERM_BUDGET,
 ) -> ComparisonReport:
-    """Compile under both representations, cross-check, count and time."""
+    """Compile under both representations, cross-check, count and time.
+
+    Timing ``bench_n`` cells of both kernels for more than
+    ``CHECK_FLOP_BUDGET`` flops raises BudgetExceeded before the cross-check.
+    """
     cf = compile_source(source, name)
     t0 = time.perf_counter()
     kq = quadrature_kernel(cf)
@@ -600,6 +612,8 @@ def compare(
     gen_t = bytes_t = flops_t = None
     if kt is not None:
         gen_t, bytes_t, flops_t = time.perf_counter() - t0, source_bytes(kt), count_flops(kt)
+    bench_flops = bench_n * (flops_q + (flops_t or 0))
+    check_budget(bench_flops, CHECK_FLOP_BUDGET, "bench timing needs {} flops (budget {})")
 
     check = _check_kernels(cf, n_cells, seed, kq, kt)
 

@@ -6,6 +6,12 @@ directions, sum_a Jinv(a, b) d/dX_a (the affine chain rule; Jinv is constant
 per cell).  Every monomial carries exactly one determinant factor from the
 change of measure.  Division by a coefficient is kept in a separate
 denominator factor list.
+
+``dsl.typecheck`` is the one judge of shape, arity and derivative order, so
+every term has one test factor, one trial factor when the form is bilinear,
+at most two derivatives per factor and none in a denominator.  Lowering
+refuses only what the type checker cannot see: a denominator that is not one
+product, an expansion beyond ``MAX_EXPANDED_TERMS`` and a non-finite constant.
 """
 
 from __future__ import annotations
@@ -15,10 +21,6 @@ from dataclasses import dataclass, replace
 
 from . import dsl
 from .dsl import FormExpr, TypedForm
-
-
-class UnsupportedOperator(dsl.FormError):
-    """Expression cannot be lowered to monomial form."""
 
 
 class UnsupportedDenominator(dsl.FormError):
@@ -214,8 +216,6 @@ def _eval(expr: FormExpr, d: int) -> dict:
     if isinstance(expr, dsl.Mult):
         a = _eval(expr.a, d)
         b = _eval(expr.b, d)
-        if len(next(iter(a))) > 0 and len(next(iter(b))) > 0:
-            raise UnsupportedOperator("product of two non-scalar expressions")
         scal, other = (a, b) if len(next(iter(a))) == 0 else (b, a)
         s_terms = scal[()]
         _check_terms(len(s_terms) * sum(map(len, other.values())))
@@ -241,8 +241,6 @@ def _eval(expr: FormExpr, d: int) -> dict:
         den = b_terms[0]
         if den.const == 0.0:
             raise UnsupportedDenominator("denominator is identically zero")
-        if any(f.role != "coef" for f in den.factors):
-            raise UnsupportedDenominator("cannot divide by a test or trial function")
         out = {}
         for idx, terms in a.items():
             out[idx] = tuple(
@@ -254,7 +252,7 @@ def _eval(expr: FormExpr, d: int) -> dict:
                 for t in terms
             )
         return out
-    raise UnsupportedOperator(f"cannot lower {type(expr).__name__}")
+    raise TypeError(f"unknown expression node {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +278,9 @@ def _term_to_monomial(term: _Term) -> Monomial:
     factors = []
     jinvs = []
     for f in sorted(term.factors, key=_chain_rule_order):
-        if len(f.derivs) > 2:
-            raise UnsupportedOperator("derivative order above 2")
         ref = tuple(SumIndex(len(jinvs) + k) for k in range(len(f.derivs)))
         jinvs += [JinvFactor(ix, b) for ix, b in zip(ref, f.derivs)]
         factors.append(BasisFactor(f.role, f.coef, f.component, ref))
-    if any(g.derivs for g in term.denoms):
-        raise UnsupportedDenominator("derivative of a coefficient in a denominator")
     return Monomial(
         constant=term.const,
         factors=tuple(factors),
@@ -301,20 +295,8 @@ def expand(form: TypedForm) -> MonomialSum:
 
     The result is not yet merged; see :func:`simplify`.
     """
-    d = form.cell.dim
-    value = _eval(form.integrand, d)
-    terms = value.get((), ())
-    monomials = []
-    for t in terms:
-        if t.const == 0.0:
-            continue
-        m = _term_to_monomial(t)
-        n_test = sum(1 for f in m.factors if f.role == "test")
-        n_trial = sum(1 for f in m.factors if f.role == "trial")
-        if n_test != 1 or n_trial != (1 if form.arity == 2 else 0):
-            raise UnsupportedOperator("monomial violates multilinearity")
-        monomials.append(m)
-    return MonomialSum(form, tuple(monomials))
+    terms = _eval(form.integrand, form.cell.dim)[()]
+    return MonomialSum(form, tuple(_term_to_monomial(t) for t in terms if t.const != 0.0))
 
 
 # ---------------------------------------------------------------------------

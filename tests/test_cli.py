@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import re
 import time
@@ -464,6 +465,7 @@ _BOUND_CASES = {
     "check-cells": (["check", "MASS", "--cells", "100001"], harness.MAX_CHECK_CELLS),
     "check-flops": (["check", "P6_3D"], harness.CHECK_FLOP_BUDGET),
     "bench-flops": (["bench", "P6_3D", "-N", "100"], harness.CHECK_FLOP_BUDGET),
+    "bench-timing-flops": (["bench", "MASS", "-N", "1000000000"], harness.CHECK_FLOP_BUDGET),
     "assemble-entries": (["assemble", "MASS", "--mesh-n", "100000"], harness.ASSEMBLY_ENTRY_BUDGET),
     "assemble-flops": (["assemble", "P6", "--no-hoist"], harness.INTERPRET_FLOP_BUDGET),
     "compile-tensor-terms": (["compile", "P6", "-r", "tensor"], DEFAULT_TERM_BUDGET),
@@ -497,6 +499,21 @@ def test_every_bound_rejects_with_its_value_and_limit(case, form_files, tmp_path
     assert captured.out == "" and len(err) == 1 and err[0].startswith("rejected: ")
     value, bound = map(int, re.findall(r"\d+", err[0]))
     assert bound == limit < value
+
+
+def _limit(text: str) -> int:
+    """A README limit: 20,000, 10^9 or 2 x 10^10."""
+    head, hat, power = text.replace(",", "").partition("10^")
+    return int(head.rstrip(" x") or 1) * (10 ** int(power) if hat else 1)
+
+
+def test_readme_states_each_supported_range():
+    readme = (SOURCE_DIR.parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \|[^|]*\| ([^|]+) \| `(\w+):` \|", readme, re.M)
+    assert len(rows) == 11
+    for module, name, limit, line in rows:
+        assert _limit(limit) == getattr(importlib.import_module(f"formc.{module}"), name), name
+        assert line == ("error" if module in ("elements", "dsl", "lowering") else "rejected")
 
 
 # One call per size bound, each over its limit.

@@ -8,6 +8,7 @@ from formc.dsl import (
     Add,
     Argument,
     ArityMismatch,
+    CellMismatch,
     Coefficient,
     DivisionByNonScalar,
     Dot,
@@ -126,6 +127,27 @@ def test_parse_duplicate_and_unknown_names():
         parse_source(base + "v = TestFunction(element)\na = v*missing*dx\n")
 
 
+_P1_HEADER = (
+    'element = FiniteElement("Lagrange", "triangle", 1)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source,err,message",
+    [
+        (_P1_HEADER + "a = v*u*dx\nb = v*u*dx\n", FormSyntaxError, "multiple integral statements"),
+        (_P1_HEADER.replace(", 1)", ", 1.5)"), FormSyntaxError, "non-negative integer"),
+        (_P1_HEADER + "a = v*Function*dx\n", FormSyntaxError, "only allowed in declarations"),
+        (_P1_HEADER + "a = element*v*dx\n", UnknownName, "used as a value"),
+    ],
+    ids=["second-integral", "fractional-degree", "builtin-as-value", "element-as-value"],
+)
+def test_parse_rejections(source, err, message):
+    with pytest.raises(err, match=message):
+        parse_source(source)
+
+
 def test_unary_minus_is_times_minus_one():
     prog = parse_source(
         'element = FiniteElement("Lagrange", "triangle", 1)\n'
@@ -169,6 +191,15 @@ def test_typecheck_pressure_equation_coefficients():
     assert used == list(range(18))
 
 
+# declarations that some rejected integrands need besides _scalar_base(); a
+# second argument on the same element would be the same argument
+_EXTRA_DECLARATIONS = {
+    "v*u + w*u": 'p2 = FiniteElement("Lagrange", "triangle", 2)\nw = TestFunction(p2)\n',
+    "v*u + v*z": 'p2 = FiniteElement("Lagrange", "triangle", 2)\nz = TrialFunction(p2)\n',
+    "v*u*h": 'tet = FiniteElement("Lagrange", "tetrahedron", 1)\nh = Function(tet)\n',
+}
+
+
 def _scalar_base():
     return (
         'element = FiniteElement("Lagrange", "triangle", 1)\n'
@@ -192,11 +223,17 @@ def _scalar_base():
         ("v*v*u", TwoTestFunctions),
         ("v*u + f", ArityMismatch),
         ("dot(grad(div(g)), grad(v))*u", UnsupportedSecondDerivative),
+        ("v*u*dot(div(grad(g)), g)", UnsupportedSecondDerivative),  # div(grad(vector))
         ("mult(v, g)", NonScalarIntegrand),
+        ("v + grad(v)", RankMismatch),
+        ("v*u*u", ArityMismatch),
+        ("v*u + w*u", TwoTestFunctions),
+        ("v*u + v*z", ArityMismatch),
+        ("v*u*h", CellMismatch),
     ],
 )
 def test_typecheck_rejections(body, err):
-    source = _scalar_base() + f"a = {body}*dx\n"
+    source = _scalar_base() + _EXTRA_DECLARATIONS.get(body, "") + f"a = {body}*dx\n"
     with pytest.raises(err):
         typecheck(parse_source(source))
 

@@ -31,8 +31,16 @@ def test_any_text_parses_or_raises_form_error(source):
     _parses_or_form_error(source)
 
 
-@_SETTINGS
-@given(
+def _splice(source: str, splices) -> str:
+    for where, cut, fragment in splices:
+        at = int(where * len(source))
+        source = source[:at] + fragment + source[at + cut :]
+    return source
+
+
+# A form file with up to four pieces cut out and text or fragments put in.
+SPLICED_SOURCES = st.builds(
+    _splice,
     st.sampled_from(SOURCES),
     st.lists(
         st.tuples(
@@ -44,8 +52,9 @@ def test_any_text_parses_or_raises_form_error(source):
         max_size=4,
     ),
 )
-def test_spliced_form_files_parse_or_raise_form_error(source, splices):
-    for where, cut, fragment in splices:
-        at = int(where * len(source))
-        source = source[:at] + fragment + source[at + cut :]
+
+
+@_SETTINGS
+@given(SPLICED_SOURCES)
+def test_spliced_form_files_parse_or_raise_form_error(source):
     _parses_or_form_error(source)

@@ -4,9 +4,7 @@ Every input ends with exit 0, 2 (refused) or 3 (cross-check failed): never
 a traceback, and never a kill by a signal (a negative return code).  Each
 child runs single-threaded under a 1.5 GB address-space limit and a wall
 timeout, so an input that allocates without bound fails the test instead of
-the machine.  A huge ``bench -N`` is not in the corpus: the timing loop is
-not bounded, and its default 10^4 cells of ``elasticity_3d_q3`` are already
-1.68e10 flops.
+the machine.
 """
 
 import os
@@ -57,6 +55,9 @@ _NESTED = _P1.replace("dot(v, u)", "(" * 3000 + "dot(v, u)" + ")" * 3000)
 CORPUS = {
     "check-p6-tetrahedron": (["check", "FORM"], forms.mass(3, 6, 6, 6).encode(), 2),
     "bench-p6-tetrahedron": (["bench", "FORM", "-N", "100"], forms.mass(3, 6, 6, 6).encode(), 2),
+    "bench-count": (
+        ["bench", "FORM", "-N", "1000000000"], (FORMS_DIR / "mass_2d_q2.form").read_bytes(), 2
+    ),
     "check-cells": (["check", "FORM", "--cells", "100001"], _P1.encode(), 2),
     "assemble-mesh-n": (["assemble", "FORM", "--mesh-n", "100000"], _P1.encode(), 2),
     "compile-points": (["compile", "FORM", "--points", "33"], _P1.encode(), 2),

@@ -365,6 +365,21 @@ def test_cross_check_modes(compile_cached):
     assert chk.max_relative_difference < 1e-8
 
 
+def test_division_cross_check_builds_only_the_kernels_it_compares(compile_cached, monkeypatch):
+    cf = compile_cached(PRESSURE_EQUATION, "pressure")
+    want = harness._check_kernels(cf, 5, 1, harness.quadrature_kernel(cf), None)
+    shifts = []
+    build = harness.quadrature_kernel
+
+    def counting(cf, points_override=None, **kwargs):
+        shifts.append(kwargs.get("degree_shift", 0))
+        return build(cf, points_override, **kwargs)
+
+    monkeypatch.setattr(harness, "quadrature_kernel", counting)
+    assert harness.cross_check(cf, n_cells=5, seed=1) == want
+    assert shifts == [10, 16]
+
+
 def test_cross_check_of_one_batch_sees_the_seeded_cells(compile_cached):
     cf = compile_cached(forms.weighted_laplacian(2, 2), "wl22")
     n = harness.BATCH_CELLS

@@ -1,12 +1,17 @@
+import random
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formc import dsl, forms, harness, lowering
 from formc.dsl import parse_source, typecheck
 from formc.lowering import (
+    ExpansionTooLarge,
+    NonFiniteConstant,
     UnsupportedDenominator,
     estimate_degree,
     expand,
@@ -15,6 +20,10 @@ from formc.lowering import (
     resolve,
     simplify,
 )
+
+from test_dsl import _random_tree
+from test_dsl_fuzz import SPLICED_SOURCES
+from test_quadrep import _BUILT_FORMS, _composed_forms
 
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 PRESSURE_EQUATION = (FORMS_DIR / "pressure_equation_2d.form").read_text()
@@ -414,6 +423,53 @@ def test_denominator_restrictions():
     # squared, derivative factors in the numerator)
     ms = lower(typecheck(parse_source(base + "a = dot(grad(v), grad(u/f))*dx\n")))
     assert any(len(m.denominators) == 2 for m in ms.monomials)
+
+
+_P1 = dsl.FiniteElement("Lagrange", dsl.reference_cell("triangle"), 1)
+_VP1 = dsl.FiniteElement("Lagrange", dsl.reference_cell("triangle"), 1, 2)
+
+
+def _random_program(rng: random.Random) -> dsl.FormProgram:
+    """v*u times a random well-ranked scalar of test_dsl, over a random plain scalar."""
+    ctx = {"f": dsl.Coefficient(0, "f", _P1), "g": dsl.Coefficient(1, "g", _VP1)}
+    integrand = dsl.Mult(
+        dsl.Mult(dsl.Argument("test", _P1), dsl.Argument("trial", _P1)),
+        _random_tree(rng, rng.randint(0, 4), (), ctx),
+    )
+    if rng.random() < 0.5:
+        integrand = dsl.Quotient(integrand, _random_tree(rng, 1, (), ctx, plain=True))
+    decls = (("v", "test", _P1), ("u", "trial", _P1), ("f", "coef", _P1), ("g", "coef", _VP1))
+    return dsl.FormProgram((("element", _P1), ("vec", _VP1)), decls, "a", integrand)
+
+
+_PROGRAMS = st.one_of(
+    st.randoms(use_true_random=False).map(_random_program),
+    _BUILT_FORMS,
+    _composed_forms(),
+    SPLICED_SOURCES,
+)
+
+
+@settings(max_examples=200)
+@given(_PROGRAMS)
+def test_typecheck_alone_judges_what_lowering_expands(program):
+    # every form the type checker accepts lowers to monomials with one test
+    # factor, one trial factor when bilinear, at most two derivatives per
+    # factor and none in a denominator, or meets a refusal only lowering sees
+    try:
+        typed = typecheck(parse_source(program) if isinstance(program, str) else program)
+    except dsl.FormError:
+        return
+    try:
+        ms = lower(typed)
+    except (UnsupportedDenominator, ExpansionTooLarge, NonFiniteConstant):
+        return
+    for m in ms.monomials:
+        roles = [f.role for f in m.factors]
+        assert roles.count("test") == 1
+        assert roles.count("trial") == (typed.arity == 2)
+        assert all(len(f.derivs) <= 2 for f in m.factors)
+        assert not any(f.derivs for f in m.denominators)
 
 
 def test_dump_format_stable():
