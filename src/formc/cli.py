@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 2 when the input is refused, 3 when a cross-check
 exceeds its tolerance.  ``check``, ``bench`` and ``trends`` compare the two
 representations one way (``harness._check_kernels``) and exit 3 when a
-comparison exceeds its ``harness.CHECK_TOLERANCES`` entry.  The commands
-raise every refusal as a ``dsl.Rejected``, and ``main`` alone reports it:
-``error: <message>`` when the form cannot be read or compiled
+comparison exceeds its ``harness.CHECK_TOLERANCES`` entry; ``trends`` prints
+its table first, and else refuses once for the cells it could not compare.
+The commands raise every refusal as a ``dsl.Rejected``, and ``main`` alone
+reports it: ``error: <message>`` when the form cannot be read or compiled
 (``dsl.FormError``, ``UnreadableForm``), ``rejected: <message>`` for any
 other refusal (division or a quadrature-only flag under tensor, a linear or
 non-triangle form under assemble, or a size bound of ``dsl.check_budget``)
@@ -135,7 +136,6 @@ def cmd_assemble(args) -> int:
     print(
         f"timings[s]: structure={timings['structure']:.4g} (dofmap={timings['dofmap']:.4g})"
         f" compute={timings['compute']:.4g} insertion={timings['insertion']:.4g}"
-        f" (insertion {timings['insertion_mode']})"
     )
     return EXIT_OK
 
@@ -152,7 +152,11 @@ def cmd_trends(args) -> int:
     failed = [report.form_name for _, report, _ in rows if report and not report.ok]
     if failed:
         print(f"# cross-check beyond tolerance: {' '.join(failed)}")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+        return EXIT_CHECK_FAILED
+    refused = [error for _, _, error in rows if error]
+    if refused:
+        raise dsl.Rejected(f"{len(refused)} of {len(rows)} trend cells refused; the first: {refused[0]}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

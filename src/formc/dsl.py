@@ -324,9 +324,6 @@ class _Parser:
 
     def parse(self) -> FormProgram:
         while self.peek().kind != "end":
-            if self.peek().kind == "newline":
-                self.advance()
-                continue
             self.statement()
         if self.form is None:
             tok = self.peek()

@@ -34,10 +34,9 @@ from .tensorrep import DEFAULT_TERM_BUDGET
 
 DEFAULT_BENCH_N = 10_000
 ASSEMBLY_ENTRY_BUDGET = 20_000_000  # cells x local test dofs x local trial dofs
-INTERPRET_FLOP_BUDGET = 10**9  # flops per cell of a kernel that assemble interprets
+INTERPRET_FLOP_BUDGET = 2 * 10**10  # cells x flops per cell of the kernels one loop interprets
 BATCH_CELLS = 256  # cells per interpreted batch: assemble, _bench and the cross-check
 MAX_CHECK_CELLS = 100_000  # cells one cross_check may interpret
-CHECK_FLOP_BUDGET = 2 * 10**10  # cells x flops per cell of both kernels: cross-check, bench -N
 COEF_LOW, COEF_HIGH = 0.5, 1.5  # bounded away from zero for division forms
 
 
@@ -159,6 +158,12 @@ def _cell_batches(cf: CompiledForm, n_cells: int, seed: int):
         yield geo, random_coefficients(cf, count, coefs)
 
 
+def _check_interpretation(n_cells: int, kernels, what: str) -> None:
+    """BudgetExceeded past ``INTERPRET_FLOP_BUDGET`` flops: ``n_cells`` of each kernel not None."""
+    flops = n_cells * sum(count_flops(k) for k in kernels if k is not None)
+    check_budget(flops, INTERPRET_FLOP_BUDGET, what + " needs {} flops (budget {})")
+
+
 def relative_max_difference(A: np.ndarray, B: np.ndarray) -> float:
     scale = max(np.abs(B).max(), 1e-300)
     return float(np.abs(A - B).max() / scale)
@@ -219,14 +224,15 @@ def _check_kernels(cf, n_cells, seed, kq, kt, points_override=None) -> CrossChec
     Without a tensor kernel (``kt`` None), a division form compares two
     quadrature degrees in place of ``kq``, which may be None, both shifted
     far enough for Gauss convergence to the tolerance (the rule at the
-    estimate is nominal for rational integrands).
+    estimate is nominal for rational integrands): 10 and 16 when no
+    denominator factor is above degree 1, and 12 more per degree above.
     A polynomial form compares against its quadrature kernel without zero
     elimination at two degrees above the estimate, one point per direction
     more, so the check also covers the degree estimate and the rule.
     Hoisting stays on: un-hoisted, each coefficient factor adds a loop around
     the accumulation, so twelve P4 factors need 15**12 trips per point.
 
-    More than ``CHECK_FLOP_BUDGET`` flops of both kernels over the cells
+    More than ``INTERPRET_FLOP_BUDGET`` flops of both kernels over the cells
     raises BudgetExceeded before any cell is generated.  Then both run a
     batch of ``_cell_batches`` at a time and keep only the maxima of |A - B|
     and |B|: the result is ``relative_max_difference`` of the whole tensors.
@@ -234,13 +240,14 @@ def _check_kernels(cf, n_cells, seed, kq, kt, points_override=None) -> CrossChec
     mode = "quadrature-vs-tensor"
     if kt is None and cf.monomials.has_division:
         mode = "quadrature-two-degrees"
-        kq = quadrature_kernel(cf, points_override, degree_shift=10)
-        kt = quadrature_kernel(cf, degree_shift=16)
+        denoms = [f for m in cf.monomials.monomials for f in m.denominators]
+        shift = 12 * max([lowering.factor_degree(cf.typed, f) - 1 for f in denoms] + [0]) + 10
+        kq = quadrature_kernel(cf, points_override, degree_shift=shift)
+        kt = quadrature_kernel(cf, degree_shift=shift + 6)
     if kt is None:
         mode = "quadrature-vs-full-tables"
         kt = quadrature_kernel(cf, degree_shift=2, zero_elimination=False)
-    flops = n_cells * (count_flops(kq) + count_flops(kt))
-    check_budget(flops, CHECK_FLOP_BUDGET, "cross-check needs {} flops (budget {})")
+    _check_interpretation(n_cells, (kq, kt), "cross-check")
     diff = scale = np.float64(0.0)
     for geo, w in _cell_batches(cf, n_cells, seed):
         Aq = interpret_batch(kq, geo, w)
@@ -459,8 +466,8 @@ def assemble(
     Two phases: structure initialisation from dof adjacency (timed as
     "structure", of which the dofmaps are "dofmap"), then batched kernel
     evaluation (timed as "compute") and serial insertion, in cell order,
-    into the fixed structure (timed as "insertion").  A kernel of more than
-    ``INTERPRET_FLOP_BUDGET`` flops per cell raises BudgetExceeded, and a
+    into the fixed structure (timed as "insertion").  More than
+    ``INTERPRET_FLOP_BUDGET`` flops over the mesh raises BudgetExceeded, and a
     ``cell_order`` that is not a permutation of the cells ValueError, before
     anything is built.  The mesh holds each element's dofmap and each pair
     of scalar spaces' CSR pattern from the first assembly that needs them,
@@ -468,9 +475,7 @@ def assemble(
     only looks them up and expands the pattern by component blocks.
     """
     check_assembly(cf, mesh.cell, mesh.n_cells)
-    check_budget(
-        count_flops(kernel), INTERPRET_FLOP_BUDGET, "kernel needs {} flops per cell (budget {})"
-    )
+    _check_interpretation(mesh.n_cells, (kernel,), "assembly")
     order = np.arange(mesh.n_cells)
     if cell_order is not None:
         cell_order = np.asarray(cell_order)
@@ -489,30 +494,21 @@ def assemble(
     t_structure = time.perf_counter() - t0
 
     verts = mesh.cell_vertices()[order]
-    t_compute = 0.0
-    t_insert = 0.0
+    t_compute = t_insert = 0.0
     for start in range(0, len(order), BATCH_CELLS):
         batch = order[start : start + BATCH_CELLS]
         t0 = time.perf_counter()
         geo = affine_map_batch(verts[start : start + BATCH_CELLS])
-        w = [
-            vals[m.cell_dofs[batch]]
-            for m, vals in zip(coef_maps, coefficient_values)
-        ]
+        w = [vals[m.cell_dofs[batch]] for m, vals in zip(coef_maps, coefficient_values)]
         A = interpret_batch(kernel, geo, w)
         t_compute += time.perf_counter() - t0
         t0 = time.perf_counter()
         # unbuffered and in index order: each entry sums its cells in order
         np.add.at(matrix.data, slots[batch].ravel(), A.ravel())
         t_insert += time.perf_counter() - t0
-    timings = {
-        "structure": t_structure,
-        "dofmap": t_dofmap,
-        "compute": t_compute,
-        "insertion": t_insert,
-        "insertion_mode": "serial",
+    return matrix, {
+        "structure": t_structure, "dofmap": t_dofmap, "compute": t_compute, "insertion": t_insert
     }
-    return matrix, timings
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +594,7 @@ def compare(
     """Compile under both representations, cross-check, count and time.
 
     Timing ``bench_n`` cells of both kernels for more than
-    ``CHECK_FLOP_BUDGET`` flops raises BudgetExceeded before the cross-check.
+    ``INTERPRET_FLOP_BUDGET`` flops raises BudgetExceeded before the cross-check.
     """
     cf = compile_source(source, name)
     t0 = time.perf_counter()
@@ -612,8 +608,7 @@ def compare(
     gen_t = bytes_t = flops_t = None
     if kt is not None:
         gen_t, bytes_t, flops_t = time.perf_counter() - t0, source_bytes(kt), count_flops(kt)
-    bench_flops = bench_n * (flops_q + (flops_t or 0))
-    check_budget(bench_flops, CHECK_FLOP_BUDGET, "bench timing needs {} flops (budget {})")
+    _check_interpretation(bench_n, (kq, kt), "bench timing")
 
     check = _check_kernels(cf, n_cells, seed, kq, kt)
 

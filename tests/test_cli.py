@@ -118,7 +118,7 @@ def test_assemble_cli(form_files, capsys):
     rc = main(["assemble", form_files["mass_small"], "--mesh-n", "3"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "16x16 matrix" in out and "insertion serial" in out and "(dofmap=" in out
+    assert "16x16 matrix" in out and "(dofmap=" in out
 
 
 def test_repo_form_files_compile():
@@ -135,20 +135,23 @@ _P1_HEADER = (
     "v = TestFunction(element)\nu = TrialFunction(element)\n"
 )
 
-# Each integrand once reached a traceback or a NaN verdict.
+# Each integrand once reached a traceback or a NaN verdict, or is refused by
+# lowering alone (a denominator whose constant underflows to zero).
 _BAD_INTEGRANDS = {
     "nested_parentheses": "(" * 3000 + "v*u" + ")" * 3000,
     "long_sum": " + ".join(["v*u"] * 3000),
     "non_finite_literal": "1e400*v*u",
     "overflowing_constant": "1e300*1e300*v*u",
     "non_decimal_digit": "2²*v*u",
+    "zero_denominator": "v*u/(1e-200*1e-200*w)",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_INTEGRANDS))
 def test_front_end_rejects_unbounded_input(name, tmp_path, capsys):
     path = tmp_path / f"{name}.form"
-    path.write_text(_P1_HEADER + f"a = {_BAD_INTEGRANDS[name]}*dx\n", encoding="utf-8")
+    header = _P1_HEADER + "w = Function(element)\n"
+    path.write_text(header + f"a = {_BAD_INTEGRANDS[name]}*dx\n", encoding="utf-8")
     for command in ("check", "compile"):
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -387,16 +390,29 @@ def test_bench_and_trends_exit_3_on_a_failed_comparison(tmp_path, capsys, monkey
     assert capsys.readouterr().out.endswith(f"\n# cross-check beyond tolerance: {cell.label()}\n")
 
 
+def test_trends_prints_its_table_then_refuses_once(capsys, monkeypatch):
+    cells = harness.quick_trend_cells()[:2]
+    monkeypatch.setattr(harness, "quick_trend_cells", lambda: cells)
+    assert main(["trends", "--quick", "--bench-n", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    refusal = "BudgetExceeded: bench timing needs "
+    assert captured.out.splitlines()[-1].startswith(f"{cells[-1].label()},{refusal}")
+    (err,) = captured.err.splitlines()
+    assert err.startswith(f"rejected: 2 of 2 trend cells refused; the first: {refusal}")
+
+
 def test_assemble_rejects_runaway_unhoisted_kernel(tmp_path, capsys):
     # Un-hoisted, each of the twelve P4 factors adds a loop of 15 trips
-    # around the accumulation: 22,102,548,152,343,750,000 flops per cell.
+    # around the accumulation: 22,102,548,152,343,750,000 flops per cell,
+    # on each of the mesh's two cells.
     path = tmp_path / "f12.form"
     path.write_text(_HIGH_DEGREE.replace("*".join(["f"] * 16), "*".join(["f"] * 12)))
     t0 = time.perf_counter()
     assert main(["assemble", str(path), "--no-hoist", "--mesh-n", "1"]) == 2
     assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err
-    assert "22102548152343750000 flops per cell" in err and len(err.strip().splitlines()) == 1
+    assert "assembly needs 44205096304687500000 flops" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
@@ -463,9 +479,9 @@ _BOUND_CASES = {
     "assemble-points": (["assemble", "MASS", "--points", _TOO_MANY], MAX_POINTS_PER_DIRECTION),
     "bench-points": (["bench", "HIGH", "-N", "0"], MAX_POINTS_PER_DIRECTION),
     "check-cells": (["check", "MASS", "--cells", "100001"], harness.MAX_CHECK_CELLS),
-    "check-flops": (["check", "P6_3D"], harness.CHECK_FLOP_BUDGET),
-    "bench-flops": (["bench", "P6_3D", "-N", "100"], harness.CHECK_FLOP_BUDGET),
-    "bench-timing-flops": (["bench", "MASS", "-N", "1000000000"], harness.CHECK_FLOP_BUDGET),
+    "check-flops": (["check", "P6_3D"], harness.INTERPRET_FLOP_BUDGET),
+    "bench-flops": (["bench", "P6_3D", "-N", "100"], harness.INTERPRET_FLOP_BUDGET),
+    "bench-timing-flops": (["bench", "MASS", "-N", "1000000000"], harness.INTERPRET_FLOP_BUDGET),
     "assemble-entries": (["assemble", "MASS", "--mesh-n", "100000"], harness.ASSEMBLY_ENTRY_BUDGET),
     "assemble-flops": (["assemble", "P6", "--no-hoist"], harness.INTERPRET_FLOP_BUDGET),
     "compile-tensor-terms": (["compile", "P6", "-r", "tensor"], DEFAULT_TERM_BUDGET),
@@ -510,7 +526,7 @@ def _limit(text: str) -> int:
 def test_readme_states_each_supported_range():
     readme = (SOURCE_DIR.parent.parent / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)\.(\w+)` \|[^|]*\| ([^|]+) \| `(\w+):` \|", readme, re.M)
-    assert len(rows) == 11
+    assert len(rows) == 10
     for module, name, limit, line in rows:
         assert _limit(limit) == getattr(importlib.import_module(f"formc.{module}"), name), name
         assert line == ("error" if module in ("elements", "dsl", "lowering") else "rejected")

@@ -140,8 +140,12 @@ _P1_HEADER = (
         (_P1_HEADER.replace(", 1)", ", 1.5)"), FormSyntaxError, "non-negative integer"),
         (_P1_HEADER + "a = v*Function*dx\n", FormSyntaxError, "only allowed in declarations"),
         (_P1_HEADER + "a = element*v*dx\n", UnknownName, "used as a value"),
+        (_P1_HEADER + "a = *v*u*dx\n", FormSyntaxError, "unexpected '\\*'"),
     ],
-    ids=["second-integral", "fractional-degree", "builtin-as-value", "element-as-value"],
+    ids=[
+        "second-integral", "fractional-degree", "builtin-as-value", "element-as-value",
+        "leading-operator",
+    ],
 )
 def test_parse_rejections(source, err, message):
     with pytest.raises(err, match=message):

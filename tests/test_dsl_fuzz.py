@@ -20,6 +20,9 @@ _SETTINGS = settings(max_examples=300)
 
 def _parses_or_form_error(source: str) -> None:
     try:
+        kinds = " ".join(t.kind for t in dsl.tokenize(source))
+        # the parser skips no newline: none leads, and none follows another
+        assert not kinds.startswith("newline") and "newline newline" not in kinds, kinds
         dsl.parse_source(source)
     except dsl.FormError:
         pass

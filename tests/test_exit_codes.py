@@ -63,6 +63,7 @@ CORPUS = {
     "compile-points": (["compile", "FORM", "--points", "33"], _P1.encode(), 2),
     "nested-parentheses": (["compile", "FORM"], _NESTED.encode(), 2),
     "not-utf8": (["check", "FORM"], _P1.encode() + b"# \xff\xfe\n", 2),
+    "trends-bench-n": (["trends", "--quick", "--bench-n", "1000000000"], b"", 2),
 }
 
 

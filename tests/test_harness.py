@@ -8,7 +8,14 @@ import pytest
 from formc import forms, harness
 from formc.dsl import BudgetExceeded
 from formc.elements import TETRAHEDRON, TRIANGLE, FiniteElement, lattice_sites
-from formc.kernel import affine_map, affine_map_batch, emit_source, interpret_batch, source_bytes
+from formc.kernel import (
+    affine_map,
+    affine_map_batch,
+    count_flops,
+    emit_source,
+    interpret_batch,
+    source_bytes,
+)
 
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 PRESSURE_EQUATION = (FORMS_DIR / "pressure_equation_2d.form").read_text()
@@ -141,7 +148,6 @@ def test_global_mass_sum(compile_cached, kernel_cached):
     M, timings = harness.assemble(cf, kernel_cached(cf, "quadrature"), mesh)
     assert abs(M.total() - 1.0) < 1e-12
     assert timings["compute"] > 0 and timings["insertion"] > 0
-    assert timings["insertion_mode"] == "serial"
 
 
 def test_global_poisson_row_sums(compile_cached, kernel_cached):
@@ -195,7 +201,7 @@ def test_assemble_builds_one_dofmap_per_element(compile_cached, kernel_cached, m
 def test_assemble_timings(compile_cached, kernel_cached):
     cf = compile_cached(forms.weighted_laplacian(2, 1), "wl21")
     _, timings = harness.assemble(cf, kernel_cached(cf, "quadrature"), harness.unit_square_mesh(3))
-    assert set(timings) == {"structure", "dofmap", "compute", "insertion", "insertion_mode"}
+    assert set(timings) == {"structure", "dofmap", "compute", "insertion"}
     assert 0 < timings["dofmap"] <= timings["structure"]
 
 
@@ -365,6 +371,33 @@ def test_cross_check_modes(compile_cached):
     assert chk.max_relative_difference < 1e-8
 
 
+def _p2_division(cell: str, denominator: str) -> str:
+    return (
+        f'element = FiniteElement("Lagrange", "{cell}", 2)\n'
+        "v = TestFunction(element)\nu = TrialFunction(element)\n"
+        f"f = Function(element)\ng = Function(element)\na = v*u/{denominator}*dx\n"
+    )
+
+
+@pytest.mark.parametrize("cell", ["triangle", "tetrahedron"])
+@pytest.mark.parametrize("denominator", ["g", "(f*g)"])
+def test_check_of_p2_denominators_passes(cell, denominator, compile_cached, monkeypatch):
+    # Gauss quadrature converges more slowly on a P2 denominator than on a P1
+    # one, so both shifted degrees move up 12: to 22 and 28
+    cf = compile_cached(_p2_division(cell, denominator), f"{cell}_{denominator}")
+    shifts = []
+    build = harness.quadrature_kernel
+
+    def counting(cf, points_override=None, **kwargs):
+        shifts.append(kwargs["degree_shift"])
+        return build(cf, points_override, **kwargs)
+
+    monkeypatch.setattr(harness, "quadrature_kernel", counting)
+    for seed in range(4):
+        assert harness.cross_check(cf, seed=seed).ok
+    assert shifts == [22, 28] * 4
+
+
 def test_division_cross_check_builds_only_the_kernels_it_compares(compile_cached, monkeypatch):
     cf = compile_cached(PRESSURE_EQUATION, "pressure")
     want = harness._check_kernels(cf, 5, 1, harness.quadrature_kernel(cf), None)
@@ -412,6 +445,39 @@ def test_bench_interprets_exactly_n_cells(compile_cached, monkeypatch):
     monkeypatch.setattr(harness, "interpret_batch", counting)
     harness._bench(k, cf, 2 * harness.BATCH_CELLS + 88, 0)
     assert batches == [harness.BATCH_CELLS, harness.BATCH_CELLS, 88]
+
+
+@pytest.mark.parametrize("path", sorted(FORMS_DIR.glob("*.form")), ids=lambda p: p.stem)
+def test_interpretation_bound_admits_each_form_file_at_the_defaults(path, monkeypatch):
+    # compare at bench's -N and check's cells, with no cell interpreted: the
+    # bound is asked for its timing loop's flops and its cross-check's
+    asked = {}
+    check = harness._check_interpretation
+
+    def record(n_cells, kernels, what):
+        asked[what] = n_cells * sum(count_flops(k) for k in kernels if k is not None)
+        check(n_cells, kernels, what)
+
+    monkeypatch.setattr(harness, "_check_interpretation", record)
+    monkeypatch.setattr(harness, "_cell_batches", lambda cf, n, seed: iter(()))
+    monkeypatch.setattr(harness, "_bench", lambda kernel, cf, n, seed: 0.0)
+    harness.compare(path.read_text(), path.stem, n_cells=100, bench_n=harness.DEFAULT_BENCH_N)
+    assert set(asked) == {"bench timing", "cross-check"}
+    assert max(asked.values()) <= harness.INTERPRET_FLOP_BUDGET
+
+
+@pytest.mark.parametrize("family", ["mass", "weighted_laplacian", "elasticity"])
+def test_interpretation_bound_admits_the_assembly_ladder(family, compile_cached, kernel_cached):
+    # each kernel of the assemble benchmark, on the most cells the entry
+    # budget allows it
+    for p in (1, 2, 3):
+        cf = compile_cached(getattr(forms, family)(2, p), f"{family}_p{p}")
+        typed = cf.typed
+        cells = harness.ASSEMBLY_ENTRY_BUDGET // (
+            typed.test_element.space_dim * typed.trial_element.space_dim
+        )
+        for rep in ("quadrature", "tensor"):
+            harness._check_interpretation(cells, (kernel_cached(cf, rep),), "assembly")
 
 
 def test_compare_report_and_csv():
@@ -490,8 +556,10 @@ def test_trend_renderer_marks_failures():
     for cell in cells:
         rows.append((cell, harness.compare(cell.source(), cell.label(), n_cells=5), None))
     rows.append((harness.TrendCell("mass", 2, 0, 2, 1), None, "Boom: synthetic"))
+    no_tensor = dataclasses.replace(rows[0][1], flops_t=None)
+    rows.append((harness.TrendCell("mass", 2, 0, 2, 2), no_tensor, None))
     text = harness.render_trend_table(rows)
-    assert "mass 2D" in text and "failure" in text
+    assert "mass 2D" in text and "failure" in text and "failure (tensor)" in text
     assert "p = 0, q = 1" in text
 
 
@@ -530,11 +598,14 @@ _P1 = (
     'element = FiniteElement("Lagrange", "triangle", 1)\n'
     "v = TestFunction(element)\nu = TrialFunction(element)\n"
 )
-# The forms/*.form inputs, and three forms that unary minus once made exit 2.
+# The forms/*.form inputs, three forms that unary minus once made exit 2,
+# and a form that folds to nothing, whose kernel has no flops.  Each passes
+# the cross-check on its cached kernels.
 NEGATABLE = {p.stem: p.read_text() for p in FORMS_DIR.glob("*.form")} | {
     "minus_test": _P1 + "a = -v*u*dx\n",
     "minus_gradient": _P1 + "a = dot(grad(v), -grad(u))*dx\n",
     "minus_dot": _P1 + "a = -dot(grad(v), grad(u))*dx\n",
+    "zero": _P1 + "a = 0*v*u*dx\n",
 }
 
 
@@ -548,3 +619,6 @@ def test_negated_integrand_negates_the_element_tensor(name, compile_cached, kern
     for rep in ["quadrature"] + ([] if divides else ["tensor"]):
         A = interpret_batch(kernel_cached(cf, rep), geo, w)
         assert np.array_equal(interpret_batch(kernel_cached(neg, rep), geo, w), -A)
+    kq, kt = kernel_cached(cf, "quadrature"), None if divides else kernel_cached(cf, "tensor")
+    assert (count_flops(kq) == 0) == (name == "zero")
+    assert harness._check_kernels(cf, 3, 0, kq, kt).ok

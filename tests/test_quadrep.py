@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formc import forms, harness
+from formc.dsl import BudgetExceeded
 from formc.kernel import (
     AccumA,
     AssignScalar,
@@ -216,6 +217,11 @@ FLATTEN_FORMS = {
     "gradf2_2d": _gradf2("triangle"),
     "gradf2_3d": _gradf2("tetrahedron"),
     "vector_poisson_div_3d_q1_p1_nf3": forms.vector_poisson_div(1, 3, 1, 3),
+    "div_minus_transposed_gradient": (  # groups that cancel exactly
+        'element = VectorElement("Lagrange", "triangle", 1)\n'
+        "v = TestFunction(element)\nu = TrialFunction(element)\n"
+        "a = (div(v)*div(u) - dot(grad(v), transp(grad(u))))*dx\n"
+    ),
 }
 
 
@@ -223,6 +229,17 @@ FLATTEN_FORMS = {
 def test_flatten_matches_per_assignment_walk(name, compile_cached):
     ms = compile_cached(FLATTEN_FORMS[name], name).monomials
     assert _layout(_flatten(ms)) == _layout(_flatten_oracle(ms))
+
+
+def test_flatten_drops_the_groups_that_cancel(compile_cached):
+    # the terms of div(v)*div(u) and dot(grad(v), transp(grad(u))) that take
+    # both derivatives along one reference direction cancel: four groups
+    name = "div_minus_transposed_gradient"
+    cf = compile_cached(FLATTEN_FORMS[name], name)
+    groups = _flatten(cf.monomials)
+    cancelled = {((c, (r,)), (1 - c, (r,))) for c in (0, 1) for r in (0, 1)}
+    assert len(groups) == 4 and cancelled.isdisjoint(groups)
+    assert harness.cross_check(cf, n_cells=5).ok
 
 
 _dims = st.sampled_from([2, 3])
@@ -269,3 +286,14 @@ def _composed_forms(draw):
 def test_flatten_matches_per_assignment_walk_on_generated_forms(source):
     ms = harness.compile_source(source).monomials
     assert _layout(_flatten(ms)) == _layout(_flatten_oracle(ms))
+
+
+@settings(max_examples=100)
+@given(st.one_of(_BUILT_FORMS, _composed_forms()))
+def test_generated_forms_pass_the_cross_check_or_meet_a_bound(source):
+    cf = harness.compile_source(source)
+    try:
+        check = harness.cross_check(cf, n_cells=3)
+    except BudgetExceeded:
+        return
+    assert check.ok, check
