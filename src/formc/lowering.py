@@ -7,6 +7,12 @@ per cell).  Every monomial carries exactly one determinant factor from the
 change of measure.  Division by a coefficient is kept in a separate
 denominator factor list.
 
+A bound index is a position, not an object: a factor's ``derivs`` hold its
+sorted physical directions b, and bound index k stands for the k-th of
+them in factor order (``Monomial.directions``), summed over the reference
+directions a of d/dX_a and Jinv(a, b).  Every consumer that sums a
+monomial over its bound indices reads them in that order.
+
 ``dsl.typecheck`` is the one judge of shape, arity and derivative order, so
 every term has one test factor, one trial factor when the form is bilinear,
 at most two derivatives per factor and none in a denominator.  Lowering
@@ -39,83 +45,65 @@ MAX_EXPANDED_TERMS = 20_000
 
 
 @dataclass(frozen=True)
-class SumIndex:
-    """Bound index, summed over the reference directions inside one monomial."""
-
-    ident: int
-
-    def __repr__(self) -> str:
-        return f"b{self.ident}"
-
-
-@dataclass(frozen=True)
 class BasisFactor:
-    """One basis-function evaluation: role, component, derivative.
+    """One basis-function evaluation: role, component, physical derivative.
 
-    Before the chain rule the derivative holds sorted physical directions;
-    after it, reference directions.
+    ``sort_key`` is the chain-rule order: (role, coefficient, component,
+    derivative count, physical directions).  Handing out bound indices in
+    this order gives, among all relabellings of a monomial's bound
+    indices, the least key: fewer derivatives sort first within equal
+    basis functions, and factors that tie in everything but their physical
+    directions take the lower labels for the lower directions.  Monomials
+    equal up to a relabelling therefore come out syntactically equal.
     """
 
     role: str  # "test" | "trial" | "coef"
     coef: int  # coefficient id, -1 for arguments
     component: int
-    derivs: tuple  # entries are ints (concrete) or SumIndex (bound); order <= 2
+    derivs: tuple  # sorted physical directions, order <= 2
 
     def sort_key(self) -> tuple:
-        return (_ROLE_ORDER[self.role], self.coef, self.component, _idx_key_tuple(self.derivs))
-
-
-@dataclass(frozen=True)
-class JinvFactor:
-    """Jacobian-inverse entry dX_ref / dx_phys."""
-
-    ref: object  # int | SumIndex
-    phys: object  # int | SumIndex
-
-    def sort_key(self) -> tuple:
-        return (_idx_key(self.ref), _idx_key(self.phys))
+        return (_ROLE_ORDER[self.role], self.coef, self.component, len(self.derivs), self.derivs)
 
 
 _ROLE_ORDER = {"test": 0, "trial": 1, "coef": 2}
-
-
-def _idx_key(ix) -> tuple:
-    return (0, ix) if isinstance(ix, int) else (1, ix.ident)
-
-
-def _idx_key_tuple(t) -> tuple:
-    return tuple(_idx_key(x) for x in t)
-
-
-def resolve(ix, assignment):
-    """Concrete direction of an index: bound indices read ``assignment``."""
-    return assignment[ix.ident] if isinstance(ix, SumIndex) else ix
 
 
 @dataclass(frozen=True)
 class Monomial:
     """constant * product of basis factors * Jinv factors * det [/ denominators].
 
-    Each bound index appears in exactly one basis-factor derivative slot and
-    one Jinv factor.  The determinant factor from the measure is implicit:
-    every monomial carries exactly one.
+    The factors are in chain-rule order, so monomials equal up to a
+    relabelling of their bound indices are equal (see ``BasisFactor``).
+    The Jinv factors are Jinv(k, directions[k]), one per bound index k.
+    The determinant factor from the measure is implicit: every monomial
+    carries exactly one.
     """
 
     constant: float
-    factors: tuple  # BasisFactor, canonical order
-    jinvs: tuple  # JinvFactor, canonical order
+    factors: tuple  # BasisFactor, chain-rule order
     denominators: tuple  # BasisFactor with empty derivs
-    n_bound: int
+
+    @property
+    def directions(self) -> tuple:
+        """Physical direction of each bound index."""
+        return tuple(b for f in self.factors for b in f.derivs)
+
+    @property
+    def n_bound(self) -> int:
+        return sum(len(f.derivs) for f in self.factors)
 
     def signature(self) -> tuple:
-        """Basis structure shared by monomials with one reference tensor."""
-        return (self.factors, self.denominators, self.n_bound)
+        """Basis structure shared by monomials with one reference tensor:
+        the factors' keys without their directions, the denominators' keys."""
+        return (
+            tuple(f.sort_key()[:4] for f in self.factors),
+            tuple(f.sort_key() for f in self.denominators),
+        )
 
     def jinv_product(self, assignment) -> tuple:
         """Sorted concrete (ref, phys) pairs of the Jinv factors."""
-        return tuple(
-            sorted((resolve(j.ref, assignment), resolve(j.phys, assignment)) for j in self.jinvs)
-        )
+        return tuple(sorted(zip(assignment, self.directions)))
 
 
 @dataclass(frozen=True)
@@ -132,23 +120,16 @@ class MonomialSum:
 # Phase 1: symbolic evaluation in physical coordinates
 
 
-@dataclass(frozen=True)
-class _Term:
-    const: float
-    factors: tuple  # BasisFactor with sorted physical derivatives, sorted
-    denoms: tuple  # coefficient BasisFactor, sorted
-
-
-def _mk_term(const, factors, denoms) -> _Term:
-    return _Term(
+def _mk_term(const, factors, denoms) -> Monomial:
+    return Monomial(
         const,
         tuple(sorted(factors, key=BasisFactor.sort_key)),
         tuple(sorted(denoms, key=BasisFactor.sort_key)),
     )
 
 
-def _mul_terms(a: _Term, b: _Term) -> _Term:
-    return _mk_term(a.const * b.const, a.factors + b.factors, a.denoms + b.denoms)
+def _mul_terms(a: Monomial, b: Monomial) -> Monomial:
+    return _mk_term(a.constant * b.constant, a.factors + b.factors, a.denominators + b.denominators)
 
 
 def _check_terms(n: int) -> None:
@@ -159,15 +140,16 @@ def _check_terms(n: int) -> None:
 
 def _ddx_terms(terms, b: int):
     """Differentiate a term list with respect to x_b (product/quotient rule)."""
-    _check_terms(sum(len(t.factors) + len(t.denoms) for t in terms))
+    _check_terms(sum(len(t.factors) + len(t.denominators) for t in terms))
     out = []
     for t in terms:
         for k, f in enumerate(t.factors):
             df = replace(f, derivs=tuple(sorted(f.derivs + (b,))))
-            out.append(_mk_term(t.const, t.factors[:k] + (df,) + t.factors[k + 1 :], t.denoms))
-        for g in t.denoms:
+            factors = t.factors[:k] + (df,) + t.factors[k + 1 :]
+            out.append(_mk_term(t.constant, factors, t.denominators))
+        for g in t.denominators:
             dg = replace(g, derivs=tuple(sorted(g.derivs + (b,))))
-            out.append(_mk_term(-t.const, t.factors + (dg,), t.denoms + (g,)))
+            out.append(_mk_term(-t.constant, t.factors + (dg,), t.denominators + (g,)))
     return tuple(out)
 
 
@@ -210,7 +192,7 @@ def _eval(expr: FormExpr, d: int) -> dict:
         _check_terms(sum(map(len, a.values())) + sum(map(len, b.values())))
         out = dict(a)
         for idx, terms in b.items():
-            signed = tuple(replace(t, const=sign * t.const) for t in terms)
+            signed = tuple(replace(t, constant=sign * t.constant) for t in terms)
             out[idx] = out.get(idx, ()) + signed
         return out
     if isinstance(expr, dsl.Mult):
@@ -239,15 +221,15 @@ def _eval(expr: FormExpr, d: int) -> dict:
                 "denominator must reduce to a single product of coefficients"
             )
         den = b_terms[0]
-        if den.const == 0.0:
+        if den.constant == 0.0:
             raise UnsupportedDenominator("denominator is identically zero")
         out = {}
         for idx, terms in a.items():
             out[idx] = tuple(
                 _mk_term(
-                    t.const / den.const,
-                    t.factors + den.denoms,
-                    t.denoms + den.factors,
+                    t.constant / den.constant,
+                    t.factors + den.denominators,
+                    t.denominators + den.factors,
                 )
                 for t in terms
             )
@@ -255,68 +237,31 @@ def _eval(expr: FormExpr, d: int) -> dict:
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-# ---------------------------------------------------------------------------
-# Phase 2: chain rule to reference coordinates
-
-
-def _chain_rule_order(f: BasisFactor) -> tuple:
-    return (_ROLE_ORDER[f.role], f.coef, f.component, len(f.derivs), f.derivs)
-
-
-def _term_to_monomial(term: _Term) -> Monomial:
-    """Apply the chain rule, numbering the bound indices canonically.
-
-    Factors are ordered by (role, coefficient, component, derivative order,
-    physical directions), and bound indices 0, 1, 2, ... are handed out in
-    that order, each to one reference slot and one Jinv factor.  Among all
-    relabellings of the bound indices this one gives the least
-    (factors, Jinv factors) key: fewer derivatives sort first within equal
-    basis functions, and factors that tie in everything but their physical
-    directions take the lower labels for the lower directions.  Monomials
-    equal up to a relabelling therefore come out syntactically equal.
-    """
-    factors = []
-    jinvs = []
-    for f in sorted(term.factors, key=_chain_rule_order):
-        ref = tuple(SumIndex(len(jinvs) + k) for k in range(len(f.derivs)))
-        jinvs += [JinvFactor(ix, b) for ix, b in zip(ref, f.derivs)]
-        factors.append(BasisFactor(f.role, f.coef, f.component, ref))
-    return Monomial(
-        constant=term.const,
-        factors=tuple(factors),
-        jinvs=tuple(jinvs),
-        denominators=term.denoms,
-        n_bound=len(jinvs),
-    )
-
-
 def expand(form: TypedForm) -> MonomialSum:
-    """Distribute, unroll contractions, and apply the affine chain rule.
+    """Distribute and unroll contractions, in physical directions.
 
-    The result is not yet merged; see :func:`simplify`.
+    The chain rule is positional (see the module docstring), so each term
+    is a monomial.  The result is not yet merged; see :func:`simplify`.
     """
     terms = _eval(form.integrand, form.cell.dim)[()]
-    return MonomialSum(form, tuple(_term_to_monomial(t) for t in terms if t.const != 0.0))
+    return MonomialSum(form, tuple(t for t in terms if t.constant != 0.0))
 
 
 # ---------------------------------------------------------------------------
-# Phase 3: merging
+# Phase 2: merging
 
 
 def _merge_key(m: Monomial) -> tuple:
-    return (
-        tuple(f.sort_key() for f in m.factors),
-        tuple(j.sort_key() for j in m.jinvs),
-        tuple(f.sort_key() for f in m.denominators),
-        m.n_bound,
-    )
+    """The signature's factors, then the directions, then its denominators."""
+    factors, denominators = m.signature()
+    return (factors, m.directions, denominators)
 
 
 def simplify(ms: MonomialSum) -> MonomialSum:
     """Merge monomials identical up to constant; drop exact zeros; sort.
 
-    Expansion already numbers bound indices canonically (see
-    :func:`_term_to_monomial`), so equal monomials have equal keys.
+    Expansion already orders factors canonically (see
+    :class:`BasisFactor`), so equal monomials have equal keys.
     Constants are summed in expansion order.
     """
     merged: dict = {}
@@ -357,15 +302,12 @@ def estimate_degree(ms: MonomialSum) -> int:
     return best
 
 
-def _format_index(ix) -> str:
-    return f"b{ix.ident}" if isinstance(ix, SumIndex) else str(ix)
-
-
-def _format_factor(f: BasisFactor) -> str:
+def _format_factor(f: BasisFactor, first: int = 0) -> str:
+    """The factor with its bound indices labelled b<first>, b<first + 1>, ..."""
     base = {"test": "v", "trial": "u"}.get(f.role, f"w{f.coef}")
     base += f"[{f.component}]"
     if f.derivs:
-        base += "dX(" + ",".join(_format_index(x) for x in f.derivs) + ")"
+        base += "dX(" + ",".join(f"b{first + k}" for k in range(len(f.derivs))) + ")"
     return base
 
 
@@ -374,10 +316,11 @@ def format_monomial_sum(ms: MonomialSum) -> str:
     lines = []
     for m in ms.monomials:
         parts = [repr(m.constant)]
-        parts += [_format_factor(f) for f in m.factors]
-        parts += [
-            f"Jinv({_format_index(j.ref)},{_format_index(j.phys)})" for j in m.jinvs
-        ]
+        first = 0
+        for f in m.factors:
+            parts.append(_format_factor(f, first))
+            first += len(f.derivs)
+        parts += [f"Jinv(b{k},{b})" for k, b in enumerate(m.directions)]
         parts.append("det")
         line = " * ".join(parts)
         if m.denominators:

@@ -12,12 +12,11 @@ only for single-point rules; multi-point rules keep the weight table at
 point scope.
 
 The concrete terms Psi_i*Psi_j*Gip come from summing each monomial over
-every assignment of its bound (chain-rule) indices.  Each basis factor owns
-consecutive bound indices, so ``_flatten`` enumerates one factor's
-assignments at a time and combines them: the same terms, in the same
-order, as one walk per assignment of all indices.  A form whose monomials
-need more than ``MAX_CONCRETE_TERMS`` such terms is rejected before any is
-built.
+every assignment of its bound (chain-rule) indices.  ``_flatten``
+enumerates one factor's assignments at a time and combines them: the same
+terms, in the same order, as one walk per assignment of all indices.  A
+form whose monomials need more than ``MAX_CONCRETE_TERMS`` such terms is
+rejected before any is built.
 """
 
 from __future__ import annotations
@@ -82,16 +81,15 @@ def eliminate_zero_columns(table: np.ndarray) -> NonzeroColumnMap:
 # Monomial flattening: enumerate bound indices into concrete terms
 
 
-def _factor_options(f, jinvs, d: int) -> list:
-    """(sorted concrete derivs, concrete Jinv pairs) of a factor, per assignment.
+def _factor_options(f, d: int) -> list:
+    """(table signature, concrete Jinv pairs) of a factor, per assignment.
 
-    A lowered factor's derivative slots all hold bound indices; their
-    assignments come in ``product(range(d), repeat=k)`` order, and the pairs
-    resolve the Jinv factors whose reference index the factor binds.
+    The factor's bound indices, one per physical direction in ``f.derivs``,
+    take their reference directions in ``product(range(d), repeat=k)``
+    order; each pairs with its physical direction in one Jinv factor.
     """
-    own = [(f.derivs.index(j.ref), j.phys) for j in jinvs if j.ref in f.derivs]
     return [
-        (tuple(sorted(values)), tuple((values[k], phys) for k, phys in own))
+        ((f.role, f.coef, f.component, tuple(sorted(values))), tuple(zip(values, f.derivs)))
         for values in product(range(d), repeat=len(f.derivs))
     ]
 
@@ -99,32 +97,29 @@ def _factor_options(f, jinvs, d: int) -> list:
 def _flatten(ms: MonomialSum):
     """Concrete terms grouped as groups[key1][key2][jprod] = constant.
 
-    key1 is the (test, trial) basis-table signature pair driving the inner
-    loops, key2 the coefficient/denominator value products, and jprod the
+    Every basis table is keyed by one signature, (role, coef, component,
+    reference derivs).  key1 is the (test, trial) signature pair driving
+    the inner loops (trial None for a linear form), key2 the coefficient
+    and denominator signatures of the point-value products, and jprod the
     multiset of Jinv entries.
 
-    Lowering hands each basis factor consecutive bound indices, in factor
-    order (test, trial, then coefficients), each tied to the reference slot
-    of one Jinv factor.  So each factor's options are enumerated once, and
-    the product of the test, trial and coefficient options visits the
-    assignments in the order of ``product(range(d), repeat=n_bound)``:
-    every dict is filled in that order and every constant is summed in that
-    order.
+    Bound index k is the k-th physical direction in factor order: the
+    test factor, the trial factor of a bilinear form, then the
+    coefficients (see ``lowering``).  So each factor's options are
+    enumerated once, and the product of the test, trial and coefficient
+    options visits the assignments in the order of
+    ``product(range(d), repeat=n_bound)``: every dict is filled in that
+    order and every constant is summed in that order.
     """
     d = ms.form.cell.dim
+    n_args = ms.form.arity
     groups: dict = {}
     for m in ms.monomials:
-        test = trial = [(None, ())]
-        coefs = []
-        for f in m.factors:
-            options = _factor_options(f, m.jinvs, d)
-            if f.role == "test":
-                test = [((f.component, derivs), pairs) for derivs, pairs in options]
-            elif f.role == "trial":
-                trial = [((f.component, derivs), pairs) for derivs, pairs in options]
-            else:
-                coefs.append([((f.coef, f.component, derivs), pairs) for derivs, pairs in options])
-        denoms = tuple((f.coef, f.component, f.derivs) for f in m.denominators)
+        options = [_factor_options(f, d) for f in m.factors]
+        test = options[0]
+        trial = options[1] if n_args == 2 else [(None, ())]
+        coefs = options[n_args:]
+        denoms = tuple((f.role, f.coef, f.component, f.derivs) for f in m.denominators)
         combos = [
             ((tuple(sorted(sig for sig, _ in combo)), denoms), sum((p for _, p in combo), ()))
             for combo in product(*coefs)
@@ -228,20 +223,9 @@ def _col_index(nzc_name, var):
 
 def _point_value(entries, sig, var: str):
     """Psi[ip][var]*w[c][nzc[var]]: one basis term of a coefficient's point value."""
-    tname, nzc, _ = entries[("coef",) + sig]
+    tname, nzc, _ = entries[sig]
     psi = TableRef(tname, (IxVar("ip"), IxVar(var)))
-    return BinOp("*", psi, CoefRef(sig[0], _col_index(nzc, var)))
-
-
-def _argument_signatures(key1) -> tuple:
-    """(role, coef, component, derivs) of the test and trial tables of a term group."""
-    test, trial = key1
-    return (("test", -1) + test,) + ((("trial", -1) + trial,) if trial else ())
-
-
-def _coefficient_signatures(key2) -> tuple:
-    """(role, coef, component, derivs) of the coefficient tables of a term group."""
-    return tuple(("coef",) + sig for sig in key2[0] + key2[1])
+    return BinOp("*", psi, CoefRef(sig[1], _col_index(nzc, var)))
 
 
 def build_quadrature_kernel(
@@ -265,24 +249,22 @@ def build_quadrature_kernel(
         n_terms, MAX_CONCRETE_TERMS, "quadrature kernel needs {} concrete terms, more than {}"
     )
     groups = _flatten(ms)
-    # Each distinct key reads its signatures once.
-    arg_sigs = {key1: _argument_signatures(key1) for key1 in groups}
     key2s = {key2 for sub in groups.values() for key2 in sub}
-    coef_sigs = {key2: _coefficient_signatures(key2) for key2 in key2s}
     entries, basis = _basis_tables(
         form,
         rule,
         zero_elimination,
-        {sig for sigs in (*arg_sigs.values(), *coef_sigs.values()) for sig in sigs},
+        {sig for key1 in groups for sig in key1 if sig}
+        | {sig for coefs, denoms in key2s for sig in coefs + denoms},
     )
 
     # Drop groups whose basis tables lost every column.
     dead = {sig for sig, (_, _, extent) in entries.items() if extent == 0}
-    live_key2 = {key2 for key2, sigs in coef_sigs.items() if dead.isdisjoint(sigs)}
+    live_key2 = {key2 for key2 in key2s if dead.isdisjoint(key2[0] + key2[1])}
     live: dict = {}
     for key1, subgroups in groups.items():
         kept = {key2: v for key2, v in subgroups.items() if key2 in live_key2}
-        if kept and dead.isdisjoint(arg_sigs[key1]):
+        if kept and dead.isdisjoint(key1):
             live[key1] = kept
     groups = live
     group_keys = sorted(
@@ -327,7 +309,7 @@ def build_quadrature_kernel(
             f_names[sig] = fname
             body.append(AssignScalar(fname, Lit(0.0)))
             loop_body = (AccumScalar(fname, _point_value(entries, sig, "r")),)
-            body.append(Loop("r", entries[("coef",) + sig][2], loop_body))
+            body.append(Loop("r", entries[sig][2], loop_body))
         return ScalarRef(f_names[sig])
 
     def geo_tail(const) -> list:
@@ -371,12 +353,12 @@ def build_quadrature_kernel(
     for key1 in group_keys:
         subgroups = groups[key1]
         test, trial = key1
-        t_name, t_nzc, t_extent = entries[("test", -1) + test]
+        t_name, t_nzc, t_extent = entries[test]
         psi = [TableRef(t_name, (IxVar("ip"), IxVar("i")))]
         cols = [(n2, _col_index(t_nzc, "i"))]
         u_extent = None
         if trial is not None:
-            u_name, u_nzc, u_extent = entries[("trial", -1) + trial]
+            u_name, u_nzc, u_extent = entries[trial]
             psi.append(TableRef(u_name, (IxVar("ip"), IxVar("j"))))
             cols.append((1, _col_index(u_nzc, "j")))
         index = IxLin(tuple(cols))
@@ -397,7 +379,7 @@ def build_quadrature_kernel(
                 parts += geo_tail(subgroups[key2][jprod])
                 stmt = AccumA(index, chain("/", [weighted(chain("*", parts))] + f_refs))
                 for k in reversed(range(len(coefs))):
-                    stmt = Loop(f"r{k}", entries[("coef",) + coefs[k]][2], (stmt,))
+                    stmt = Loop(f"r{k}", entries[coefs[k]][2], (stmt,))
                 accum_plan.append((extents, stmt))
 
     # Fuse accumulation statements into loop nests by matching extents.

@@ -118,6 +118,7 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
     by_key: dict = {}
     tables, axes = [], []
     test_dofs = trial_dofs = None
+    n_bound = 0
     for f in lead.factors:
         element, dofs = _factor_block(form, f)
         k = len(f.derivs)
@@ -136,10 +137,10 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
         else:
             dof_axis = next_coef_axis
             next_coef_axis += 1
-        # A factor's axes are in output order: the dof axis precedes every
-        # bound index, and lowering numbers a factor's bound indices
-        # consecutively.
-        axes.append([dof_axis] + [n_f + x.ident for x in f.derivs])
+        # A factor's axes are in output order: its dof axis, then one axis
+        # per bound index, the k-th bound index of the monomial on axis n_f + k.
+        axes.append([dof_axis] + list(range(n_f + n_bound, n_f + n_bound + k)))
+        n_bound += k
         for axis, n in zip(axes[-1], tables[-1].shape[1:]):
             shape[axis] = n
 

@@ -26,7 +26,8 @@ pin the interpreter's trip-by-trip path for loop nests that are not
 perfect.
 ``golden/monomial_digests.json`` pins the lowered monomial sum (the
 ``format_monomial_sum`` dump: constants, factor order and bound-index
-labels) of a wider form set.  After an intended change of the generated
+labels) of a wider form set, which includes every form of the composed-form
+grammar that the property tests draw from.  After an intended change of the generated
 kernels or of the lowering, rewrite both files with::
 
     PYTHONPATH=src python tests/test_kernel_digests.py --write
@@ -119,8 +120,50 @@ _LAPLACIAN_GRADIENTS = (
 )
 
 
+# The composed-form grammar: up to two coefficient factors ahead of the
+# arguments, with first and second derivatives and denominators: at most 8
+# bound indices, 6561 terms in 3D.
+COMPOSED_CELLS = ["triangle", "tetrahedron"]
+COEFFICIENT_FACTORS = ["f", "dot(grad(f), grad(g))", "div(grad(f))", "dot(grad(g), grad(g))"]
+ARGUMENT_FACTORS = [
+    "v*u",
+    "dot(grad(v), grad(u))",
+    "dot(grad(f), grad(v))*u",
+    "div(grad(v))*u",
+    "v",
+    "dot(grad(g), grad(v))",
+]
+DENOMINATORS = ["", "/g", "/(f*g)"]
+
+
+def composed_source(cell: str, factors: list, arguments: str, denominator: str) -> str:
+    """One P2 form of the composed-form grammar."""
+    trial = "u = TrialFunction(element)\n" if "u" in arguments else ""
+    return (
+        f'element = FiniteElement("Lagrange", "{cell}", 2)\n'
+        f"v = TestFunction(element)\n{trial}f = Function(element)\ng = Function(element)\n"
+        f"a = {'*'.join(factors + [arguments])}{denominator}*dx\n"
+    )
+
+
+def composed_sources() -> dict:
+    """All 756 forms of the grammar, keyed by cell and integrand."""
+    lists = [[]] + [[a] for a in COEFFICIENT_FACTORS]
+    lists += [[a, b] for a in COEFFICIENT_FACTORS for b in COEFFICIENT_FACTORS]
+    return {
+        f"composed_{cell}: {'*'.join(factors + [arguments])}{denominator}": composed_source(
+            cell, factors, arguments, denominator
+        )
+        for cell in COMPOSED_CELLS
+        for factors in lists
+        for arguments in ARGUMENT_FACTORS
+        for denominator in DENOMINATORS
+    }
+
+
 def monomial_sources() -> dict:
-    """The repository inputs, the full trend sweep with 3D, and heavy extras."""
+    """The repository inputs, the full trend sweep with 3D, heavy extras and
+    every composed form."""
     out = {p.stem: p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))}
     out.update({c.label(): c.source() for c in harness.full_trend_cells(include_3d=True)})
     out.update(
@@ -132,6 +175,7 @@ def monomial_sources() -> dict:
             "vector_poisson_div_3d_q2_p2_nf2": forms.vector_poisson_div(2, 2, 2, 3),
         }
     )
+    out.update(composed_sources())
     return out
 
 

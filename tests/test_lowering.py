@@ -17,7 +17,6 @@ from formc.lowering import (
     expand,
     format_monomial_sum,
     lower,
-    resolve,
     simplify,
 )
 
@@ -222,12 +221,16 @@ def _monomial_value(ms, ref_value, jinv, det):
 
         acc = 0.0
         for sigma in iproduct(range(d), repeat=m.n_bound):
+            # bound index k: reference direction sigma[k], physical direction
+            # m.directions[k]; each factor takes the next len(f.derivs) of them
             term = m.constant
+            k = 0
             for f in m.factors:
-                derivs = tuple(sorted(resolve(x, sigma) for x in f.derivs))
+                derivs = tuple(sorted(sigma[k : k + len(f.derivs)]))
+                k += len(f.derivs)
                 term *= ref_value(f.role, f.coef, f.component, derivs)
-            for j in m.jinvs:
-                term *= jinv[resolve(j.ref, sigma), resolve(j.phys, sigma)]
+            for a, b in zip(sigma, m.directions):
+                term *= jinv[a, b]
             for f in m.denominators:
                 term /= ref_value(f.role, f.coef, f.component, ())
             acc += term
@@ -336,10 +339,9 @@ def test_weighted_laplacian_monomials():
         roles = [f.role for f in m.factors]
         assert roles == ["test", "trial", "coef"]
         assert len(m.factors[0].derivs) == 1 and len(m.factors[1].derivs) == 1
-        assert len(m.jinvs) == 2 and m.n_bound == 2
-        phys = {j.phys for j in m.jinvs}
-        assert len(phys) == 1  # both Jinv factors share the physical direction
-    assert {m.jinvs[0].phys for m in ms.monomials} == {0, 1}
+        assert len(m.directions) == 2 and m.n_bound == 2
+        assert len(set(m.directions)) == 1  # both Jinv factors share the physical direction
+    assert {m.directions[0] for m in ms.monomials} == {0, 1}
 
 
 def test_mass_monomial():
@@ -348,7 +350,7 @@ def test_mass_monomial():
     assert len(ms.monomials) == 1
     m = ms.monomials[0]
     assert [f.role for f in m.factors] == ["test", "trial"]
-    assert m.jinvs == () and m.n_bound == 0 and m.constant == 1.0
+    assert m.directions == () and m.n_bound == 0 and m.constant == 1.0
 
 
 def test_elasticity_expansion_counts():
@@ -361,19 +363,35 @@ def test_elasticity_expansion_counts():
     assert consts == [0.5, 0.5, 0.5, 0.5, 1.0, 1.0]
 
 
+# Integrands whose two halves are equal up to the order of their factors,
+# so that their monomials are equal up to a relabelling of the bound indices.
+_P2_F_G = (
+    'element = FiniteElement("Lagrange", "triangle", 2)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\n"
+    "f = Function(element)\ng = Function(element)\n"
+)
+CANCELLING = {
+    "p1_mass": 'element = FiniteElement("Lagrange", "triangle", 1)\n'
+    "v = TestFunction(element)\nu = TrialFunction(element)\n"
+    "a = (dot(v, u) - dot(v, u))*dx\n",
+    "two_coefficients": _P2_F_G + "a = (dot(grad(f), grad(g)) - dot(grad(g), grad(f)))*v*u*dx\n",
+    "coefficient_and_test": _P2_F_G
+    + "a = (dot(grad(f), grad(v))*f - f*dot(grad(v), grad(f)))*u*dx\n",
+    "four_derivatives": _P2_F_G + "a = dot(grad(f), grad(f))*dot(grad(v), grad(u))"
+    " - dot(grad(v), grad(u))*dot(grad(f), grad(f))*dx\n",
+    "second_derivatives": _P2_F_G
+    + "a = (div(grad(f))*dot(grad(f), grad(v)) - dot(grad(v), grad(f))*div(grad(f)))*u*dx\n",
+}
+
+
 def test_simplify_idempotent_and_drops_zeros():
     typed = typecheck(parse_source(forms.elasticity(2, 1)))
     once = simplify(expand(typed))
     twice = simplify(once)
     assert once.monomials == twice.monomials
 
-    cancel = (
-        'element = FiniteElement("Lagrange", "triangle", 1)\n'
-        "v = TestFunction(element)\nu = TrialFunction(element)\n"
-        "a = (dot(v, u) - dot(v, u))*dx\n"
-    )
-    ms = lower(typecheck(parse_source(cancel)))
-    assert ms.monomials == ()
+    for name, source in CANCELLING.items():
+        assert lower(typecheck(parse_source(source))).monomials == (), name
 
 
 def test_degree_estimates():

@@ -16,9 +16,17 @@ from formc.kernel import (
     count_flops,
     interpret_batch,
 )
-from formc.lowering import resolve
 from formc.quadrep import _flatten, eliminate_zero_columns
-from test_kernel_digests import _EXTRA, _LAPLACIAN_GRADIENTS, _gradf2
+from test_kernel_digests import (
+    _EXTRA,
+    _LAPLACIAN_GRADIENTS,
+    ARGUMENT_FACTORS,
+    COEFFICIENT_FACTORS,
+    COMPOSED_CELLS,
+    DENOMINATORS,
+    _gradf2,
+    composed_source,
+)
 
 FORMS_DIR = Path(__file__).resolve().parent.parent / "forms"
 
@@ -179,15 +187,17 @@ def _flatten_oracle(ms):
         for sigma in product(range(d), repeat=m.n_bound):
             test = trial = None
             coefs = []
+            k = 0  # bound index k takes reference direction sigma[k]
             for f in m.factors:
-                derivs = tuple(sorted(resolve(x, sigma) for x in f.derivs))
+                sig = (f.role, f.coef, f.component, tuple(sorted(sigma[k : k + len(f.derivs)])))
+                k += len(f.derivs)
                 if f.role == "test":
-                    test = (f.component, derivs)
+                    test = sig
                 elif f.role == "trial":
-                    trial = (f.component, derivs)
+                    trial = sig
                 else:
-                    coefs.append((f.coef, f.component, derivs))
-            denoms = tuple((f.coef, f.component, f.derivs) for f in m.denominators)
+                    coefs.append(sig)
+            denoms = tuple((f.role, f.coef, f.component, f.derivs) for f in m.denominators)
             jprod = m.jinv_product(sigma)
             key2 = (tuple(sorted(coefs)), denoms)
             sub = groups.setdefault((test, trial), {}).setdefault(key2, {})
@@ -237,7 +247,9 @@ def test_flatten_drops_the_groups_that_cancel(compile_cached):
     name = "div_minus_transposed_gradient"
     cf = compile_cached(FLATTEN_FORMS[name], name)
     groups = _flatten(cf.monomials)
-    cancelled = {((c, (r,)), (1 - c, (r,))) for c in (0, 1) for r in (0, 1)}
+    cancelled = {
+        (("test", -1, c, (r,)), ("trial", -1, 1 - c, (r,))) for c in (0, 1) for r in (0, 1)
+    }
     assert len(groups) == 4 and cancelled.isdisjoint(groups)
     assert harness.cross_check(cf, n_cells=5).ok
 
@@ -254,30 +266,13 @@ _BUILT_FORMS = st.one_of(
     st.builds(forms.vector_poisson_div, _q, _n_f, st.integers(1, 2), _dims),
 )
 
-# Up to two coefficient factors ahead of the arguments, with first and second
-# derivatives and denominators: at most 8 bound indices, 6561 terms in 3D.
-_COEFFICIENT_FACTORS = ["f", "dot(grad(f), grad(g))", "div(grad(f))", "dot(grad(g), grad(g))"]
-_ARGUMENT_FACTORS = [
-    "v*u",
-    "dot(grad(v), grad(u))",
-    "dot(grad(f), grad(v))*u",
-    "div(grad(v))*u",
-    "v",
-    "dot(grad(g), grad(v))",
-]
-
-
 @st.composite
 def _composed_forms(draw):
-    cell = draw(st.sampled_from(["triangle", "tetrahedron"]))
-    factors = draw(st.lists(st.sampled_from(_COEFFICIENT_FACTORS), max_size=2))
-    arguments = draw(st.sampled_from(_ARGUMENT_FACTORS))
-    denominator = draw(st.sampled_from(["", "/g", "/(f*g)"]))
-    trial = "u = TrialFunction(element)\n" if "u" in arguments else ""
-    return (
-        f'element = FiniteElement("Lagrange", "{cell}", 2)\n'
-        f"v = TestFunction(element)\n{trial}f = Function(element)\ng = Function(element)\n"
-        f"a = {'*'.join(factors + [arguments])}{denominator}*dx\n"
+    return composed_source(
+        draw(st.sampled_from(COMPOSED_CELLS)),
+        draw(st.lists(st.sampled_from(COEFFICIENT_FACTORS), max_size=2)),
+        draw(st.sampled_from(ARGUMENT_FACTORS)),
+        draw(st.sampled_from(DENOMINATORS)),
     )
 
 

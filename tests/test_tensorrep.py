@@ -112,6 +112,24 @@ def test_unsupported_division(compile_cached):
         reference_tensor(divided[0], cf.typed)
 
 
+def test_as_group_refusals(compile_cached):
+    with pytest.raises(ValueError, match="empty monomial group"):
+        _as_group([])
+    # the two monomials of a weighted Laplacian differ only in their physical
+    # directions: one basis structure, one group
+    laplacian = compile_cached(forms.weighted_laplacian(2, 1), "wl21").monomials.monomials
+    assert len(laplacian) == 2 and _as_group(laplacian) == laplacian
+    # v*u and dot(grad(v), grad(u)) differ in their derivative counts
+    source = (
+        'element = FiniteElement("Lagrange", "triangle", 1)\n'
+        "v = TestFunction(element)\nu = TrialFunction(element)\n"
+        "a = v*u + dot(grad(v), grad(u))*dx\n"
+    )
+    mixed = compile_cached(source, "mixed").monomials.monomials
+    with pytest.raises(ValueError, match="share their basis structure"):
+        _as_group(mixed)
+
+
 def test_term_budget():
     cf = harness.compile_source(forms.mass(2, 2), "m")
     with pytest.raises(MemoryError):
@@ -433,6 +451,7 @@ def _reference_tensor_oracle(monomials, form) -> np.ndarray:
     n_out = len(lead.factors) + lead.n_bound
     next_coef_axis = 2 if any(f.role == "trial" for f in lead.factors) else 1
     operands = []
+    n_bound = 0  # bound index k lies on axis len(lead.factors) + k
     for f in lead.factors:
         element, _ = _factor_block(form, f)
         k = len(f.derivs)
@@ -448,7 +467,9 @@ def _reference_tensor_oracle(monomials, form) -> np.ndarray:
         else:
             dof_axis = next_coef_axis
             next_coef_axis += 1
-        axes = np.array([dof_axis] + [len(lead.factors) + x.ident for x in f.derivs])
+        first = len(lead.factors) + n_bound
+        axes = np.array([dof_axis] + list(range(first, first + k)))
+        n_bound += k
         shape = np.ones(1 + n_out, dtype=int)
         shape[0] = len(rule.weights)
         shape[1 + axes] = arr.shape[1:]
