@@ -403,19 +403,39 @@ def _build_structure(
 ) -> tuple[SparseMatrix, np.ndarray]:
     """CSR pattern and each local entry's slot, from the pattern of the scalar spaces.
 
-    A dofmap of d components is a component-major block of its scalar map,
-    so the pattern of the scalar spaces, which ``mesh`` holds after the
-    first call, gives the pattern of the d_r x d_c component blocks: row
-    (ca, r) holds, for each cb, the columns of scalar row r shifted by
-    cb * n_scalar_cols.  A scalar space is the 1 x 1 case.  The returned
-    matrix shares no array with what the mesh holds.
+    ``mesh`` holds the pattern of the scalar spaces after the first call.
+    A pair of scalar spaces gets copies of it; a vector space's pattern is
+    built from it by ``_block_structure``.  The returned matrix and slots
+    share no array with what the mesh holds.
     """
     dr, dc = row_element.value_dim, col_element.value_dim
     scalars = (replace(row_element, value_dim=1), replace(col_element, value_dim=1))
     rows_map, cols_map = (_mesh_dofmap(mesh, e) for e in scalars)
     if scalars not in mesh._held:
         mesh._held[scalars] = _read_only(*_scalar_pattern(rows_map, cols_map))
-    columns, indptr, scalar_slots = mesh._held[scalars]
+    if dr == dc == 1:
+        columns, indptr, scalar_slots = mesh._held[scalars]
+        matrix = SparseMatrix(
+            rows_map.n_global,
+            cols_map.n_global,
+            indptr.copy(),
+            columns.copy(),
+            np.zeros(len(columns)),
+        )
+        return matrix, scalar_slots.reshape(mesh.n_cells, -1).copy()
+    return _block_structure(mesh._held[scalars], rows_map, cols_map, dr, dc)
+
+
+def _block_structure(
+    held: tuple, rows_map: DofMap, cols_map: DofMap, dr: int, dc: int
+) -> tuple[SparseMatrix, np.ndarray]:
+    """The pattern of the d_r x d_c component blocks of a scalar pattern.
+
+    A dofmap of d components is a component-major block of its scalar map,
+    so row (ca, r) holds, for each cb, the columns of scalar row r of
+    ``held`` = (columns, indptr, slots) shifted by cb * n_scalar_cols.
+    """
+    columns, indptr, scalar_slots = held
     n_rows, n_cols, rows = rows_map.n_global, cols_map.n_global, rows_map.cell_dofs
     nnz, length = len(columns), np.diff(indptr)
     # the rows of component ca start at starts[ca]; in them, scalar entry s of row r,
@@ -436,7 +456,7 @@ def _build_structure(
     # local entry (ca, a, cb, b) of a cell, in the order of its flattened element tensor
     cell_offset = offset.T[rows][:, None, :, :, None] + starts[:, None, None, None]
     slots = scalar_slots[:, None, :, None, :] + cell_offset
-    return matrix, slots.reshape(mesh.n_cells, -1)
+    return matrix, slots.reshape(rows.shape[0], -1)
 
 
 def check_assembly(cf: CompiledForm, cell: ReferenceCell, n_cells: int) -> None:

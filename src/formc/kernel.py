@@ -783,11 +783,11 @@ def _emit_stmts(stmts, lines, indent, accumulated) -> None:
 
 
 def _table_cstr(arr: np.ndarray) -> str:
-    if arr.ndim == 1:
-        if arr.dtype.kind in "iu":
-            return "{" + ", ".join(str(int(v)) for v in arr) + "}"
-        return "{" + ", ".join(_fmt(v) for v in arr) + "}"
-    return "{" + ", ".join(_table_cstr(row) for row in arr) + "}"
+    """C initialiser of an integer or float table: each value as ``repr`` prints it."""
+    return repr(arr.tolist()).translate(_BRACES)
+
+
+_BRACES = str.maketrans("[]", "{}")
 
 
 def emit_source(kernel: KernelIR) -> str:

@@ -14,9 +14,16 @@ point scope.
 The concrete terms Psi_i*Psi_j*Gip come from summing each monomial over
 every assignment of its bound (chain-rule) indices.  ``_flatten``
 enumerates one factor's assignments at a time and combines them: the same
-terms, in the same order, as one walk per assignment of all indices.  A
-form whose monomials need more than ``MAX_CONCRETE_TERMS`` such terms is
-rejected before any is built.
+terms, in the same order, as one walk per assignment of all indices.  Each
+factor option carries two integer codes, its Jinv pairs and its
+coefficient signature as counts in fixed digits, so a term's Jinv multiset
+and coefficient multiset are sums of its factors' codes, and summing a
+term costs an integer add and a dict update.  The codes map one to one to
+the sorted tuples they stand for, so every dict is keyed and filled in the
+same order, and every constant summed in the same order, as with the
+tuples; each distinct code is decoded once.  A form whose monomials need
+more than ``MAX_CONCRETE_TERMS`` such terms is rejected before any is
+built.  Groups of equal content share one point scalar Gip, built once.
 """
 
 from __future__ import annotations
@@ -110,36 +117,84 @@ def _flatten(ms: MonomialSum):
     options visits the assignments in the order of
     ``product(range(d), repeat=n_bound)``: every dict is filled in that
     order and every constant is summed in that order.
+
+    While terms are summed, jprod and key2 are integers that add up over
+    the factors.  A jprod is its Jinv pairs counted in digits of base
+    ``max n_bound + 1``, pair (a, b) at place ``a*d + b``; no pair occurs
+    more often than a monomial has bound indices, so no digit carries, and
+    the places run in the pairs' sorted order.  A key2 is its coefficient
+    signatures counted the same way, one place per signature in sorted
+    order, with the denominators' number in first-seen order above them.
+    Equal tuples give equal codes and distinct tuples distinct ones, so
+    every dict gets the same keys in the same order and every constant the
+    same additions; each distinct code is decoded once, at the end, to the
+    sorted tuple it stands for.
     """
     d = ms.form.cell.dim
     n_args = ms.form.arity
+    factors = dict.fromkeys(f for m in ms.monomials for f in m.factors)
+    options = {f: _factor_options(f, d) for f in factors}
+    base = max((m.n_bound for m in ms.monomials), default=0) + 1
+    pair_weight = {(a, b): base ** (a * d + b) for a in range(d) for b in range(d)}
+    coef_sigs = sorted({sig for f, opts in options.items() if f.role == "coef" for sig, _ in opts})
+    cbase = max((len(m.factors) - n_args for m in ms.monomials), default=0) + 1
+    sig_weight = {sig: cbase**rank for rank, sig in enumerate(coef_sigs)}
+    denoms_top = cbase ** len(coef_sigs)
+    # each distinct factor's options as (signature or its key2 code, jprod code)
+    coded = {
+        f: [(sig, sum(pair_weight[p] for p in pairs)) for sig, pairs in opts]
+        for f, opts in options.items()
+    }
+    coef_coded = {
+        f: [(sig_weight[sig], j) for sig, j in opts] for f, opts in coded.items() if f.role == "coef"
+    }
+    denoms_of: dict = {}  # denominator factors -> their number
+
     groups: dict = {}
     for m in ms.monomials:
-        options = [_factor_options(f, d) for f in m.factors]
-        test = options[0]
-        trial = options[1] if n_args == 2 else [(None, ())]
-        coefs = options[n_args:]
-        denoms = tuple((f.role, f.coef, f.component, f.derivs) for f in m.denominators)
-        combos = [
-            ((tuple(sorted(sig for sig, _ in combo)), denoms), sum((p for _, p in combo), ()))
-            for combo in product(*coefs)
-        ]
-        for t, t_pairs in test:
-            for u, u_pairs in trial:
+        test = coded[m.factors[0]]
+        trial = coded[m.factors[1]] if n_args == 2 else [(None, 0)]
+        # (key2, jprod) codes of the coefficient options, in product() order
+        combos = [(denoms_top * denoms_of.setdefault(m.denominators, len(denoms_of)), 0)]
+        for f in m.factors[n_args:]:
+            codes = coef_coded[f]
+            combos = [(k + fk, j + fj) for k, j in combos for fk, fj in codes]
+        constant = m.constant
+        for t, t_code in test:
+            for u, u_code in trial:
                 by_key2 = groups.setdefault((t, u), {})
-                tu_pairs = t_pairs + u_pairs
-                for key2, c_pairs in combos:
-                    sub = by_key2.setdefault(key2, {})
-                    jprod = tuple(sorted(tu_pairs + c_pairs))
-                    sub[jprod] = sub.get(jprod, 0.0) + m.constant
-    for key1 in list(groups):
-        for key2 in list(groups[key1]):
-            groups[key1][key2] = {j: c for j, c in groups[key1][key2].items() if c != 0.0}
-            if not groups[key1][key2]:
-                del groups[key1][key2]
-        if not groups[key1]:
-            del groups[key1]
-    return groups
+                tu_code = t_code + u_code
+                for key2, c_code in combos:
+                    sub = by_key2.get(key2)
+                    if sub is None:
+                        sub = by_key2[key2] = {}
+                    jprod = tu_code + c_code
+                    sub[jprod] = sub.get(jprod, 0.0) + constant
+
+    denoms_list = [
+        tuple((f.role, f.coef, f.component, f.derivs) for f in denoms) for denoms in denoms_of
+    ]
+    jprods = {
+        code: tuple(p for p, w in pair_weight.items() for _ in range(code // w % base))
+        for code in {j for by_key2 in groups.values() for sub in by_key2.values() for j in sub}
+    }
+    key2s = {
+        code: (
+            tuple(s for s, w in sig_weight.items() for _ in range(code // w % cbase)),
+            denoms_list[code // denoms_top],
+        )
+        for code in {key2 for by_key2 in groups.values() for key2 in by_key2}
+    }
+    out: dict = {}
+    for key1 in list(groups):  # popped: the coded and decoded groups are never both whole
+        kept = {}
+        for key2, sub in groups.pop(key1).items():
+            terms = {jprods[j]: c for j, c in sub.items() if c != 0.0}
+            if terms:
+                kept[key2s[key2]] = terms
+        if kept:
+            out[key1] = kept
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +379,21 @@ def build_quadrature_kernel(
         return expr if single_point else BinOp("*", expr, TableRef(w_table, (IxVar("ip"),)))
 
     gip_of: dict = {}  # point-scalar expression -> Gip name, in first-use order
+    gip_memo: dict = {}  # group content -> its point scalar
 
     def gip(subgroups) -> ScalarRef:
-        """Scalar factor of one (test, trial) group at a point."""
+        """Scalar factor of one (test, trial) group at a point.
+
+        A group equal to an earlier one gets the earlier one's scalar: its
+        G, F and Gip names all exist already, so the numbering is as if its
+        expression were built again.
+        """
+        content = tuple((key2, tuple(sub.items())) for key2, sub in subgroups.items())
+        if content not in gip_memo:
+            gip_memo[content] = _gip(subgroups)
+        return gip_memo[content]
+
+    def _gip(subgroups) -> ScalarRef:
         sub_exprs = []
         for key2 in sorted(subgroups):
             coefs, denoms = key2

@@ -346,6 +346,26 @@ def test_structure_matches_one_sort_of_all_keys(case, n):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("case", ["p1", "p3", "dg0", "p3-p1"])
+def test_scalar_structure_copies_what_the_block_path_builds(case):
+    mesh = harness.unit_square_mesh(4)
+    rows, cols = STRUCTURE_CASES[case]
+    got, got_slots = harness._build_structure(mesh, rows, cols)
+    held = mesh._held[(rows, cols)]
+    want, want_slots = harness._block_structure(
+        held, mesh._held[rows], mesh._held[cols], 1, 1
+    )
+    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+    got_arrays = [got.indptr, got.indices, got.data, got_slots]
+    for a, b in zip(got_arrays, [want.indptr, want.indices, want.data, want_slots]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    for a in got_arrays:
+        assert a.flags.writeable
+        for h in [*held, mesh._held[rows].cell_dofs, mesh._held[cols].cell_dofs]:
+            assert not np.shares_memory(a, h)
+
+
 def test_held_patterns_are_keyed_by_both_spaces():
     """Every STRUCTURE_CASES pair, twice, on one mesh: a pattern held for one
     pair of spaces never answers for another, rectangular pairs included."""

@@ -26,6 +26,7 @@ from formc.kernel import (
     NegativeOrientation,
     ScalarRef,
     TableRef,
+    _table_cstr,
     affine_map,
     affine_map_batch,
     chain,
@@ -172,6 +173,33 @@ def test_emit_deterministic(kernel_cached, compile_cached):
     k2 = harness.quadrature_kernel(cf)
     assert emit_source(k) == emit_source(k2)
     assert kernel_to_json(k) == kernel_to_json(k2)
+
+
+def _table_cstr_per_value(arr: np.ndarray) -> str:
+    """The table initialiser written one value at a time."""
+    if arr.ndim == 1:
+        if arr.dtype.kind in "iu":
+            return "{" + ", ".join(str(int(v)) for v in arr) + "}"
+        return "{" + ", ".join(repr(float(v)) for v in arr) + "}"
+    return "{" + ", ".join(_table_cstr_per_value(row) for row in arr) + "}"
+
+
+TABLES = {
+    "float": np.array([0.5, -1.0, 1e-300, -1e17, 1e17, 0.1, 1.0 / 3.0, -0.0]),
+    "int": np.array([0, 7, 4294967295], dtype=np.uint32),
+    "negative_int": np.array([-3, 0, 12], dtype=np.int64),
+    "empty": np.zeros(0),
+    "empty_rows": np.zeros((2, 0)),
+    "no_rows": np.zeros((0, 3)),
+    "2d": np.array([[-0.25, 1e-300], [2.0, 1e17]]),
+    "3d": np.arange(24, dtype=float).reshape(2, 3, 4) / 7.0 - 1.0,
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_table_initialiser_matches_the_per_value_text(name):
+    arr = TABLES[name]
+    assert _table_cstr(arr) == _table_cstr_per_value(arr)
 
 
 def test_coefficient_shape_validation(kernel_cached, compile_cached):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from formc.kernel import (
     Loop,
     affine_map_batch,
     count_flops,
+    emit_source,
     interpret_batch,
 )
 from formc.quadrep import _flatten, eliminate_zero_columns
@@ -220,6 +222,15 @@ def _layout(groups) -> list:
     ]
 
 
+def _gradient_power(k: int) -> str:
+    """P1 triangle form with dot(grad(f), grad(f)) written out k times."""
+    return (
+        'element = FiniteElement("Lagrange", "triangle", 1)\n'
+        "v = TestFunction(element)\nu = TrialFunction(element)\nf = Function(element)\n"
+        "a = " + "*".join(["dot(grad(f), grad(f))"] * k) + "*v*u*dx\n"
+    )
+
+
 FLATTEN_FORMS = {
     **{p.stem: p.read_text() for p in sorted(FORMS_DIR.glob("*.form"))},
     **_EXTRA,  # linear forms (no trial) and quotients
@@ -227,6 +238,7 @@ FLATTEN_FORMS = {
     "gradf2_2d": _gradf2("triangle"),
     "gradf2_3d": _gradf2("tetrahedron"),
     "vector_poisson_div_3d_q1_p1_nf3": forms.vector_poisson_div(1, 3, 1, 3),
+    "gradf_squared_4": _gradient_power(4),  # many equal coefficient signatures in one key2
     "div_minus_transposed_gradient": (  # groups that cancel exactly
         'element = VectorElement("Lagrange", "triangle", 1)\n'
         "v = TestFunction(element)\nu = TrialFunction(element)\n"
@@ -239,6 +251,16 @@ FLATTEN_FORMS = {
 def test_flatten_matches_per_assignment_walk(name, compile_cached):
     ms = compile_cached(FLATTEN_FORMS[name], name).monomials
     assert _layout(_flatten(ms)) == _layout(_flatten_oracle(ms))
+
+
+def test_many_coefficient_factors_build_the_same_kernel():
+    # 589,824 concrete terms from 16 one-derivative coefficient factors; the
+    # digest is that of the kernel built by summing tuple-keyed terms
+    cf = harness.compile_source(_gradient_power(8))
+    k = harness.quadrature_kernel(cf)
+    assert count_flops(k) == 11_493
+    digest = hashlib.sha256(emit_source(k).encode()).hexdigest()
+    assert digest == "e053416c5560d42b2c68eaa645b21c1244093ffe0374d1dc30a15c7c05b27be0"
 
 
 def test_flatten_drops_the_groups_that_cancel(compile_cached):
