@@ -10,8 +10,8 @@ reports it: ``error: <message>`` when the form cannot be read or compiled
 (``dsl.FormError``, ``UnreadableForm``), ``rejected: <message>`` for any
 other refusal (division or a quadrature-only flag under tensor, a linear or
 non-triangle form under assemble, or a size bound of ``dsl.check_budget``)
-and for an allocation that failed.  Bad arguments, and a ``compile --emit``
-that cannot write its directory or file, also exit 2.
+and for a ``MemoryError`` or ``RecursionError``.  Bad arguments, and a
+``compile --emit`` that cannot write its directory or file, also exit 2.
 """
 
 from __future__ import annotations
@@ -210,6 +210,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (dsl.FormError, UnreadableForm) as exc:  # no form to compile
         print(f"error: {exc}", file=sys.stderr)
-    except (dsl.Rejected, MemoryError) as exc:
+    except (dsl.Rejected, MemoryError, RecursionError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
     return EXIT_REJECTED

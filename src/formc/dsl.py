@@ -595,6 +595,16 @@ class TypedForm:
     def arity(self) -> int:
         return 2 if self.trial_element is not None else 1
 
+    @property
+    def tensor_shape(self) -> tuple:
+        """Element-tensor shape: test dofs, then trial dofs if bilinear."""
+        return tuple(e.space_dim for e in (self.test_element, self.trial_element)[: self.arity])
+
+    @property
+    def coef_sizes(self) -> tuple:
+        """Dofs of each coefficient, in declaration order."""
+        return tuple(element.space_dim for _, element in self.coefficients)
+
     def element_of(self, role: str, coef: int = -1) -> FiniteElement:
         if role == "test":
             return self.test_element

@@ -108,6 +108,12 @@ class FiniteElement:
     def space_dim(self) -> int:
         return self.value_dim * self.n_scalar
 
+    def component_dofs(self, component: int) -> np.ndarray:
+        """Element dofs carrying ``component``: its block of the scalar basis."""
+        if not 0 <= component < self.value_dim:
+            raise ValueError(f"{self!r} has no component {component}")
+        return component * self.n_scalar + np.arange(self.n_scalar)
+
     def sort_key(self) -> tuple:
         return (self.cell.name, self.degree, self.value_dim, self.family)
 
@@ -282,16 +288,12 @@ class TabulatedBasis:
 
     def table(self, component: int, alpha: tuple[int, ...]) -> np.ndarray:
         """Full-width component table (npts, space_dim) for D^alpha."""
-        key = tuple(sorted(alpha))
-        base = self.scalar_tables[key]
-        elem = self.element
-        if not elem.is_vector:
-            if component != 0:
-                raise ValueError("scalar element has a single component")
+        base = self.scalar_tables[tuple(sorted(alpha))]
+        dofs = self.element.component_dofs(component)
+        if not self.element.is_vector:
             return base
-        full = np.zeros((base.shape[0], elem.space_dim))
-        n = elem.n_scalar
-        full[:, component * n : (component + 1) * n] = base
+        full = np.zeros((base.shape[0], self.element.space_dim))
+        full[:, dofs] = base
         return full
 
 

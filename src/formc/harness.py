@@ -137,10 +137,7 @@ def random_cells(cell: ReferenceCell, count: int, seed: int) -> np.ndarray:
 def random_coefficients(cf: CompiledForm, count: int, seed: int) -> list[np.ndarray]:
     """One (count, n_dofs) array per coefficient; ``seed`` may be a ``Generator``."""
     rng = np.random.default_rng(seed)
-    return [
-        rng.uniform(COEF_LOW, COEF_HIGH, size=(count, elem.space_dim))
-        for _, elem in cf.typed.coefficients
-    ]
+    return [rng.uniform(COEF_LOW, COEF_HIGH, size=(count, n)) for n in cf.typed.coef_sizes]
 
 
 def _cell_batches(cf: CompiledForm, n_cells: int, seed: int):
@@ -470,7 +467,8 @@ def check_assembly(cf: CompiledForm, cell: ReferenceCell, n_cells: int) -> None:
         raise NotBilinear("global assembly expects a bilinear form")
     if cf.cell != cell:
         raise UnsupportedCell(f"a {cf.cell.name} form cannot be assembled on {cell.name} cells")
-    entries = n_cells * typed.test_element.space_dim * typed.trial_element.space_dim
+    n1, n2 = typed.tensor_shape
+    entries = n_cells * n1 * n2
     check_budget(entries, ASSEMBLY_ENTRY_BUDGET, "{} local entries exceed the budget of {}")
 
 

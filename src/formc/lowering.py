@@ -10,8 +10,10 @@ denominator factor list.
 A bound index is a position, not an object: a factor's ``derivs`` hold its
 sorted physical directions b, and bound index k stands for the k-th of
 them in factor order (``Monomial.directions``), summed over the reference
-directions a of d/dX_a and Jinv(a, b).  Every consumer that sums a
-monomial over its bound indices reads them in that order.
+directions a of d/dX_a and Jinv(a, b).  ``BasisFactor.assignments`` walks a
+factor's in ``product(range(d), repeat=k)`` order, so the product of a
+monomial's factor assignments, in factor order, walks its own in
+``product(range(d), repeat=n_bound)`` order; both kernel builders sum so.
 
 ``dsl.typecheck`` is the one judge of shape, arity and derivative order, so
 every term has one test factor, one trial factor when the form is bilinear,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 from . import dsl
 from .dsl import FormExpr, TypedForm
@@ -65,6 +68,14 @@ class BasisFactor:
     def sort_key(self) -> tuple:
         return (_ROLE_ORDER[self.role], self.coef, self.component, len(self.derivs), self.derivs)
 
+    def assignments(self, d: int) -> list:
+        """(sorted reference directions, Jinv (ref, phys) pairs) per assignment
+        of the factor's bound indices, in ``product(range(d), repeat=k)`` order."""
+        return [
+            (tuple(sorted(refs)), tuple(zip(refs, self.derivs)))
+            for refs in product(range(d), repeat=len(self.derivs))
+        ]
+
 
 _ROLE_ORDER = {"test": 0, "trial": 1, "coef": 2}
 
@@ -100,10 +111,6 @@ class Monomial:
             tuple(f.sort_key()[:4] for f in self.factors),
             tuple(f.sort_key() for f in self.denominators),
         )
-
-    def jinv_product(self, assignment) -> tuple:
-        """Sorted concrete (ref, phys) pairs of the Jinv factors."""
-        return tuple(sorted(zip(assignment, self.directions)))
 
 
 @dataclass(frozen=True)

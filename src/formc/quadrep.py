@@ -29,7 +29,6 @@ built.  Groups of equal content share one point scalar Gip, built once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -88,19 +87,6 @@ def eliminate_zero_columns(table: np.ndarray) -> NonzeroColumnMap:
 # Monomial flattening: enumerate bound indices into concrete terms
 
 
-def _factor_options(f, d: int) -> list:
-    """(table signature, concrete Jinv pairs) of a factor, per assignment.
-
-    The factor's bound indices, one per physical direction in ``f.derivs``,
-    take their reference directions in ``product(range(d), repeat=k)``
-    order; each pairs with its physical direction in one Jinv factor.
-    """
-    return [
-        ((f.role, f.coef, f.component, tuple(sorted(values))), tuple(zip(values, f.derivs)))
-        for values in product(range(d), repeat=len(f.derivs))
-    ]
-
-
 def _flatten(ms: MonomialSum):
     """Concrete terms grouped as groups[key1][key2][jprod] = constant.
 
@@ -110,13 +96,11 @@ def _flatten(ms: MonomialSum):
     and denominator signatures of the point-value products, and jprod the
     multiset of Jinv entries.
 
-    Bound index k is the k-th physical direction in factor order: the
-    test factor, the trial factor of a bilinear form, then the
-    coefficients (see ``lowering``).  So each factor's options are
-    enumerated once, and the product of the test, trial and coefficient
-    options visits the assignments in the order of
-    ``product(range(d), repeat=n_bound)``: every dict is filled in that
-    order and every constant is summed in that order.
+    A monomial's factors are its test factor, the trial factor of a
+    bilinear form, then the coefficients.  Each distinct factor's
+    ``assignments`` are taken once as its options, and the product of a
+    monomial's options is its walk in ``lowering``'s order: every dict is
+    filled and every constant summed in that order.
 
     While terms are summed, jprod and key2 are integers that add up over
     the factors.  A jprod is its Jinv pairs counted in digits of base
@@ -132,8 +116,11 @@ def _flatten(ms: MonomialSum):
     """
     d = ms.form.cell.dim
     n_args = ms.form.arity
-    factors = dict.fromkeys(f for m in ms.monomials for f in m.factors)
-    options = {f: _factor_options(f, d) for f in factors}
+    # (table signature, Jinv pairs) of each distinct factor, per assignment
+    options = {
+        f: [((f.role, f.coef, f.component, refs), pairs) for refs, pairs in f.assignments(d)]
+        for f in dict.fromkeys(f for m in ms.monomials for f in m.factors)
+    }
     base = max((m.n_bound for m in ms.monomials), default=0) + 1
     pair_weight = {(a, b): base ** (a * d + b) for a in range(d) for b in range(d)}
     coef_sigs = sorted({sig for f, opts in options.items() if f.role == "coef" for sig, _ in opts})
@@ -293,10 +280,7 @@ def build_quadrature_kernel(
 ) -> KernelIR:
     """Build the runtime-quadrature kernel for a lowered form."""
     form = ms.form
-    bilinear = form.arity == 2
-    n1 = form.test_element.space_dim
-    n2 = form.trial_element.space_dim if bilinear else 1
-    shape = (n1, n2) if bilinear else (n1,)
+    n2 = form.tensor_shape[1] if form.arity == 2 else 1
     single_point = rule.n_points == 1
 
     n_terms = sum(form.cell.dim**m.n_bound for m in ms.monomials)
@@ -465,13 +449,12 @@ def build_quadrature_kernel(
     stmts.append(Comment("Loop integration points"))
     stmts.append(Loop("ip", rule.n_points, tuple(body)))
 
-    coef_sizes = tuple(elem.space_dim for _, elem in form.coefficients)
     return KernelIR(
         name=name,
         representation="quadrature",
-        shape=shape,
+        shape=form.tensor_shape,
         dim=form.cell.dim,
-        coef_sizes=coef_sizes,
+        coef_sizes=form.coef_sizes,
         const_scalars=tuple(const_scalars),
         tables=tables,
         statements=tuple(stmts),

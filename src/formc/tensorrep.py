@@ -35,7 +35,7 @@ from .kernel import (
     ScalarRef,
     chain,
 )
-from .lowering import BasisFactor, Monomial, MonomialSum, factor_degree
+from .lowering import Monomial, MonomialSum, factor_degree
 from .quadrature import simplex_rule
 
 SNAP_TOLERANCE = 1e-12
@@ -57,15 +57,6 @@ def _as_group(monomials) -> tuple:
     if group[0].denominators:
         raise UnsupportedDivision("monomial divides by a coefficient")
     return group
-
-
-def _factor_block(form, f: BasisFactor):
-    """Dof block (global ids within the element) carrying component f.component."""
-    element = form.element_of(f.role, f.coef)
-    n = element.n_scalar
-    if element.is_vector:
-        return element, np.arange(f.component * n, (f.component + 1) * n)
-    return element, np.arange(n)
 
 
 @dataclass(eq=False)
@@ -120,14 +111,13 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
     test_dofs = trial_dofs = None
     n_bound = 0
     for f in lead.factors:
-        element, dofs = _factor_block(form, f)
+        element = form.element_of(f.role, f.coef)
+        dofs = element.component_dofs(f.component)
         k = len(f.derivs)
         if (element.degree, k) not in by_key:
             tab = tabulate(element, rule.points, nderiv=k)
             # (points, scalar dofs, d, ..., d): one axis per derivative direction
-            arr = np.stack(
-                [tab.scalar_tables[tuple(sorted(a))] for a in product(range(d), repeat=k)], axis=-1
-            )
+            arr = np.stack([tab.scalar_tables[refs] for refs, _ in f.assignments(d)], axis=-1)
             by_key[element.degree, k] = arr.reshape(arr.shape[:2] + (d,) * k)
         tables.append(by_key[element.degree, k])
         if f.role == "test":
@@ -188,14 +178,19 @@ def reference_tensor(monomials, form) -> ReferenceTensor:
 
 def _coef_blocks(group, form) -> list:
     """(coefficient, dofs) of each coefficient factor of the group, in factor order."""
-    return [(f.coef, _factor_block(form, f)[1]) for f in group[0].factors if f.role == "coef"]
+    coefs = [f for f in group[0].factors if f.role == "coef"]
+    return [(f.coef, form.element_of("coef", f.coef).component_dofs(f.component)) for f in coefs]
 
 
 def _bound_terms(group, dim: int) -> list:
-    """Per chain-rule assignment, row-major: (constant, Jinv index pairs) per monomial."""
+    """Per chain-rule assignment: (constant, sorted Jinv index pairs) per monomial."""
+    walks = [product(*[f.assignments(dim) for f in m.factors]) for m in group]
     return [
-        tuple((m.constant, m.jinv_product(assignment)) for m in group)
-        for assignment in product(range(dim), repeat=group[0].n_bound)
+        tuple(
+            (m.constant, tuple(sorted(p for _, pairs in combo for p in pairs)))
+            for m, combo in zip(group, combos)
+        )
+        for combos in zip(*walks)
     ]
 
 
@@ -229,10 +224,8 @@ def build_tensor_kernel(
     form = ms.form
     if ms.has_division:
         raise UnsupportedDivision("form divides by a coefficient")
-    bilinear = form.arity == 2
-    n1 = form.test_element.space_dim
-    n2 = form.trial_element.space_dim if bilinear else 1
-    shape = (n1, n2) if bilinear else (n1,)
+    shape = form.tensor_shape
+    n2 = shape[1] if form.arity == 2 else 1
 
     # simplify sorts the monomials by their factors, which fix the signature
     # of a monomial without denominators: groups come in factor order
@@ -247,7 +240,7 @@ def build_tensor_kernel(
         lead = group[0]
         size = d**lead.n_bound
         for f in lead.factors:
-            size *= len(_factor_block(form, f)[1])
+            size *= form.element_of(f.role, f.coef).n_scalar
         upper += size
     check_budget(upper, term_budget, "unrolled contraction needs up to {} terms (budget {})")
 
@@ -283,13 +276,12 @@ def build_tensor_kernel(
     stmts.append(Comment("Unrolled contraction"))
     stmts.append(Contract(n_slots, indptr, coeffs, slots))
 
-    coef_sizes = tuple(elem.space_dim for _, elem in form.coefficients)
     return KernelIR(
         name=name,
         representation="tensor",
         shape=shape,
         dim=form.cell.dim,
-        coef_sizes=coef_sizes,
+        coef_sizes=form.coef_sizes,
         const_scalars=(),
         tables={},
         statements=tuple(stmts),

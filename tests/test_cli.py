@@ -590,3 +590,33 @@ def test_refusals_take_one_path():
         if lines := _broad_handlers_and_memory_errors(tree, allowed):
             found[path.name] = lines
     assert found == {}
+
+
+def _name(node: ast.AST):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _layout_facts(tree: ast.Module) -> dict:
+    """Lines of each layout fact's source in ``tree``: chain-rule walks
+    (``product(range(...), repeat=...)``) and element sizes (``.space_dim``)."""
+    found: dict = {"walks": [], "sizes": []}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "product":
+            ranged = node.args and isinstance(node.args[0], ast.Call)
+            if ranged and _name(node.args[0].func) == "range":
+                if any(k.arg == "repeat" for k in node.keywords):
+                    found["walks"].append(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr == "space_dim":
+            found["sizes"].append(node.lineno)
+    return found
+
+
+def test_each_layout_fact_has_one_owner():
+    # lowering alone enumerates chain-rule assignments; elements alone lays
+    # out dofs, and dsl.TypedForm alone frames the element tensor from them
+    owners: dict = {"walks": set(), "sizes": set()}
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for fact, lines in _layout_facts(ast.parse(path.read_text())).items():
+            if lines:
+                owners[fact].add(path.name)
+    assert owners == {"walks": {"lowering.py"}, "sizes": {"elements.py", "dsl.py"}}

@@ -195,6 +195,30 @@ def test_typecheck_pressure_equation_coefficients():
     assert used == list(range(18))
 
 
+_P2_DG0 = (
+    'p2 = FiniteElement("Lagrange", "triangle", 2)\n'
+    'dg0 = FiniteElement("Discontinuous Lagrange", "triangle", 0)\n'
+    'vec = VectorElement("Lagrange", "triangle", 1)\n'
+    "v = TestFunction(p2)\nu = TrialFunction(dg0)\nf = Function(dg0)\ng = Function(vec)\n"
+)
+
+
+# (source, element-tensor shape, dofs per coefficient)
+@pytest.mark.parametrize(
+    "source,shape,coef_sizes",
+    [
+        (_P2_DG0 + "a = f*v*dx\n", (6,), (1, 6)),  # linear
+        (forms.weighted_laplacian(3, 3), (20, 20), (20,)),  # bilinear
+        (forms.vector_poisson_div(2, 1, 1, 2), (12, 12), (6,)),  # vector
+        (_P2_DG0 + "a = f*v*u*div(g)*dx\n", (6, 1), (1, 6)),  # mixed P2 x DG0
+    ],
+)
+def test_typed_form_frames_its_element_tensor(source, shape, coef_sizes):
+    typed = typecheck(parse_source(source))
+    assert typed.tensor_shape == shape
+    assert typed.coef_sizes == coef_sizes
+
+
 # declarations that some rejected integrands need besides _scalar_base(); a
 # second argument on the same element would be the same argument
 _EXTRA_DECLARATIONS = {

@@ -130,9 +130,20 @@ def test_second_derivatives_on_demand():
 
 def test_vector_block_structure():
     e = FiniteElement("Lagrange", TRIANGLE, 1, 2)
+    assert e.component_dofs(0).tolist() == [0, 1, 2]
+    assert e.component_dofs(1).tolist() == [3, 4, 5]
+    tet = FiniteElement("Lagrange", TETRAHEDRON, 2, 3)
+    assert tet.component_dofs(2).tolist() == list(range(20, 30))
+    scalar = FiniteElement("Discontinuous Lagrange", TETRAHEDRON, 0)
+    assert scalar.component_dofs(0).tolist() == [0]
+    for element, component in [(e, 2), (e, -1), (scalar, 1)]:
+        with pytest.raises(ValueError, match="no component"):
+            element.component_dofs(component)
+        with pytest.raises(ValueError, match="no component"):
+            tabulate(element, np.full((1, element.cell.dim), 0.2)).table(component, ())
     tab = tabulate(e, [[0.2, 0.3]])
     t0 = tab.table(0, ())
     t1 = tab.table(1, ())
     assert t0.shape == (1, 6)
     assert np.all(t0[:, 3:] == 0.0) and np.all(t1[:, :3] == 0.0)
-    assert np.allclose(t0[:, :3], t1[:, 3:])
+    assert np.array_equal(t0[:, e.component_dofs(0)], t1[:, e.component_dofs(1)])

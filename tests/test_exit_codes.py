@@ -64,6 +64,10 @@ CORPUS = {
     "nested-parentheses": (["compile", "FORM"], _NESTED.encode(), 2),
     "not-utf8": (["check", "FORM"], _P1.encode() + b"# \xff\xfe\n", 2),
     "trends-bench-n": (["trends", "--quick", "--bench-n", "1000000000"], b"", 2),
+    # hashing its quadrature kernel's 733-level BinOp chain overflows the
+    # recursion limit; ROADMAP item 1 turns this into exit 0, in the change
+    # that re-baselines the benchmark
+    "compile-deep-chain": (["compile", "FORM"], forms.vector_poisson_div(1, 3, 1, 3).encode(), 2),
 }
 
 

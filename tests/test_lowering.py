@@ -1,5 +1,6 @@
 import random
 import zlib
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from formc import dsl, forms, harness, lowering
 from formc.dsl import parse_source, typecheck
 from formc.lowering import (
+    BasisFactor,
     ExpansionTooLarge,
     NonFiniteConstant,
     UnsupportedDenominator,
@@ -217,10 +219,8 @@ def _monomial_value(ms, ref_value, jinv, det):
     d = jinv.shape[0]
     total = 0.0
     for m in ms.monomials:
-        from itertools import product as iproduct
-
         acc = 0.0
-        for sigma in iproduct(range(d), repeat=m.n_bound):
+        for sigma in product(range(d), repeat=m.n_bound):
             # bound index k: reference direction sigma[k], physical direction
             # m.directions[k]; each factor takes the next len(f.derivs) of them
             term = m.constant
@@ -351,6 +351,35 @@ def test_mass_monomial():
     m = ms.monomials[0]
     assert [f.role for f in m.factors] == ["test", "trial"]
     assert m.directions == () and m.n_bound == 0 and m.constant == 1.0
+
+
+# (cell dimension, physical directions of a factor, its assignments)
+FACTOR_ASSIGNMENTS = [
+    (2, (), [((), ())]),
+    (3, (), [((), ())]),
+    (2, (1,), [((0,), ((0, 1),)), ((1,), ((1, 1),))]),
+    (3, (2,), [((0,), ((0, 2),)), ((1,), ((1, 2),)), ((2,), ((2, 2),))]),
+    (
+        2,
+        (0, 1),
+        [
+            ((0, 0), ((0, 0), (0, 1))),
+            ((0, 1), ((0, 0), (1, 1))),
+            ((0, 1), ((1, 0), (0, 1))),
+            ((1, 1), ((1, 0), (1, 1))),
+        ],
+    ),
+    (3, (1, 1), None),  # checked against the product walk alone
+    (3, (0, 2), None),
+]
+
+
+@pytest.mark.parametrize("d,derivs,expected", FACTOR_ASSIGNMENTS)
+def test_factor_assignments_walk_reference_directions_in_product_order(d, derivs, expected):
+    got = BasisFactor("coef", 0, 0, derivs).assignments(d)
+    walk = list(product(range(d), repeat=len(derivs)))
+    assert got == [(tuple(sorted(refs)), tuple(zip(refs, derivs))) for refs in walk]
+    assert expected is None or got == expected
 
 
 def test_elasticity_expansion_counts():

@@ -182,16 +182,24 @@ def test_table_dedup_shares_test_and_trial(compile_cached):
 
 
 def _flatten_oracle(ms):
-    """``_flatten`` as one walk of every factor per assignment of all bound indices."""
+    """``_flatten`` as one walk of every factor per assignment of all bound indices.
+
+    Each walk also asserts that the product of the monomial's factor
+    assignments visits the same assignments in the same order.
+    """
     d = ms.form.cell.dim
     groups: dict = {}
     for m in ms.monomials:
-        for sigma in product(range(d), repeat=m.n_bound):
+        by_factor = product(*[f.assignments(d) for f in m.factors])
+        for sigma, combo in zip(product(range(d), repeat=m.n_bound), by_factor, strict=True):
             test = trial = None
             coefs = []
+            walked = []
             k = 0  # bound index k takes reference direction sigma[k]
             for f in m.factors:
-                sig = (f.role, f.coef, f.component, tuple(sorted(sigma[k : k + len(f.derivs)])))
+                refs = sigma[k : k + len(f.derivs)]
+                walked.append((tuple(sorted(refs)), tuple(zip(refs, f.derivs))))
+                sig = (f.role, f.coef, f.component, walked[-1][0])
                 k += len(f.derivs)
                 if f.role == "test":
                     test = sig
@@ -200,7 +208,8 @@ def _flatten_oracle(ms):
                 else:
                     coefs.append(sig)
             denoms = tuple((f.role, f.coef, f.component, f.derivs) for f in m.denominators)
-            jprod = m.jinv_product(sigma)
+            assert combo == tuple(walked)
+            jprod = tuple(sorted(zip(sigma, m.directions)))
             key2 = (tuple(sorted(coefs)), denoms)
             sub = groups.setdefault((test, trial), {}).setdefault(key2, {})
             sub[jprod] = sub.get(jprod, 0.0) + m.constant

@@ -39,7 +39,6 @@ from formc.tensorrep import (
     SNAP_TOLERANCE,
     UnsupportedDivision,
     _as_group,
-    _factor_block,
     build_tensor_kernel,
     geometry_tensor_spec,
     reference_tensor,
@@ -453,7 +452,7 @@ def _reference_tensor_oracle(monomials, form) -> np.ndarray:
     operands = []
     n_bound = 0  # bound index k lies on axis len(lead.factors) + k
     for f in lead.factors:
-        element, _ = _factor_block(form, f)
+        element = form.element_of(f.role, f.coef)
         k = len(f.derivs)
         tab = tabulate(element, rule.points, nderiv=k)
         arr = np.stack(
@@ -502,7 +501,7 @@ def _check_against_oracle(source: str) -> int:
         lead = group[0]
         size = form.cell.dim**lead.n_bound
         for f in lead.factors:
-            size *= len(_factor_block(form, f)[1])
+            size *= form.element_of(f.role, f.coef).n_scalar
         if lead.denominators or size > ORACLE_MAX_ENTRIES:
             continue
         got = reference_tensor(group, form).values
