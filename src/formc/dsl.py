@@ -2,11 +2,13 @@
 
 The grammar is a frozen statement-per-line language: element and function
 declarations, optional named sub-expressions, and exactly one integral
-statement ``a = <expr>*dx``.  Operators are ``grad``, ``div``, ``dot``,
-``transp``, ``mult`` and the arithmetic ``+ - * /`` with conventional
-precedence.  Unary minus ``-x`` parses as ``-1*x``, and minus a number as
-a negative literal.  Sub-expressions are inlined at the point of reference,
-so the parsed program carries a single integrand tree.
+statement ``a = <expr>*dx``.  Each construct is named once: operator calls
+in ``OPERATORS``, the arithmetic ``+ - * /`` and its precedence in
+``INFIX``, and the declarations in ``ELEMENT_CONSTRUCTORS`` and
+``FUNCTION_CONSTRUCTORS``; ``BUILTINS`` reserves them all.  Unary minus
+``-x`` parses as ``-1*x``, and minus a number as a negative literal.  One
+scope binds every declared name; sub-expressions are inlined at the point
+of reference, so the parsed program carries a single integrand tree.
 
 ``tokenize`` lexes with one regular expression: names, decimal numbers,
 double-quoted strings, ``#`` comments and ``\\`` line continuations; any
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import ChainMap
 from dataclasses import dataclass
 
 from .elements import (
@@ -124,20 +127,6 @@ MAX_EXPR_NODES = 100_000
 # Tokens
 
 KEYWORDS = frozenset({"dx"})
-BUILTINS = frozenset(
-    {
-        "FiniteElement",
-        "VectorElement",
-        "TestFunction",
-        "TrialFunction",
-        "Function",
-        "grad",
-        "div",
-        "dot",
-        "mult",
-        "transp",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -284,6 +273,28 @@ class FormProgram:
 
 
 # ---------------------------------------------------------------------------
+# Vocabulary: every construct's name, once
+
+# Operator calls, name -> (node, operand count).  The parser, the printer and
+# the reserved names read this table alone.
+OPERATORS = {
+    "grad": (Grad, 1),
+    "div": (Div, 1),
+    "transp": (Transp, 1),
+    "dot": (Dot, 2),
+    "mult": (Mult, 2),
+}
+# Infix operators, symbol -> (node, level); a higher level binds tighter.
+INFIX = {"+": (Add, 0), "-": (Sub, 0), "*": (Mult, 1), "/": (Quotient, 1)}
+_TIGHTEST = max(level for _, level in INFIX.values())
+# Declarations: element constructor -> vector?, function constructor -> kind.
+ELEMENT_CONSTRUCTORS = {"FiniteElement": False, "VectorElement": True}
+FUNCTION_CONSTRUCTORS = {"TestFunction": "test", "TrialFunction": "trial", "Function": "coef"}
+# Names no declaration may take; a view, so it follows the tables.
+BUILTINS = ChainMap(OPERATORS, ELEMENT_CONSTRUCTORS, FUNCTION_CONSTRUCTORS)
+
+
+# ---------------------------------------------------------------------------
 # Parser
 
 
@@ -291,13 +302,11 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.elements: dict[str, FiniteElement] = {}
-        self.functions: dict[str, FormExpr] = {}
-        self.named: dict[str, FormExpr] = {}
-        self.element_decls: list = []
-        self.function_decls: list = []
+        # declared name -> (kind, value), in declaration order: kind is
+        # "element", a FUNCTION_CONSTRUCTORS kind, or "expr" for a named
+        # sub-expression
+        self.scope: dict[str, tuple[str, object]] = {}
         self.form: tuple[str, FormExpr] | None = None
-        self.n_coefficients = 0
         self.nesting = 0
 
     # -- token helpers
@@ -336,19 +345,19 @@ class _Parser:
             raise FormSyntaxError(
                 f"integrand has {nodes} nodes once inlined, more than {MAX_EXPR_NODES}"
             )
-        return FormProgram(
-            tuple(self.element_decls), tuple(self.function_decls), name, integrand
-        )
+        functions = FUNCTION_CONSTRUCTORS.values()
+        elements = tuple((n, v) for n, (kind, v) in self.scope.items() if kind == "element")
+        decls = tuple((n, k, v.element) for n, (k, v) in self.scope.items() if k in functions)
+        return FormProgram(elements, decls, name, integrand)
 
     def statement(self) -> None:
         name_tok = self.expect("name")
-        name = name_tok.text
         self.expect("punct", "=")
         head = self.peek()
-        if head.kind == "name" and head.text in ("FiniteElement", "VectorElement"):
-            self.declare(name_tok, self.element_ctor())
-        elif head.kind == "name" and head.text in ("TestFunction", "TrialFunction", "Function"):
-            self.function_ctor(name_tok)
+        if head.kind == "name" and head.text in ELEMENT_CONSTRUCTORS:
+            self.bind(name_tok, "element", self.element_ctor())
+        elif head.kind == "name" and head.text in FUNCTION_CONSTRUCTORS:
+            self.bind(name_tok, *self.function_ctor(name_tok.text))
         else:
             expr = self.expr()
             if self.peek().kind == "punct" and self.peek().text == "*":
@@ -359,10 +368,9 @@ class _Parser:
                         "multiple integral statements", name_tok.line, name_tok.col
                     )
                 self.check_fresh(name_tok)
-                self.form = (name, expr)
+                self.form = (name_tok.text, expr)
             else:
-                self.check_fresh(name_tok)
-                self.named[name] = expr
+                self.bind(name_tok, "expr", expr)
         if self.peek().kind == "newline":
             self.advance()
         elif self.peek().kind != "end":
@@ -371,24 +379,15 @@ class _Parser:
 
     def check_fresh(self, tok: Token) -> None:
         name = tok.text
-        if (
-            name in self.elements
-            or name in self.functions
-            or name in self.named
-            or name in BUILTINS
-            or name in KEYWORDS
-            or (self.form is not None and name == self.form[0])
-        ):
+        if name in self.scope or name in BUILTINS or (self.form and name == self.form[0]):
             raise DuplicateName(f"name {name!r} already defined", tok.line, tok.col)
 
-    def declare(self, tok: Token, element: FiniteElement) -> None:
+    def bind(self, tok: Token, kind: str, value) -> None:
         self.check_fresh(tok)
-        self.elements[tok.text] = element
-        self.element_decls.append((tok.text, element))
+        self.scope[tok.text] = (kind, value)
 
     def element_ctor(self) -> FiniteElement:
         head = self.advance()
-        vector = head.text == "VectorElement"
         self.expect("punct", "(")
         family_tok = self.expect("string")
         self.expect("punct", ",")
@@ -396,11 +395,7 @@ class _Parser:
         self.expect("punct", ",")
         deg_tok = self.expect("number")
         self.expect("punct", ")")
-        if family_tok.text == "Lagrange":
-            family = LAGRANGE
-        elif family_tok.text == "Discontinuous Lagrange":
-            family = DISCONTINUOUS_LAGRANGE
-        else:
+        if family_tok.text not in (LAGRANGE, DISCONTINUOUS_LAGRANGE):
             raise FormSyntaxError(
                 f"unknown element family {family_tok.text!r}", family_tok.line, family_tok.col
             )
@@ -411,49 +406,35 @@ class _Parser:
         degree = float(deg_tok.text)
         if not degree.is_integer() or degree < 0:
             raise FormSyntaxError("degree must be a non-negative integer", deg_tok.line, deg_tok.col)
+        value_dim = cell.dim if ELEMENT_CONSTRUCTORS[head.text] else 1
         try:
-            return FiniteElement(family, cell, int(degree), cell.dim if vector else 1)
+            return FiniteElement(family_tok.text, cell, int(degree), value_dim)
         except InvalidElement as exc:
             raise FormSyntaxError(str(exc), head.line, head.col) from None
 
-    def function_ctor(self, name_tok: Token) -> None:
-        head = self.advance()
+    def function_ctor(self, name: str) -> tuple[str, FormExpr]:
+        kind = FUNCTION_CONSTRUCTORS[self.advance().text]
         self.expect("punct", "(")
         elem_tok = self.expect("name")
         self.expect("punct", ")")
-        element = self.elements.get(elem_tok.text)
-        if element is None:
+        elem_kind, element = self.scope.get(elem_tok.text, (None, None))
+        if elem_kind != "element":
             raise UnknownName(f"unknown element {elem_tok.text!r}", elem_tok.line, elem_tok.col)
-        self.check_fresh(name_tok)
-        if head.text == "TestFunction":
-            node: FormExpr = Argument("test", element)
-            kind = "test"
-        elif head.text == "TrialFunction":
-            node = Argument("trial", element)
-            kind = "trial"
-        else:
-            node = Coefficient(self.n_coefficients, name_tok.text, element)
-            self.n_coefficients += 1
-            kind = "coef"
-        self.functions[name_tok.text] = node
-        self.function_decls.append((name_tok.text, kind, element))
+        if kind == "coef":
+            index = sum(k == "coef" for k, _ in self.scope.values())
+            return kind, Coefficient(index, name, element)
+        return kind, Argument(kind, element)
 
-    def expr(self) -> FormExpr:
-        node = self.term()
-        while self.peek().kind == "punct" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> FormExpr:
-        node = self.factor()
-        while self.peek().kind == "punct" and self.peek().text in "*/":
-            if self.peek().text == "*" and self.peek(1).kind == "keyword":
+    def expr(self, level: int = 0) -> FormExpr:
+        """Operands joined left to right by the INFIX operators of ``level``;
+        an operand is an expression of the next level, or past the tightest a factor."""
+        node = self.expr(level + 1) if level < _TIGHTEST else self.factor()
+        while (tok := self.peek()).kind == "punct" and INFIX.get(tok.text, (0, -1))[1] == level:
+            if tok.text == "*" and self.peek(1).kind == "keyword":
                 break  # the measure terminator '*dx' belongs to the statement
-            op = self.advance().text
-            rhs = self.factor()
-            node = Mult(node, rhs) if op == "*" else Quotient(node, rhs)
+            self.advance()
+            rhs = self.expr(level + 1) if level < _TIGHTEST else self.factor()
+            node = INFIX[tok.text][0](node, rhs)
         return node
 
     def factor(self) -> FormExpr:
@@ -487,35 +468,26 @@ class _Parser:
                 raise FormSyntaxError(f"literal {tok.text} is not finite", tok.line, tok.col)
             return ScalarLiteral(value)
         if tok.kind == "name":
-            if tok.text in ("grad", "div", "transp"):
+            if tok.text in OPERATORS:
+                node, n_operands = OPERATORS[tok.text]
                 self.advance()
-                self.expect("punct", "(")
-                operand = self.expr()
+                operands = []
+                for k in range(n_operands):
+                    self.expect("punct", "," if k else "(")
+                    operands.append(self.expr())
                 self.expect("punct", ")")
-                ctor = {"grad": Grad, "div": Div, "transp": Transp}[tok.text]
-                return ctor(operand)
-            if tok.text in ("dot", "mult"):
-                self.advance()
-                self.expect("punct", "(")
-                a = self.expr()
-                self.expect("punct", ",")
-                b = self.expr()
-                self.expect("punct", ")")
-                return Dot(a, b) if tok.text == "dot" else Mult(a, b)
+                return node(*operands)
             if tok.text in BUILTINS:
                 raise FormSyntaxError(
                     f"{tok.text!r} is only allowed in declarations", tok.line, tok.col
                 )
             self.advance()
-            if tok.text in self.functions:
-                return self.functions[tok.text]
-            if tok.text in self.named:
-                return self.named[tok.text]
-            if tok.text in self.elements:
-                raise UnknownName(
-                    f"element {tok.text!r} used as a value", tok.line, tok.col
-                )
-            raise UnknownName(f"unknown name {tok.text!r}", tok.line, tok.col)
+            kind, value = self.scope.get(tok.text, (None, None))
+            if kind == "element":
+                raise UnknownName(f"element {tok.text!r} used as a value", tok.line, tok.col)
+            if kind is None:
+                raise UnknownName(f"unknown name {tok.text!r}", tok.line, tok.col)
+            return value
         raise FormSyntaxError(f"unexpected {tok.text or tok.kind!r}", tok.line, tok.col)
 
 
@@ -531,49 +503,43 @@ def parse_source(source: str) -> FormProgram:
 # Printer
 
 
-def _print_expr(expr: FormExpr, names: dict, prec: int = 0) -> str:
+def _print_expr(expr: FormExpr, names: dict, context: int = 0) -> str:
+    """Source text of ``expr``.  ``context`` is 2*level of the infix operator
+    that ``expr`` is an operand of, plus 1 on its right; an infix ``expr`` is
+    parenthesised if it binds less tightly, or as tightly on the right."""
     if isinstance(expr, Argument):
         return names[expr.role]
     if isinstance(expr, Coefficient):
         return expr.name
     if isinstance(expr, ScalarLiteral):
         return repr(expr.value)
-    if isinstance(expr, Grad):
-        return f"grad({_print_expr(expr.operand, names)})"
-    if isinstance(expr, Div):
-        return f"div({_print_expr(expr.operand, names)})"
-    if isinstance(expr, Transp):
-        return f"transp({_print_expr(expr.operand, names)})"
-    if isinstance(expr, Dot):
-        return f"dot({_print_expr(expr.a, names)}, {_print_expr(expr.b, names)})"
-    if isinstance(expr, (Add, Sub)):
-        op = " + " if isinstance(expr, Add) else " - "
-        s = _print_expr(expr.a, names, 1) + op + _print_expr(expr.b, names, 2)
-        return f"({s})" if prec >= 2 else s
-    if isinstance(expr, (Mult, Quotient)):
-        op = "*" if isinstance(expr, Mult) else "/"
-        s = _print_expr(expr.a, names, 3) + op + _print_expr(expr.b, names, 4)
-        return f"({s})" if prec >= 4 else s
+    for op, (node, level) in INFIX.items():
+        if type(expr) is node:
+            sep = op if level else f" {op} "
+            left = _print_expr(expr.a, names, 2 * level)
+            s = left + sep + _print_expr(expr.b, names, 2 * level + 1)
+            return f"({s})" if context > 2 * level else s
+    for name, (node, _) in OPERATORS.items():
+        if type(expr) is node:
+            return f"{name}({', '.join(_print_expr(c, names) for c in _children(expr))})"
     raise TypeError(f"cannot print {expr!r}")
 
 
 def to_source(program: FormProgram) -> str:
     """Regenerate a source text whose parse equals this program's AST."""
+    element_ctor = {vector: name for name, vector in ELEMENT_CONSTRUCTORS.items()}
+    function_ctor = {kind: name for name, kind in FUNCTION_CONSTRUCTORS.items()}
     lines = []
     elem_names = {}
     for name, elem in program.element_decls:
         elem_names[elem] = name
-        ctor = "VectorElement" if elem.is_vector else "FiniteElement"
-        fam = "Lagrange" if elem.family == LAGRANGE else "Discontinuous Lagrange"
-        lines.append(f'{name} = {ctor}("{fam}", "{elem.cell.name}", {elem.degree})')
-    arg_names = {}
+        ctor = element_ctor[elem.is_vector]
+        lines.append(f'{name} = {ctor}("{elem.family}", "{elem.cell.name}", {elem.degree})')
+    names = {}  # role -> the argument's declared name
     for name, kind, elem in program.function_decls:
-        ctor = {"test": "TestFunction", "trial": "TrialFunction", "coef": "Function"}[kind]
-        lines.append(f"{name} = {ctor}({elem_names[elem]})")
-        if kind in ("test", "trial"):
-            arg_names[kind] = name
-    body = _print_expr(program.integrand, arg_names)
-    lines.append(f"{program.form_name} = {body}*dx")
+        lines.append(f"{name} = {function_ctor[kind]}({elem_names[elem]})")
+        names[kind] = name
+    lines.append(f"{program.form_name} = {_print_expr(program.integrand, names)}*dx")
     return "\n".join(lines) + "\n"
 
 
@@ -697,11 +663,8 @@ def _combine_product(a: _Sig, b: _Sig) -> _Sig:
 
 
 def _children(expr: FormExpr) -> tuple:
-    if isinstance(expr, (Grad, Div, Transp)):
-        return (expr.operand,)
-    if isinstance(expr, (Dot, Mult, Add, Sub, Quotient)):
-        return (expr.a, expr.b)
-    return ()
+    """A node's operands: its fields that are expressions."""
+    return tuple(v for v in vars(expr).values() if isinstance(v, FormExpr))
 
 
 def _extent(root: FormExpr) -> tuple[int, int]:

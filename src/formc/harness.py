@@ -11,6 +11,7 @@ insertion stays serial, adding each cell's entries in cell order.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -83,13 +84,19 @@ def quadrature_kernel(
     hoisting: bool = True,
 ) -> KernelIR:
     rule = rule_for_form(cf.cell, cf.degree + degree_shift, points_override)
-    return quadrep.build_quadrature_kernel(
-        cf.monomials,
-        rule,
-        zero_elimination=zero_elimination,
-        hoisting=hoisting,
-        name=cf.name,
-    )
+    try:
+        return quadrep.build_quadrature_kernel(
+            cf.monomials,
+            rule,
+            zero_elimination=zero_elimination,
+            hoisting=hoisting,
+            name=cf.name,
+        )
+    except RecursionError as exc:  # hashing a long left-deep chain of kernel.BinOp
+        raise RecursionError(
+            f"quadrature kernel build exceeded Python's recursion limit of "
+            f"{sys.getrecursionlimit()} ({exc})"
+        ) from None
 
 
 def tensor_kernel(cf: CompiledForm, *, term_budget: int = DEFAULT_TERM_BUDGET) -> KernelIR:

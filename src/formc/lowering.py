@@ -66,7 +66,7 @@ class BasisFactor:
     derivs: tuple  # sorted physical directions, order <= 2
 
     def sort_key(self) -> tuple:
-        return (_ROLE_ORDER[self.role], self.coef, self.component, len(self.derivs), self.derivs)
+        return (ROLE_ORDER[self.role], self.coef, self.component, len(self.derivs), self.derivs)
 
     def assignments(self, d: int) -> list:
         """(sorted reference directions, Jinv (ref, phys) pairs) per assignment
@@ -77,7 +77,7 @@ class BasisFactor:
         ]
 
 
-_ROLE_ORDER = {"test": 0, "trial": 1, "coef": 2}
+ROLE_ORDER = {"test": 0, "trial": 1, "coef": 2}
 
 
 @dataclass(frozen=True)

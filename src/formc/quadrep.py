@@ -53,7 +53,7 @@ from .kernel import (
     TableRef,
     chain,
 )
-from .lowering import MonomialSum
+from .lowering import ROLE_ORDER, MonomialSum
 from .quadrature import QuadratureRule
 
 ZERO_TOLERANCE = 1e-14
@@ -188,6 +188,14 @@ def _flatten(ms: MonomialSum):
 # Basis-table inventory
 
 
+def _signatures(groups) -> set:
+    """The table signatures that ``groups`` read: arguments, coefficients, denominators."""
+    sigs = {sig for key1 in groups for sig in key1 if sig}
+    for sub in groups.values():
+        sigs.update(sig for coefs, denoms in sub for sig in coefs + denoms)
+    return sigs
+
+
 def _basis_tables(form, rule: QuadratureRule, zero_elimination: bool, sigs) -> tuple:
     """Tabulated, zero-eliminated, content-deduplicated tables for ``sigs``.
 
@@ -197,14 +205,9 @@ def _basis_tables(form, rule: QuadratureRule, zero_elimination: bool, sigs) -> t
     nzc index maps, in declaration order.  Names are deterministic in the
     (element, component, derivs) order of the tables.
     """
-    single_coefficient = len(form.coefficients) == 1
-    users: dict = {}  # (element, component, derivs) -> tags of the functions reading it
+    users: dict = {}  # (element, component, derivs) -> (role, coef) of the functions reading it
     for role, coef, component, derivs in sigs:
-        if role == "coef":
-            tag = "w" if single_coefficient else f"w{coef}"
-        else:
-            tag = "v" if role == "test" else "u"
-        users.setdefault((form.element_of(role, coef), component, derivs), set()).add(tag)
+        users.setdefault((form.element_of(role, coef), component, derivs), set()).add((role, coef))
     order = sorted(users, key=lambda k: (k[0].sort_key(), k[1], k[2]))
     max_order: dict = {}
     for element, _, derivs in order:
@@ -223,9 +226,10 @@ def _basis_tables(form, rule: QuadratureRule, zero_elimination: bool, sigs) -> t
     def content(nz):
         return nz.table.shape, nz.table.tobytes()
 
-    tags_for: dict = {}
+    readers: dict = {}
     for key, nz in maps.items():
-        tags_for.setdefault(content(nz), set()).update(users[key])
+        readers.setdefault(content(nz), set()).update(users[key])
+    tags = {"test": "v", "trial": "u", "coef": "w" if len(form.coefficients) == 1 else "w{}"}
     names: dict = {}  # content -> table name
     tables: dict = {}
     nzc: dict = {}  # survivors -> nzc name, numbered in first-use order
@@ -233,7 +237,8 @@ def _basis_tables(form, rule: QuadratureRule, zero_elimination: bool, sigs) -> t
     for key, nz in maps.items():
         c = content(nz)
         if c not in names:
-            base = "Psi_" + "".join(sorted(tags_for[c], key=_tag_order))
+            ordered = sorted(readers[c], key=lambda r: (ROLE_ORDER[r[0]], r[1]))
+            base = "Psi_" + "".join(tags[role].format(coef) for role, coef in ordered)
             name, suffix = base, 1
             while name in tables:
                 name, suffix = f"{base}_{suffix}", suffix + 1
@@ -244,14 +249,6 @@ def _basis_tables(form, rule: QuadratureRule, zero_elimination: bool, sigs) -> t
     tables.update((name, np.array(survivors, dtype=np.uint32)) for survivors, name in nzc.items())
     entries = {sig: by_key[(form.element_of(*sig[:2]),) + sig[2:]] for sig in sigs}
     return entries, tables
-
-
-def _tag_order(tag: str) -> tuple:
-    if tag == "v":
-        return (0, 0)
-    if tag == "u":
-        return (1, 0)
-    return (2, int(tag[1:]) if len(tag) > 1 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +285,19 @@ def build_quadrature_kernel(
         n_terms, MAX_CONCRETE_TERMS, "quadrature kernel needs {} concrete terms, more than {}"
     )
     groups = _flatten(ms)
-    key2s = {key2 for sub in groups.values() for key2 in sub}
-    entries, basis = _basis_tables(
-        form,
-        rule,
-        zero_elimination,
-        {sig for key1 in groups for sig in key1 if sig}
-        | {sig for coefs, denoms in key2s for sig in coefs + denoms},
-    )
+    entries, basis = _basis_tables(form, rule, zero_elimination, _signatures(groups))
 
-    # Drop groups whose basis tables lost every column.
+    # Drop the groups whose basis tables lost every column, then the tables
+    # that only they read.
     dead = {sig for sig, (_, _, extent) in entries.items() if extent == 0}
-    live_key2 = {key2 for key2 in key2s if dead.isdisjoint(key2[0] + key2[1])}
-    live: dict = {}
-    for key1, subgroups in groups.items():
-        kept = {key2: v for key2, v in subgroups.items() if key2 in live_key2}
-        if kept and dead.isdisjoint(key1):
-            live[key1] = kept
-    groups = live
+    if dead:
+        live: dict = {}
+        for key1, subgroups in groups.items():
+            kept = {k2: v for k2, v in subgroups.items() if dead.isdisjoint(k2[0] + k2[1])}
+            if kept and dead.isdisjoint(key1):
+                live[key1] = kept
+        groups = live
+        entries, basis = _basis_tables(form, rule, zero_elimination, _signatures(groups))
     group_keys = sorted(
         (k1 for k1 in groups), key=lambda k1: (k1[0], k1[1] if k1[1] is not None else ())
     )

@@ -2,12 +2,13 @@ import ast
 import importlib
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from formc import forms, harness, lowering
+from formc import dsl, forms, harness, lowering
 from formc.cli import main
 from formc.dsl import BudgetExceeded
 from formc.elements import MAX_DEGREE, TRIANGLE
@@ -168,6 +169,20 @@ def test_tensor_rejects_quadrature_flags(command, flags, form_files, capsys):
     assert captured.out == ""
     assert captured.err.startswith("rejected: " + flags[0])
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_recursion_overflow_names_its_stage_and_limit(tmp_path, capsys):
+    # the quadrature kernel of this form hashes a 733-level kernel.BinOp chain
+    path = tmp_path / "deep.form"
+    path.write_text(forms.vector_poisson_div(1, 3, 1, 3))
+    assert main(["compile", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "rejected: quadrature kernel build exceeded Python's recursion limit of "
+        f"{sys.getrecursionlimit()} ("
+    )
+    assert len(captured.err.splitlines()) == 1
 
 
 # Four squarings of a two-term sum expand to 2^16 terms (a fifth to 2^32);
@@ -611,12 +626,38 @@ def _layout_facts(tree: ast.Module) -> dict:
     return found
 
 
+_VOCABULARY_TABLES = ("OPERATORS", "ELEMENT_CONSTRUCTORS", "FUNCTION_CONSTRUCTORS")
+
+
+def _vocabulary_literals(tree: ast.Module) -> tuple:
+    """Lines of the string literals in ``tree`` that spell an operator or
+    constructor name: those inside dsl's vocabulary tables, and the rest."""
+    tables = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id in _VOCABULARY_TABLES for t in node.targets)
+    ]
+    inside, outside = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value in dsl.BUILTINS:
+                (inside if any(node.lineno in t for t in tables) else outside).append(node.lineno)
+    return inside, outside
+
+
 def test_each_layout_fact_has_one_owner():
     # lowering alone enumerates chain-rule assignments; elements alone lays
     # out dofs, and dsl.TypedForm alone frames the element tensor from them
     owners: dict = {"walks": set(), "sizes": set()}
+    spelled: dict = {}  # file -> lines of its vocabulary literals, (in tables, elsewhere)
     for path in sorted(SOURCE_DIR.glob("*.py")):
-        for fact, lines in _layout_facts(ast.parse(path.read_text())).items():
+        tree = ast.parse(path.read_text())
+        for fact, lines in _layout_facts(tree).items():
             if lines:
                 owners[fact].add(path.name)
+        spelled[path.name] = _vocabulary_literals(tree)
     assert owners == {"walks": {"lowering.py"}, "sizes": {"elements.py", "dsl.py"}}
+    # dsl's tables alone spell an operator or constructor name, each once
+    assert [name for name, (_, outside) in spelled.items() if outside] == []
+    assert len(spelled["dsl.py"][0]) == len(dsl.BUILTINS)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,77 @@ def test_typecheck_integrand_needs_test_function():
     )
     with pytest.raises(ArityMismatch):
         typecheck(parse_source(source))
+
+
+# ---------------------------------------------------------------------------
+# The vocabulary tables
+
+# One typed integrand per table entry, over the declarations of _scalar_base().
+CALL_INTEGRANDS = {
+    "grad": "dot(grad(f), grad(v))*u",
+    "div": "div(g)*v*u",
+    "transp": "dot(grad(g), transp(grad(g)))*v*u",
+    "dot": "dot(g, g)*v*u",
+    "mult": "mult(f, v)*u",
+}
+INFIX_INTEGRANDS = {"+": "v*u + f*v*u", "-": "v*u - f*v*u", "*": "f*v*u", "/": "v*u/f"}
+
+
+def _nodes(expr):
+    yield expr
+    for child in dsl._children(expr):
+        yield from _nodes(child)
+
+
+def test_every_table_entry_has_an_integrand():
+    assert sorted(CALL_INTEGRANDS) == sorted(dsl.OPERATORS)
+    assert sorted(INFIX_INTEGRANDS) == sorted(dsl.INFIX)
+    tables = (dsl.OPERATORS, dsl.ELEMENT_CONSTRUCTORS, dsl.FUNCTION_CONSTRUCTORS)
+    assert sorted(dsl.BUILTINS) == sorted(name for table in tables for name in table)
+
+
+@pytest.mark.parametrize(
+    "symbol,integrand",
+    [(name, CALL_INTEGRANDS[name]) for name in sorted(CALL_INTEGRANDS)]
+    + [(symbol, INFIX_INTEGRANDS[symbol]) for symbol in sorted(INFIX_INTEGRANDS)],
+)
+def test_table_entry_parses_and_round_trips(symbol, integrand):
+    program = parse_source(_scalar_base() + f"a = {integrand}*dx\n")
+    typecheck(program)
+    node = (dsl.OPERATORS.get(symbol) or dsl.INFIX[symbol])[0]
+    assert any(type(n) is node for n in _nodes(program.integrand))
+    assert parse_source(to_source(program)).integrand == program.integrand
+
+
+@pytest.mark.parametrize("name", sorted(dsl.BUILTINS))
+def test_reserved_name_is_refused_as_a_declared_name_and_as_a_value(name):
+    source = _scalar_base() + f"{name} = v*u\n"
+    with pytest.raises(DuplicateName, match=f"7:1: name '{name}' already defined"):
+        parse_source(source)
+    # an operator name must be called; any other reserved name only declares
+    if name in dsl.OPERATORS:
+        message = f"7:{len(name) + 7}: expected '\\(', found '\\*'"
+    else:
+        message = f"7:7: '{name}' is only allowed in declarations"
+    with pytest.raises(FormSyntaxError, match=message):
+        parse_source(_scalar_base() + f"a = v*{name}*u*dx\n")
+
+
+@dataclass(frozen=True)
+class _MatMul(dsl.FormExpr):
+    a: dsl.FormExpr
+    b: dsl.FormExpr
+
+
+def test_an_operator_call_needs_only_its_table_row(monkeypatch):
+    monkeypatch.setitem(dsl.OPERATORS, "matmul", (_MatMul, 2))
+    program = parse_source(_scalar_base() + "a = dot(matmul(grad(g), g), grad(v))*u*dx\n")
+    g = Coefficient(1, "g", program.element_decls[1][1])
+    assert program.integrand.a.a == _MatMul(Grad(g), g)
+    assert "dot(matmul(grad(g), g), grad(v))*u" in to_source(program)
+    assert parse_source(to_source(program)).integrand == program.integrand
+    with pytest.raises(DuplicateName):
+        parse_source(_scalar_base() + "matmul = v*u\n")
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,30 @@ def test_monomial_sums_identical():
     assert compute_monomial_digests() == recorded
 
 
+# Emitted C kept whole: golden file -> (form name, source, kernel builder).
+GOLDEN_SOURCES = {
+    "mass_2d_q1_tensor.c": ("mass_2d_q1", forms.mass(2, 1), harness.tensor_kernel),
+    "weighted_laplacian_2d_q1_quadrature.c": (
+        "weighted_laplacian_2d_q1",
+        forms.weighted_laplacian(2, 1),
+        harness.quadrature_kernel,
+    ),
+}
+
+
+@pytest.mark.parametrize("filename", sorted(GOLDEN_SOURCES))
+def test_emitted_source_equals_its_golden_file(filename):
+    name, source, build = GOLDEN_SOURCES[filename]
+    text = emit_source(build(harness.compile_source(source, name)))
+    assert text == (ROOT / "golden" / filename).read_text()
+
+
+def test_every_golden_file_is_read_by_a_test():
+    modules = [path.read_text() for path in ROOT.glob("test_*.py")]
+    for path in (ROOT / "golden").iterdir():
+        assert any(path.name in text for text in modules), path.name
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_kernel_digests.py --write")

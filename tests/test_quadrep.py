@@ -151,6 +151,31 @@ def test_optimisation_soundness_and_monotonicity(name, source, compile_cached):
         assert count_flops(k) >= flops_full
 
 
+# Integrands whose every group reads a table that zero elimination empties.
+VANISHING_FORMS = {
+    "laplacian_of_p1": ("Lagrange", 1, "div(grad(v))*u"),
+    "gradients_of_dg0": ("Discontinuous Lagrange", 0, "dot(grad(v), grad(u))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VANISHING_FORMS))
+def test_vanishing_groups_declare_no_empty_table(name):
+    family, degree, body = VANISHING_FORMS[name]
+    cf = harness.compile_source(
+        f'element = FiniteElement("{family}", "triangle", {degree})\n'
+        f"v = TestFunction(element)\nu = TrialFunction(element)\na = {body}*dx\n"
+    )
+    geo = affine_map_batch(harness.random_cells(cf.cell, 5, 3))
+    kernels = [harness.tensor_kernel(cf)] + [
+        harness.quadrature_kernel(cf, zero_elimination=z, hoisting=h)
+        for z, h in product((True, False), repeat=2)
+    ]
+    for k in kernels:
+        assert all(0 not in table.shape for table in k.tables.values()), sorted(k.tables)
+        assert not interpret_batch(k, geo, []).any()
+    assert harness.quadrature_kernel(cf).tables == {}
+
+
 def test_division_kernel_divides(compile_cached):
     cf = compile_cached((FORMS_DIR / "pressure_equation_2d.form").read_text(), "pressure")
     k = harness.quadrature_kernel(cf)
