@@ -26,6 +26,12 @@ and where it cannot change a bit it evaluates a loop over its whole range:
 - a point loop (assignments and reductions ahead of statements that write
   no scalar) evaluates its scalars for all points at once, reductions still
   added term by term, then runs the rest one point at a time;
+- a fused point loop, whose rest is perfect nests of ``AccumA(c * s)``
+  statements with indices that read only their own nest's variables (c
+  reads only tables, literals and compile-time scalars; s is a per-cell or
+  per-point scalar; every hoisted quadrature kernel's point loop), runs
+  its scalars as above, then point by point multiplies each s by its c,
+  tabulated by the plan at every point, and adds the products rank by rank;
 - any other loop runs one trip at a time.
 
 A geometry block multiplies det by its reads once per read row, left to
@@ -41,9 +47,13 @@ counts each operation it performs and never calls ``_stmt_ops``.
 
 A kernel's first call plans what does not depend on the cells and keeps it
 on the kernel (``KernelIR._plan``): how each loop runs, each ``Contract``'s
-entries grouped by term count, and per slice bounds the scatter plan of a
-nest whose indices read only its own variables.  A kernel keeps at most
-``_PLAN_BYTES`` (16 MiB); a plan over it is built and dropped on every call.
+entries grouped by term count, per slice bounds the scatter plan of a nest
+whose indices read only its own variables, and a fused point loop's
+scatter plan and c table.  A kernel keeps at most ``_PLAN_BYTES``
+(16 MiB); a plan over it is built and dropped on every call, except in a
+fused loop: without room for its c table it tabulates c for a slice of
+points at a time on each call, and without room for its scatter plan it
+runs one point at a time.
 """
 
 from __future__ import annotations
@@ -246,7 +256,7 @@ class KernelIR:
 
     @cached_property
     def _plan(self) -> _Plan:  # built by the first interpret_batch call
-        return _Plan(self.statements)
+        return _Plan(self.statements, {name for name, _ in self.const_scalars})
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +372,11 @@ _PLAN_LOCK = threading.Lock()  # guards the kept-bytes count of every kernel
 
 class _Plan:
     """One (runner, argument) step per statement but comments, each loop analysed
-    once, and the bytes ``kept`` by the scatter plans and groupings it holds."""
+    once, and the bytes ``kept`` by the scatter plans, groupings and tables it holds."""
 
-    def __init__(self, statements):
+    def __init__(self, statements, consts):
         self.kept = 0
+        self.consts = consts  # names of the kernel's compile-time scalars
         self.steps = self.program(statements)
 
     def program(self, stmts) -> tuple:
@@ -377,7 +388,9 @@ class _Plan:
             elif isinstance(s, Loop):
                 n = _scalar_prefix(s.body)
                 names = {t.name for t in s.body[:n] if isinstance(t, AssignScalar)}
-                steps.append((_exec_points, (s, s.body[:n], names, self.program(s.body[n:]))))
+                rest = s.body[n:]
+                fused = _fusion(s.var, rest, self.consts)
+                steps.append((_exec_points, (s, s.body[:n], names, self.program(rest), fused)))
             elif isinstance(s, Contract):
                 steps.append((_contract, (s, {})))
             elif not isinstance(s, Comment):
@@ -581,6 +594,44 @@ def _writes_scalars(stmts) -> bool:
     )
 
 
+def _fusion(var: str, rest, consts):
+    """(nests, scalar numbers, store) if ``rest`` is static perfect nests of
+    ``AccumA(c * s)`` statements, c cell-independent and s a ScalarRef to a
+    per-cell or per-point scalar; else None."""
+    nests, numbers = [], {}
+    for s in rest:
+        nest = _perfect_nest(s) if isinstance(s, Loop) else None
+        if nest is None:
+            if isinstance(s, Comment):
+                continue
+            return None
+        own = set(nest[0])
+        for t in nest[2]:
+            e = t.expr
+            if not (
+                _ix_vars(t.index) <= own
+                and isinstance(e, BinOp)
+                and e.op == "*"
+                and isinstance(e.b, ScalarRef)
+                and e.b.name not in consts
+                and _cell_free(e.a, own | {var}, consts)
+            ):
+                return None
+            numbers.setdefault(e.b.name, len(numbers))
+        nests.append(nest)
+    return nests, numbers, {}
+
+
+def _cell_free(expr, variables: set, consts: set) -> bool:
+    """True if ``expr`` reads only tables indexed by ``variables``, literals and
+    ``consts``, with no division (whose zero test belongs to each trip)."""
+    if isinstance(expr, BinOp):
+        return expr.op != "/" and all(_cell_free(e, variables, consts) for e in (expr.a, expr.b))
+    if isinstance(expr, TableRef):
+        return all(_ix_vars(ix) <= variables for ix in expr.indices)
+    return isinstance(expr, Lit) or isinstance(expr, ScalarRef) and expr.name in consts
+
+
 def _scalar_names(expr) -> set:
     if isinstance(expr, BinOp):
         return _scalar_names(expr.a) | _scalar_names(expr.b)
@@ -613,16 +664,96 @@ def _scalar_prefix(body) -> int:
     return 0 if _writes_scalars(body[n:]) else n
 
 
-def _exec_points(planned, run: _Run) -> None:
-    """The scalar prefix (maybe none) for a slice of trips at once, then the rest trip by trip.
+def _bind(env: dict, names, extents) -> None:
+    """Bind nest variable k to an arange on axis k of the nest's extents."""
+    for k, name in enumerate(names):
+        env[name] = np.arange(extents[k]).reshape((-1,) + (1,) * (len(extents) - 1 - k))
 
-    Reductions still add term by term over their own loop; the rest of the
-    body reads each scalar at its own trip.
+
+def _tabulate(nests, var: str, trips: np.ndarray, run: _Run) -> np.ndarray:
+    """(trips, contributions): each fused statement's c at the given trips of
+    ``var``, evaluated as ``_eval`` evaluates it in one trip."""
+    parts = [np.empty((len(trips), 0))]
+    for names, extents, body in nests:
+        _bind(run.env, names, extents)
+        run.env[var] = trips.reshape((-1,) + (1,) * len(extents))
+        c = np.empty((len(trips), *extents, len(body)))
+        for k, t in enumerate(body):
+            c[..., k] = _eval(t.expr.a, run)
+        parts.append(c.reshape(len(trips), -1))
+    return np.hstack(parts)
+
+
+def _fused_tables(fused, loop: Loop, run: _Run):
+    """(rows, ranks, order, table) of a fused point loop, kept in its store, or
+    None if its scatter plan does not fit.
+
+    The contributions of one trip are numbered in the order (nest, loop
+    indices, statement).  ``rows`` lists the entries of A they reach, most
+    contributions first, so the entries that receive a contribution of rank
+    r are the first n_r rows.  Rank r is (n_r, kid, span): for each of those
+    rows in order, the number in ``numbers`` of the scalar s that its
+    contribution reads, and the span of ``order`` that lists the
+    contributions.  ``table`` is ``_tabulate`` at every trip with its
+    columns in ``order``, or None if it does not fit as well.
     """
-    loop, prefix, names, rest = planned
+    nests, numbers, kept = fused
+    if (tables := kept.get(0)) is not None:
+        return tables
+    n = sum(math.prod(extents) * len(body) for _, extents, body in nests)
+    nbytes = 24 * n  # counted as a row, a kid and an order entry per contribution
+    if run.plan.kept + nbytes > _PLAN_BYTES:
+        return None
+    index, kid = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for names, extents, body in nests:
+        _bind(run.env, names, extents)
+        ix = np.empty((*extents, len(body)), np.intp)
+        for k, t in enumerate(body):
+            ix[..., k] = _eval_ix(t.index, run)
+        index.append(ix.ravel())
+        kid.append(np.broadcast_to([numbers[t.expr.b.name] for t in body], ix.shape).ravel())
+    index, kid = np.concatenate(index), np.concatenate(kid)
+    counts = np.bincount(index)
+    rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    position = np.empty(len(counts), np.intp)
+    position[rows] = np.arange(len(rows))
+    order, ranks, at = [], [], 0
+    for targets, picks in _scatter_plan(index):
+        picks = np.arange(n)[picks][np.argsort(position[targets])]
+        ranks.append((len(picks), kid[picks], slice(at, at + len(picks))))
+        order.append(picks)
+        at += len(picks)
+    order = np.concatenate(order)
+    table = None
+    if run.plan.kept + nbytes + 8 * n * loop.extent <= _PLAN_BYTES:
+        table = _tabulate(nests, loop.var, np.arange(loop.extent), run)[:, order]
+        nbytes += table.nbytes
+    tables = (rows, ranks, order, table)
+    run.plan.keep(kept, 0, tables, nbytes)
+    return tables
+
+
+def _exec_points(planned, run: _Run) -> None:
+    """The scalar prefix (maybe none) for a slice of trips at once, then the rest.
+
+    Reductions still add term by term over their own loop.  A fused loop
+    then adds each trip's contributions rank by rank, the scalar s times
+    the planned c (c*s, the same bits), into the rows of A gathered in
+    ``rows`` order; otherwise the rest of the body runs trip by trip and
+    reads each scalar at its own trip.
+    """
+    loop, prefix, names, rest, fused = planned
+    tables = fused and _fused_tables(fused, loop, run)
     env = run.env
     n_cells = run.A.shape[1]
-    step = max(1, _BLOCK_BYTES // (8 * max(n_cells * len(names), 1)))
+    width = n_cells * len(names)
+    if tables:
+        nests, numbers, _ = fused
+        rows, ranks, order, table = tables
+        # the scalars s, and c tabulated and reordered when no table is kept
+        width += n_cells * len(numbers) + (2 * len(order) if table is None else 0)
+        gathered = run.A[rows]
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
     for start in range(0, loop.extent, step):
         stop = min(start + step, loop.extent)
         env[loop.var] = np.arange(start, stop)[:, None]
@@ -634,12 +765,28 @@ def _exec_points(planned, run: _Run) -> None:
                 env[s.var] = trip
                 for t in s.body:
                     env[t.name] = env[t.name] + _eval(t.expr, run)
+        if tables:
+            scalars = np.empty((stop - start, len(numbers), n_cells))
+            for name, k in numbers.items():
+                scalars[:, k] = env[name]
+            if table is None:
+                factors = _tabulate(nests, loop.var, np.arange(start, stop), run)[:, order]
+            else:
+                factors = table[start:stop]
+            for current, c in zip(scalars, factors):
+                for n, kid, span in ranks:
+                    value = current[kid]
+                    value *= c[span, None]
+                    gathered[:n] += value
+            continue
         full = {name: np.broadcast_to(env[name], (stop - start, n_cells)) for name in names}
         for trip in range(start, stop):
             env[loop.var] = trip
             env.update((name, v[trip - start]) for name, v in full.items())
             for runner, arg in rest:
                 runner(arg, run)
+    if tables:
+        run.A[rows] = gathered
 
 
 def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w) -> np.ndarray:
@@ -650,14 +797,16 @@ def interpret_batch(kernel: KernelIR, geo: BatchGeometry, w) -> np.ndarray:
     its contributions in trip-then-statement order, as a walk of the loops
     one trip and one statement at a time would, so results are bit-identical
     to that walk and bit-reproducible across runs; each ``Contract`` entry
-    sums in the order of its one BLAS gemv.  The first call plans the kernel
-    and later calls reuse the plan: the module docstring sets out what is
-    planned, which loops run at once, and the memory both hold.  A plan
-    depends on the statements alone and a lock guards its byte count, while
-    the values of a call stay in the call, so concurrent calls on one kernel
-    are safe.  The result is a transposed view of the (n_entries, B) tensor
-    the interpreter fills; the operations a run performs are ``count_flops``
-    per cell, which the interpreter does not count again.
+    sums in the order of its one BLAS gemv.  A fused point loop forms each
+    contribution c*s as s*c, the same bits, from c tabulated at plan time.
+    The first call plans the kernel and later calls reuse the plan: the
+    module docstring sets out what is planned, which loops run at once, and
+    the memory both hold.  A plan depends on the statements alone and a
+    lock guards its byte count, while the values of a call stay in the
+    call, so concurrent calls on one kernel are safe.  The result is a
+    transposed view of the (n_entries, B) tensor the interpreter fills; the
+    operations a run performs are ``count_flops`` per cell, which the
+    interpreter does not count again.
     """
     d = kernel.dim
     if geo.det.ndim != 1 or geo.jinv.shape != (len(geo.det), d, d):

@@ -305,11 +305,12 @@ def build_quadrature_kernel(
     const_scalars = []
     tables: dict = {}
     w_table = None
-    if single_point:
-        const_scalars.append(("W0", float(rule.weights[0])))
-    else:
-        w_table = f"W{rule.n_points}"
-        tables[w_table] = rule.weights.copy()
+    if groups:  # with every group dead, no weight is read
+        if single_point:
+            const_scalars.append(("W0", float(rule.weights[0])))
+        else:
+            w_table = f"W{rule.n_points}"
+            tables[w_table] = rule.weights.copy()
     tables.update(basis)
 
     # Cell scope: geometry constants G (hoisted products of Jinv entries).
@@ -438,8 +439,9 @@ def build_quadrature_kernel(
             body.append(Loop("i", ei, (Loop("j", ej, tuple(stmts_list)),)))
 
     stmts: list = [Comment("Geometry constants"), *geo_stmts] if geo_stmts else []
-    stmts.append(Comment("Loop integration points"))
-    stmts.append(Loop("ip", rule.n_points, tuple(body)))
+    if groups:
+        stmts.append(Comment("Loop integration points"))
+        stmts.append(Loop("ip", rule.n_points, tuple(body)))
 
     return KernelIR(
         name=name,

@@ -80,12 +80,34 @@ def _kernels(name: str, compile_cached):
 
 
 def _stores(steps):
-    """The dicts of plans kept by the nests and contractions of planned steps."""
+    """The dicts of plans kept by the point loops, nests and contractions of planned steps."""
     for runner, arg in steps:
         if runner is kernel_module._exec_points:
+            if arg[4] is not None:
+                yield arg[4][2]
             yield from _stores(arg[3])
         elif runner in (kernel_module._exec_nest, kernel_module._contract) and arg[-1] is not None:
             yield arg[-1]
+
+
+def _fusions(steps):
+    """The fused-loop plan, or None, of each point loop of planned steps."""
+    for runner, arg in steps:
+        if runner is kernel_module._exec_points:
+            yield arg[4]
+            yield from _fusions(arg[3])
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_hoisted_point_loops_take_the_fused_step(stem, compile_cached):
+    cf = compile_cached((FORMS_DIR / f"{stem}.form").read_text(), stem)
+    hoisted = harness.quadrature_kernel(cf)
+    interpret_batch(hoisted, *_inputs(hoisted, 5, 0))
+    (fused,) = _fusions(hoisted._plan.steps)
+    assert fused is not None and 0 in fused[2]  # its tables kept
+    for k in (harness.quadrature_kernel(cf, hoisting=False), _non_static_kernel()):
+        interpret_batch(k, *_inputs(k, 5, 0))
+        assert not any(_fusions(k._plan.steps))
 
 
 @pytest.mark.parametrize("name", [*STEMS, "non_static_index"])
@@ -141,8 +163,24 @@ def test_plans_over_the_memory_bound_are_not_kept(stem, compile_cached, monkeypa
         # one byte short of all plans: some are left out
         monkeypatch.setattr(kernel_module, "_PLAN_BYTES", kept - 1)
         short = copy.deepcopy(k)
-        assert interpret_batch(short, geo, w).tobytes() == expected
+        for _ in range(2):
+            assert interpret_batch(short, geo, w).tobytes() == expected
         assert short._plan.kept < kept
+        for fused in _fusions(planned._plan.steps):
+            # a quadrature kernel keeps only its point loop's tables.  Without
+            # room for its c table, each call tabulates c; without room for its
+            # scatter plan, the loop runs trip by trip and its nests keep their
+            # scatter plans.  The same bits either way.
+            table = fused[2][0][3]
+            assert kept > table.nbytes > 0
+            (fused,) = _fusions(short._plan.steps)
+            assert fused[2][0][3] is None and short._plan.kept == kept - table.nbytes
+            monkeypatch.setattr(kernel_module, "_PLAN_BYTES", kept - table.nbytes - 1)
+            trips = copy.deepcopy(k)
+            for _ in range(2):
+                assert interpret_batch(trips, geo, w).tobytes() == expected
+            (fused,) = _fusions(trips._plan.steps)
+            assert fused[2] == {} and 0 < trips._plan.kept < kept - table.nbytes
         # no room at all: every nest and contraction runs unplanned, same bits
         monkeypatch.setattr(kernel_module, "_PLAN_BYTES", 0)
         for _ in range(2):

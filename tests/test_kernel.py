@@ -1,4 +1,6 @@
+import copy
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formc import forms, harness
+from formc import kernel as kernel_module
 from formc.kernel import (
     AccumA,
     AccumScalar,
@@ -253,11 +256,15 @@ _POSITIVE = (0.5, 1.0, 2.0)
 @st.composite
 def _order_cases(draw):
     """A point loop (optionally with F reductions, a divisor and a Gip) around
-    perfect and non-perfect nests over i, j and k, with colliding index maps.
+    none or some perfect and non-perfect nests over i, j and k, with colliding
+    index maps.
 
     With ``carried`` F0 is set before the point loop, so each point's
     reduction continues the previous one's and the loop cannot run its
-    scalars for all points at once.
+    scalars for all points at once.  With ``fused`` every statement is
+    ``c * s``: c multiplies ip-indexed tables, literals and the constant W0,
+    and s is the cell-scope G or a per-point scalar, so a loop of perfect
+    nests takes the fused step, unless ``cell_c`` adds a coefficient to c.
     """
 
     def array(shape, values=_MAGNITUDES):
@@ -271,20 +278,31 @@ def _order_cases(draw):
     for v in "ijk":  # index maps onto 0..2: targets collide
         tables[f"M{v}"] = array((4,), (0, 1, 2)).astype(np.uint32)
     scalars = draw(st.booleans())
+    fused = draw(st.booleans())
+    cell_c = fused and draw(st.booleans())  # every c reads a coefficient: not fused
     ip = IxVar("ip")
 
     def accum(loop_vars):
         factors = [TableRef("T", (ip, IxVar(v))) for v in loop_vars]
+        terms = tuple((1, IxMap(f"M{v}", IxVar(v))) for v in loop_vars)
+        index = IxLin(terms, draw(st.integers(0, 2)))
+        if fused:
+            extra = [ScalarRef("W0"), Lit(draw(st.sampled_from(_MAGNITUDES)))]
+            factors += draw(st.lists(st.sampled_from(extra), max_size=2))
+            if cell_c:
+                factors.append(CoefRef(0, IxMap(f"M{loop_vars[-1]}", IxVar(loop_vars[-1]))))
+            pool = ([ScalarRef("Gip"), ScalarRef("F1")] if scalars else []) + [ScalarRef("G")]
+            return AccumA(index, BinOp("*", chain("*", factors), draw(st.sampled_from(pool))))
         factors.append(CoefRef(0, IxMap(f"M{loop_vars[-1]}", IxVar(loop_vars[-1]))))
         pool = [DetRef(), Lit(draw(st.sampled_from(_MAGNITUDES)))]
         factors.append(draw(st.sampled_from(pool + ([ScalarRef("Gip")] if scalars else []))))
         expr = chain("*", factors)
         if scalars and draw(st.booleans()):
             expr = BinOp("/", expr, ScalarRef("F1"))
-        terms = tuple((1, IxMap(f"M{v}", IxVar(v))) for v in loop_vars)
-        return AccumA(IxLin(terms, draw(st.integers(0, 2))), expr)
+        return AccumA(index, expr)
 
-    carried = scalars and draw(st.booleans())  # F0 sums over this and the earlier points
+    # F0 sums over this and the earlier points
+    carried = scalars and not fused and draw(st.booleans())
     body = []
     if scalars:
         for f, (table, coef) in enumerate((("T", 0), ("P", 1))):
@@ -294,10 +312,11 @@ def _order_cases(draw):
             body.append(Loop("r", 3, (AccumScalar(f"F{f}", term),)))
         gip = chain("*", [ScalarRef("G"), TableRef("W", (ip,)), ScalarRef("F0")])
         body.append(AssignScalar("Gip", BinOp("/", gip, ScalarRef("F1"))))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(3 - draw(st.integers(0, 3))):  # none at times
         loop_vars = "ij"[: draw(st.integers(1, 2))]
         stmts = [accum(loop_vars) for _ in range(draw(st.integers(1, 3)))]
-        if draw(st.booleans()):  # an inner loop beside the statements: not a perfect nest
+        # an inner loop beside the statements: not a perfect nest
+        if not fused and draw(st.booleans()):
             inner = Loop("k", draw(st.integers(1, 4)), (accum(loop_vars + "k"),))
             stmts.insert(draw(st.integers(0, len(stmts))), inner)
         nest = tuple(stmts)
@@ -309,20 +328,32 @@ def _order_cases(draw):
         *([AssignScalar("F0", Lit(0.0))] if carried else []),
         Loop("ip", n_points, tuple(body)),
     )
-    k = KernelIR("order", "quadrature", (9,), 2, (3, 3), (), tables, statements)
+    consts = (("W0", draw(st.sampled_from(_MAGNITUDES))),)
+    k = KernelIR("order", "quadrature", (9,), 2, (3, 3), consts, tables, statements)
+    nests = any(isinstance(s, Loop) and s.var != "r" for s in body)
+    k.meta["fused"] = (fused and not cell_c or not nests) and not carried
     n_cells = draw(st.integers(0, 4))  # often equal to a loop extent
     geo = BatchGeometry(array((n_cells, 2, 2)), array((n_cells,), _POSITIVE))
     return k, geo, [array((n_cells, 3)), array((n_cells, 3), _POSITIVE)]
 
 
-@settings(max_examples=150)
+@settings(max_examples=200)
 @given(_order_cases())
 def test_interpreter_keeps_each_entrys_summation_order(case):
     k, geo, w = case
+    pristine = copy.deepcopy(k)
     A = interpret_batch(k, geo, w)
     assert A.shape == (len(geo.det), 9)
     ref, ops = walk(k, geo, w)
     assert A.tobytes() == ref.tobytes()
+    runner, point_loop = k._plan.steps[-1]
+    if runner is kernel_module._exec_points:  # not a perfect nest itself
+        assert (point_loop[4] is not None) == k.meta["fused"]
+    # in slices of one trip, with one byte less room than the plans took (a
+    # fused loop then keeps its scatter plan but no c table) or none: the same bits
+    for room in (k._plan.kept - 1, 0):
+        with patch.multiple(kernel_module, _PLAN_BYTES=max(room, 0), _BLOCK_BYTES=1):
+            assert interpret_batch(copy.deepcopy(pristine), geo, w).tobytes() == ref.tobytes()
     if len(geo.det):  # a batch of no cells performs no operation
         assert ops == count_flops(k)
 
